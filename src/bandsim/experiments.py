@@ -769,6 +769,8 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     ref_asg, ref_kind = _reference_assignment(cfg, top, lattice_dims)
     s, n0 = _link_params(cfg, top)
     i_w = worst_case_interference(top)
+    ref_agg = (_reference_aggregate(top, ref_asg)
+               if ref_asg is not None else None)
     trace_rows = []
     cap_rows = []
     detail = []
@@ -803,7 +805,6 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
             cap = capacity_comparison(top, None, final, ref_asg, s, n0)
             entry["capacity_fraction"] = cap.achieved_fraction
             entry["capacity_normalized"] = cap.normalized_aggregate
-            ref_agg = _reference_aggregate(top, ref_asg)
             entry["db_gap_vs_reference"] = (
                 db_gap(brep.i_a, ref_agg)
                 if brep.i_a > 0 and ref_agg > 0 else None)
@@ -886,6 +887,8 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         ref_asg, ref_kind = _reference_assignment(cfg, top, lattice_dims)
         s, n0 = _link_params(cfg, top)
         i_w = worst_case_interference(top)
+        ref_agg = (_reference_aggregate(top, ref_asg)
+                   if ref_asg is not None else None)
         finals = []
         fractions = []
         gaps = []
@@ -900,14 +903,11 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
             if ref_asg is not None:
                 cap = capacity_comparison(top, None, final, ref_asg, s, n0)
                 fractions.append(cap.achieved_fraction)
-                ref_agg = _reference_aggregate(top, ref_asg)
                 if brep.i_a > 0 and ref_agg > 0:
                     gaps.append(db_gap(brep.i_a, ref_agg))
         _check_bounds(reports, cfg)
         all_reports.extend(reports)
         n = top.n
-        ref_agg = (_reference_aggregate(top, ref_asg)
-                   if ref_asg is not None else None)
         lower = reports[0].analytic_lower
         if isinstance(size, list):
             rows_cols = size

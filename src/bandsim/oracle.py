@@ -32,7 +32,13 @@ __all__ = [
 ]
 
 BRUTE_FORCE_GUARD = 10 ** 7
-_ZETA_TERMS = 1_000_000
+# Codes within this relative distance of the oracle's running minimum are
+# re-scored exactly; rounding in the blocked sums is far below it.
+_TIE_REL = 1e-9
+_ZETA_TERMS = 12
+# B_2k / (2k)! for k = 1..7: the Euler-Maclaurin corrections of riemann_zeta.
+_EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600,
+                    1 / 47900160, -691 / 1307674368000, 1 / 74724249600)
 
 
 class OracleCapacityError(ValueError):
@@ -84,7 +90,27 @@ def brute_force_optimal(top: Topology, act: ActivityState | None, r: int,
 
     Inactive clusters are pinned to band 1 (they contribute nothing).
     Returns the lexicographically smallest minimizer.  Guarded by
-    max_states; raises OracleCapacityError beyond it.
+    max_states; raises OracleCapacityError beyond it, before any work.
+
+    The search is exact but visits only k^(m-1) of the r^m assignments of
+    the m active clusters, with k = min(r, m):
+
+    - Pinned band.  Band labels carry no physics.  Relabeling bands in the
+      order of their first use maps every minimizer to a lexicographically
+      smaller or equal one that puts the first active cluster on band 1
+      and uses only bands 1..k.  So the search covers only those.
+    - Split.  The active clusters split into a head H (the most significant
+      digits, the pinned one included) and a tail L, so that
+      agg = A_H[h] + A_L[l] + sum_b onehot_H(b) @ (2 W_HL) @ onehot_L(b)^T.
+      A_H and A_L are pair sums within each part.  Head codes go in blocks
+      of about 2^16 (head, tail) pairs, each block costing k matrix
+      products, so memory stays a few MB up to the guard.  Row-major order
+      over (head, tail) is lexicographic order.
+    - Tie re-scoring.  Every code within 1e-9 relative of the running
+      minimum is kept and re-scored by one pairwise sum over all active
+      pairs, the same sum for every code.  Assignments equal up to band
+      labels then score bit-identically, and the lexicographically smallest
+      of the exact minima is returned with that value.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -98,45 +124,78 @@ def brute_force_optimal(top: Topology, act: ActivityState | None, r: int,
     if m == 0:
         return Assignment(base, r), 0.0
 
-    w = weight_matrix(top)
-    ii, jj = np.triu_indices(m, k=1)
-    pair_w = 2.0 * w[idx[ii], idx[jj]]
+    w = 2.0 * weight_matrix(top)[np.ix_(idx, idx)]
+    bands = min(r, m)
+    n_head = 1 + (m - 1) // 2
+    # Head codes below bands^(n_head-1) keep the first cluster on digit 0.
+    head_digits = _digits(np.arange(bands ** (n_head - 1)), n_head, bands)
+    tail_digits = _digits(np.arange(bands ** (m - n_head)), m - n_head, bands)
+    head_agg = _pair_sums(head_digits, w[:n_head, :n_head])
+    tail_agg = _pair_sums(tail_digits, w[n_head:, n_head:])
+    head_hot = [(head_digits == b).astype(float) for b in range(bands)]
+    # cross[b][h, l]: coupling of head cluster h on band b to tail code l.
+    cross = [w[:n_head, n_head:] @ (tail_digits == b).T
+             for b in range(bands)]
 
-    total = r ** m
-    # Base-r digits of the enumeration index, most significant digit first,
-    # give the assignments in lexicographic order.
-    place = r ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    best_value = math.inf
-    best_code = -1
-    chunk = 1 << 13
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (codes[:, None] // place[None, :]) % r
-        agg = ((digits[:, ii] == digits[:, jj]) * pair_w).sum(axis=1)
-        pos = int(np.argmin(agg))
-        if agg[pos] < best_value:
-            best_value = float(agg[pos])
-            best_code = int(codes[pos])
-    digits = (best_code // place) % r
-    base[idx] = digits + 1
-    return Assignment(base, r), best_value
+    n_tail_codes = tail_agg.size
+    block = max(1, (1 << 16) // n_tail_codes)
+    best = math.inf
+    kept = []
+    for start in range(0, head_agg.size, block):
+        rows = slice(start, start + block)
+        agg = head_agg[rows, None] + tail_agg
+        for b in range(bands):
+            agg += head_hot[b][rows] @ cross[b]
+        best = min(best, float(agg.min()))
+        close = np.flatnonzero(agg.ravel() <= best * (1.0 + _TIE_REL))
+        kept.append(start * n_tail_codes + close)
+    codes = np.concatenate(kept)
+    digits = _digits(codes, m, bands)
+    values = _pair_sums(digits, w)
+    pos = int(np.argmin(values))
+    base[idx] = digits[pos] + 1
+    return Assignment(base, r), float(values[pos])
+
+
+def _digits(codes: np.ndarray, width: int, r: int) -> np.ndarray:
+    """Base-r digits of codes, most significant first, as (codes, width)."""
+    place = r ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (codes[:, None] // place[None, :]) % r
+
+
+def _pair_sums(digits: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum of w[i, j] over the pairs i < j that share a digit, per row.
+
+    Pairs are added one at a time in (i, j) order, so a row's value does
+    not depend on the other rows scored with it.
+    """
+    sums = np.zeros(digits.shape[0])
+    for i, j in zip(*np.triu_indices(digits.shape[1], k=1)):
+        sums += (digits[:, i] == digits[:, j]) * w[i, j]
+    return sums
 
 
 def riemann_zeta(eta: float, terms: int = _ZETA_TERMS) -> float:
-    """zeta(eta) by direct summation with an Euler-Maclaurin tail.
+    """zeta(eta) by Euler-Maclaurin summation.
 
-    Absolute accuracy far below 1e-12 for eta >= 1 + 1e-3 at the default
-    term count; diverges for eta <= 1.
+    The first `terms` terms are summed directly.  The rest is the tail
+    integral minus half the last term, plus the Bernoulli corrections
+    B_2..B_14.  At the default 12 terms the relative error is below 1e-15
+    for eta in [1.001, 10]; diverges for eta <= 1.
     """
     if eta <= 1:
         raise ValueError(f"zeta({eta}) diverges (need eta > 1)")
-    j = np.arange(1, terms + 1, dtype=float)
-    head = float(np.sum(j ** -eta))
     m = float(terms)
-    tail = (m ** (1.0 - eta) / (eta - 1.0)
-            - 0.5 * m ** -eta
-            + eta * m ** (-eta - 1.0) / 12.0)
-    return head + tail
+    parts = [j ** -eta for j in range(1, terms + 1)]
+    parts += [m ** (1.0 - eta) / (eta - 1.0), -0.5 * m ** -eta]
+    # B_2k/(2k)! * eta(eta+1)...(eta+2k-2) * m^(-eta-2k+1), k = 1..7
+    rising = eta
+    power = m ** (-eta - 1.0)
+    for k, coeff in enumerate(_EULER_MACLAURIN, 1):
+        parts.append(coeff * rising * power)
+        rising *= (eta + 2 * k - 1) * (eta + 2 * k)
+        power /= m * m
+    return math.fsum(parts)
 
 
 def asymptotic_lower_bound(r: int, eta: float, p0: float = 1.0,

@@ -1,16 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bandsim.allocation import SimState, run_to_convergence
 from bandsim.interference import (ActivityState, Assignment,
                                   aggregate_interference, all_band_one,
-                                  uniform_random_assignment)
+                                  uniform_random_assignment, weight_matrix)
 from bandsim.oracle import (BoundReport, OracleCapacityError,
                             alternating_assignment, asymptotic_lower_bound,
                             bound_report, brute_force_optimal,
                             canonical_relabel, lattice_reuse_assignment,
                             riemann_zeta)
-from bandsim.topology import (make_rectangular_lattice,
+from bandsim.topology import (make_hexagonal_lattice,
+                              make_rectangular_lattice,
                               make_uniform_linear_array,
                               topology_from_positions)
 
@@ -18,9 +22,9 @@ mpmath = pytest.importorskip("mpmath")
 
 
 def test_zeta_against_mpmath():
-    for eta in (2.0, 2.5, 3.0, 4.0, 6.0):
+    for eta in (1.001, 1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 3.7, 4.0, 6.0, 10.0):
         assert riemann_zeta(eta) == pytest.approx(
-            float(mpmath.zeta(eta)), abs=1e-12)
+            float(mpmath.zeta(eta)), rel=1e-14)
 
 
 def test_zeta_known_values():
@@ -106,6 +110,92 @@ def test_brute_force_guard():
     top = make_uniform_linear_array(30, 1.0)
     with pytest.raises(OracleCapacityError):
         brute_force_optimal(top, None, 2, max_states=2 ** 20)
+    with pytest.raises(OracleCapacityError):
+        brute_force_optimal(top, None, 2)
+
+
+def _enumerated_optimum(top, active, r):
+    """Reference oracle: score every assignment of the active clusters in
+    lexicographic order and keep the first minimum.
+
+    Same-band pairs are summed in (i, j) index order, as the oracle scores
+    its tied candidates, so even exact geometric ties (mirror images on a
+    grid) resolve to the same assignment.
+    """
+    idx = np.flatnonzero(active)
+    pair_w = 2.0 * weight_matrix(top)[np.ix_(idx, idx)]
+    codes = np.array(list(itertools.product(range(r), repeat=idx.size)),
+                     dtype=np.int64).reshape(r ** idx.size, idx.size)
+    values = np.zeros(len(codes))
+    for i, j in itertools.combinations(range(idx.size), 2):
+        values += (codes[:, i] == codes[:, j]) * pair_w[i, j]
+    pos = int(np.argmin(values))
+    bands = np.ones(top.n, dtype=np.int64)
+    bands[idx] = codes[pos] + 1
+    return bands, float(values[pos])
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                      min_size=1, max_size=8, unique=True),
+       data=st.data(),
+       r=st.integers(1, 4),
+       eta=st.sampled_from([2.0, 3.0, 4.0]))
+def test_brute_force_matches_enumeration(cells, data, r, eta):
+    # grid positions make many exact symmetric ties
+    top = topology_from_positions(0.5 * np.array(cells, dtype=float), eta=eta)
+    active = np.array(data.draw(st.lists(st.booleans(), min_size=top.n,
+                                         max_size=top.n)))
+    asg, value = brute_force_optimal(top, ActivityState(active), r)
+    bands, expected = _enumerated_optimum(top, active, r)
+    assert list(asg.bands) == list(bands)
+    assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_brute_force_degenerate_sizes():
+    top = make_uniform_linear_array(4, 1.0)
+    # m = 0: nothing active
+    asg, value = brute_force_optimal(
+        top, ActivityState(np.zeros(4, dtype=bool)), 3)
+    assert list(asg.bands) == [1, 1, 1, 1] and value == 0.0
+    # m = 1: the single active cluster sits on band 1 alone
+    asg, value = brute_force_optimal(
+        top, ActivityState(np.array([False, False, True, False])), 3)
+    assert list(asg.bands) == [1, 1, 1, 1] and value == 0.0
+    # more bands than clusters: every cluster gets a band of its own
+    asg, value = brute_force_optimal(top, None, 12)
+    bands, _ = _enumerated_optimum(top, np.ones(4, dtype=bool), 12)
+    assert list(asg.bands) == list(bands) == [1, 2, 3, 4] and value == 0.0
+    # r = 1: the only assignment puts every cluster on band 1
+    asg, value = brute_force_optimal(top, None, 1)
+    assert list(asg.bands) == [1, 1, 1, 1]
+    assert value == pytest.approx(
+        aggregate_interference(top, all_band_one(4, 1)), rel=1e-12)
+
+
+def test_brute_force_lattice_label_ties():
+    # four bands on a 3x3 grid: every optimum comes in 24 relabelings (and
+    # mirror images); the lexicographically smallest one is returned
+    top = make_rectangular_lattice(3, 3, 1.0)
+    asg, value = brute_force_optimal(top, None, 4)
+    assert list(asg.bands) == [1, 2, 1, 3, 4, 3, 2, 1, 2]
+    assert value == pytest.approx(3.1, rel=1e-12)
+    assert value == pytest.approx(aggregate_interference(top, asg), rel=1e-12)
+
+
+@pytest.mark.parametrize("make, rows, cols, r", [
+    (make_rectangular_lattice, 3, 3, 2),
+    (make_hexagonal_lattice, 2, 4, 4),
+    (make_hexagonal_lattice, 3, 3, 2),
+])
+def test_brute_force_lattice_matches_enumeration(make, rows, cols, r):
+    # symmetric lattices, where the blocked sums round label-permuted twins
+    # differently; only exact re-scoring picks the enumeration's minimizer
+    top = make(rows, cols, 1.0)
+    asg, value = brute_force_optimal(top, None, r)
+    bands, expected = _enumerated_optimum(top, np.ones(top.n, dtype=bool), r)
+    assert list(asg.bands) == list(bands)
+    assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_brute_force_never_above_converged_runs():
