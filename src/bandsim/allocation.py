@@ -99,10 +99,20 @@ class SimState:
         self.cache.set_active(i, on)
 
     def active_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.cache.active)
+        return self.cache.active_indices()
+
+    def pick_active(self) -> int:
+        """Uniformly drawn active cluster, or -1 (and no draw) if none is
+        active.  With every cluster active the draw is the index itself."""
+        idx = self.cache.active_indices()
+        m = idx.size
+        if m == 0:
+            return -1
+        k = int(self.rng.integers(m))
+        return k if m == self.cache.n else int(idx[k])
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateRecord:
     """One applied update: who moved where and the potential before/after."""
 
@@ -126,35 +136,28 @@ def best_band(state: SimState, i: int) -> int:
     REL_TOL); among strictly better bands the lowest-interference one is
     chosen, ties broken by lowest band index.
     """
-    if not state.cache.active[i]:
+    cache = state.cache
+    if not cache.active[i]:
         raise ValueError(f"cluster {i} is inactive")
-    powers = state.cache.band_powers(i)
-    current = int(state.cache.bands[i])
+    powers = cache.band_powers(i).tolist()
+    current = int(cache.bands[i])
     cur_val = powers[current - 1]
-    best = int(np.argmin(powers))
-    if cur_val - powers[best] <= REL_TOL * max(1.0, cur_val):
+    low = min(powers)
+    if cur_val - low <= REL_TOL * max(1.0, cur_val):
         return current
-    return best + 1
+    return powers.index(low) + 1
 
 
 def apply_update(state: SimState, i: int) -> UpdateRecord:
     """Apply the best-band rule at cluster i and log the potential change."""
-    before = state.cache.aggregate()
-    old = int(state.cache.bands[i])
+    cache = state.cache
+    before = cache.aggregate()
+    old = int(cache.bands[i])
     new = best_band(state, i)
-    state.cache.set_band(i, new)
-    after = state.cache.aggregate()
+    cache.set_band(i, new)
     state.epoch += 1
-    return UpdateRecord(epoch=state.epoch, time=state.time, cluster=i,
-                        old_band=old, new_band=new,
-                        aggregate_before=before, aggregate_after=after)
-
-
-def _pick_uniform_active(state: SimState) -> int:
-    idx = state.active_indices()
-    if idx.size == 0:
-        raise SchedulingError("no active clusters to schedule")
-    return int(idx[state.rng.integers(idx.size)])
+    return UpdateRecord(state.epoch, state.time, i, old, new, before,
+                        cache.aggregate())
 
 
 @dataclass
@@ -170,7 +173,10 @@ class PoissonClock:
 
     def next(self, state: SimState) -> tuple[int, float]:
         dt = float(state.rng.exponential(self.delta_t))
-        return _pick_uniform_active(state), dt
+        i = state.pick_active()
+        if i < 0:
+            raise SchedulingError("no active clusters to schedule")
+        return i, dt
 
 
 class RandomPermutationRounds:

@@ -2,11 +2,12 @@
 
 Update events arrive as a network-wide Poisson process of rate 1/delta_t;
 at every event each cluster's on/off state advances one step of a symmetric
-two-state Markov chain (stay with probability alpha), then one uniformly
-chosen active cluster applies the best-band rule.  The ensemble mean of the
-aggregate relaxes exponentially with rate rho/tau (tau = N*delta_t), and in
-steady state the variance follows a closed-form prediction gated by the
-stability margin 8*(1-alpha)/rho < 1.
+two-state Markov chain (stay with probability alpha), applied to the cache
+as one batched update, then one uniformly chosen active cluster applies the
+best-band rule.  The ensemble mean of the aggregate relaxes exponentially
+with rate rho/tau (tau = N*delta_t), and in steady state the variance
+follows a closed-form prediction gated by the stability margin
+8*(1-alpha)/rho < 1.
 
 Seed discipline: replica k of an ensemble uses base_seed + k; within one
 replica, SeedSequence(seed).spawn(2) yields the scheduling stream and the
@@ -195,6 +196,7 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
     old_bands = [0]
     new_bands = [0]
 
+    cache = state.cache
     t = 0.0
     while True:
         dt = float(state.rng.exponential(cfg.delta_t))
@@ -203,12 +205,9 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
         t += dt
         state.time = t
         if one_minus_alpha > 0.0:
-            flips = act_rng.random(n) < one_minus_alpha
-            for j in np.flatnonzero(flips):
-                state.set_active(int(j), not state.active[j])
-        idx = state.active_indices()
-        if idx.size:
-            i = int(idx[state.rng.integers(idx.size)])
+            cache.toggle_active(act_rng.random(n) < one_minus_alpha)
+        i = state.pick_active()
+        if i >= 0:
             rec = apply_update(state, i)
             clusters.append(rec.cluster)
             old_bands.append(rec.old_band)
@@ -221,7 +220,7 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
             new_bands.append(0)
             aggregates.append(0.0)
         times.append(t)
-        active_counts.append(int(state.active.sum()))
+        active_counts.append(cache.active_indices().size)
 
     return SimTrace(times=np.asarray(times), aggregates=np.asarray(aggregates),
                     active_counts=np.asarray(active_counts, dtype=float),

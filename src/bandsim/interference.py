@@ -7,7 +7,7 @@ Conventions, used everywhere downstream:
 
 Plain functions recompute from scratch (the O(N^2) oracle path); the
 InterferenceCache keeps per-cluster per-band sums updated in O(N) per event
-for the simulation inner loop.
+for the simulation inner loop, and the aggregate updated in O(1).
 """
 
 from __future__ import annotations
@@ -94,11 +94,11 @@ def all_active(n: int, alpha: float = 1.0) -> ActivityState:
 
 
 def weight_matrix(top: Topology) -> np.ndarray:
-    """Pairwise path-loss weights p0/d^eta with a zero diagonal."""
-    with np.errstate(divide="ignore"):
-        w = top.p0 / top.dist ** top.eta
-    np.fill_diagonal(w, 0.0)
-    return w
+    """Pairwise path-loss weights p0/d^eta with a zero diagonal.
+
+    The matrix is computed once per topology and shared read-only.
+    """
+    return top.weights
 
 
 def _check_lengths(top: Topology, asg: Assignment, act: ActivityState | None):
@@ -163,7 +163,11 @@ class InterferenceCache:
     _band_power[j, k] is the power cluster j would receive on band k+1 from
     the currently active transmitters (excluding j itself, whose weight to
     itself is zero).  Band switches and activity toggles adjust one weight
-    column per event.  Owned by a single replica; not thread-safe.
+    column per event.  The aggregate is kept as a running value: by
+    reciprocity a switch of active cluster i changes it by
+    2*(P[i,new] - P[i,old]) and a toggle by +-2*P[i,b_i].  rebuild() and
+    toggle_active() re-sum it exactly.  Owned by a single replica; not
+    thread-safe.
     """
 
     def __init__(self, top: Topology, asg: Assignment, act: ActivityState | None = None):
@@ -188,6 +192,13 @@ class InterferenceCache:
         for k in range(self.r):
             cols = self.bands == k + 1
             self._band_power[:, k] = masked[:, cols].sum(axis=1)
+        self._activity_changed()
+
+    def _activity_changed(self) -> None:
+        """Drop the cached active set and re-sum the aggregate in O(N)."""
+        self._active_idx = None
+        self._aggregate = float(np.sum(self.own_band_interference(),
+                                       where=self.active))
 
     def band_powers(self, i: int) -> np.ndarray:
         """All r band sums for cluster i (do not mutate)."""
@@ -204,7 +215,13 @@ class InterferenceCache:
         return self._band_power[self._idx, self.bands - 1]
 
     def aggregate(self) -> float:
-        return float(np.sum(self.own_band_interference(), where=self.active))
+        return self._aggregate
+
+    def active_indices(self) -> np.ndarray:
+        """Indices of the active clusters, ascending (do not mutate)."""
+        if self._active_idx is None:
+            self._active_idx = np.flatnonzero(self.active)
+        return self._active_idx
 
     def set_band(self, i: int, band: int) -> None:
         old = int(self.bands[i])
@@ -213,6 +230,8 @@ class InterferenceCache:
         if not 1 <= band <= self.r:
             raise ValueError(f"band {band} out of range 1..{self.r}")
         if self.active[i]:
+            row = self._band_power[i]
+            self._aggregate += 2.0 * float(row[band - 1] - row[old - 1])
             col = self.weights[:, i]
             self._band_power[:, old - 1] -= col
             self._band_power[:, band - 1] += col
@@ -221,12 +240,30 @@ class InterferenceCache:
     def set_active(self, i: int, on: bool) -> None:
         if bool(self.active[i]) == bool(on):
             return
+        k = self.bands[i] - 1
         col = self.weights[:, i]
         if on:
-            self._band_power[:, self.bands[i] - 1] += col
+            self._aggregate += 2.0 * float(self._band_power[i, k])
+            self._band_power[:, k] += col
         else:
-            self._band_power[:, self.bands[i] - 1] -= col
+            self._aggregate -= 2.0 * float(self._band_power[i, k])
+            self._band_power[:, k] -= col
         self.active[i] = bool(on)
+        self._active_idx = None
+
+    def toggle_active(self, flips: np.ndarray) -> None:
+        """Flip the activity of every cluster where the boolean mask flips
+        is set, as one batched update of the band sums followed by an exact
+        re-sum of the aggregate."""
+        idx = np.flatnonzero(flips)
+        if idx.size == 0:
+            return
+        signed = np.zeros((idx.size, self.r))
+        signed[np.arange(idx.size), self.bands[idx] - 1] = \
+            np.where(self.active[idx], -1.0, 1.0)
+        self._band_power += self.weights[:, idx] @ signed
+        self.active[idx] = ~self.active[idx]
+        self._activity_changed()
 
     def assignment(self) -> Assignment:
         return Assignment(self.bands.copy(), self.r)

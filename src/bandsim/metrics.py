@@ -19,6 +19,7 @@ __all__ = [
     "CapacityReport",
     "shannon_capacity",
     "capacity_comparison",
+    "capacity_fraction",
     "db_gap",
 ]
 
@@ -95,16 +96,20 @@ def capacity_comparison(top: Topology, act: ActivityState | None,
                                         signal_power, noise_power)
     _, ref_normalized = shannon_capacity(top, reference_asg, act,
                                          signal_power, noise_power)
-    undefined = ref_normalized == 0.0
-    fraction = math.nan if undefined else normalized / ref_normalized
     return CapacityReport(
         per_cluster=[float(c) for c in caps],
         normalized_aggregate=normalized,
         reference_normalized=ref_normalized,
-        achieved_fraction=fraction,
-        undefined_fraction=undefined,
+        achieved_fraction=capacity_fraction(normalized, ref_normalized),
+        undefined_fraction=ref_normalized == 0.0,
         signal_power=float(signal_power),
         noise_power=float(noise_power))
+
+
+def capacity_fraction(normalized: float, ref_normalized: float) -> float:
+    """Normalized capacity over the reference's; NaN when the reference
+    capacity is zero."""
+    return math.nan if ref_normalized == 0.0 else normalized / ref_normalized
 
 
 def db_gap(i_a: float, i_ref: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,9 @@ class Topology:
     p0        : reference received power at unit distance, > 0
     eta       : path-loss exponent, >= 1
     min_sep   : smallest pairwise distance (inf for a single cluster)
+
+    The path-loss weight matrix is derived from these on first use and
+    kept with the topology (see ``weights``).
     """
 
     positions: np.ndarray
@@ -60,6 +64,16 @@ class Topology:
     @property
     def dim(self) -> int:
         return self.positions.shape[1]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only path-loss weights p0/dist**eta with a zero diagonal,
+        computed once per topology."""
+        with np.errstate(divide="ignore"):
+            w = self.p0 / self.dist ** self.eta
+        np.fill_diagonal(w, 0.0)
+        w.setflags(write=False)
+        return w
 
 
 def _pairwise_distances(positions: np.ndarray) -> np.ndarray:

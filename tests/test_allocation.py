@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bandsim.allocation import (ConvergenceError, PoissonClock,
+from bandsim.allocation import (REL_TOL, ConvergenceError, PoissonClock,
                                 RandomPermutationRounds, SchedulingError,
                                 SimState, apply_update, best_band,
                                 default_update_guard, run_to_convergence,
@@ -50,6 +50,23 @@ def test_best_band_prefers_lowest_index_among_ties():
     top = make_uniform_linear_array(3, 1.0)
     state = _state(top, [1, 1, 1], 3)
     assert best_band(state, 1) == 2
+
+
+def test_best_band_ties_at_high_power():
+    # p0 = 1e6 puts the level far above the tolerance's absolute floor of 1
+    p0 = 1e6
+    # cluster 0 on band 4 hears band 4 at d=1, band 1 at d=1.5 and bands 2
+    # and 3 at d=2 exactly: the equal minimum goes to the lowest index
+    top = topology_from_positions([[0.0], [1.0], [-1.5], [-2.0], [2.0]],
+                                  p0=p0)
+    state = _state(top, [4, 4, 1, 2, 3], 4)
+    assert best_band(state, 0) == 2
+    # band 2 beats the current band by 0.5*REL_TOL relative: keep band 1;
+    # by 2*REL_TOL: switch
+    for gain, expected in ((0.5 * REL_TOL, 1), (2.0 * REL_TOL, 2)):
+        d = (1.0 - gain) ** -0.5
+        top = topology_from_positions([[0.0], [1.0], [-d]], p0=p0)
+        assert best_band(_state(top, [1, 1, 2], 2), 0) == expected
 
 
 def test_best_band_rejects_inactive():

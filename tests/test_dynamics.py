@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bandsim.allocation import PoissonClock, SimState, run_to_convergence
+from bandsim.allocation import (REL_TOL, PoissonClock, SimState,
+                                run_to_convergence)
 from bandsim.dynamics import (DynamicsConfig, FitError, SimTrace,
                               StatisticsError, default_warmup,
                               empirical_steady_state_variance,
@@ -11,7 +12,8 @@ from bandsim.dynamics import (DynamicsConfig, FitError, SimTrace,
                               run_ensemble, sample_on_grid,
                               simulate_time_varying, stability_margin,
                               steady_state_stats)
-from bandsim.interference import (ActivityState, all_band_one,
+from bandsim.interference import (ActivityState, InterferenceCache,
+                                  aggregate_interference, all_band_one,
                                   uniform_random_assignment)
 from bandsim.topology import make_uniform_linear_array
 
@@ -165,6 +167,56 @@ def test_simulate_alpha_one_matches_static_engine():
                           [rec.cluster for rec in records[:k]])
     assert tr.aggregates[1:k + 1] == pytest.approx(
         [rec.aggregate_after for rec in records[:k]])
+
+
+def _per_flip_reference(top, cfg, r, seed, initial):
+    """The churn loop written out plainly: one set_active per flip, the
+    active set found afresh each event, the best-band rule on numpy, and
+    the aggregate recomputed from scratch."""
+    sched_rng, act_rng = replica_streams(seed)
+    cache = InterferenceCache(top, initial)
+    rows = []
+    t = 0.0
+    while True:
+        dt = float(sched_rng.exponential(cfg.delta_t))
+        if t + dt > cfg.horizon:
+            break
+        t += dt
+        for j in np.flatnonzero(act_rng.random(top.n) < 1.0 - cfg.alpha):
+            cache.set_active(int(j), not cache.active[j])
+        idx = np.flatnonzero(cache.active)
+        if idx.size == 0:
+            rows.append((t, -1, 0, 0, 0, 0.0))
+            continue
+        i = int(idx[sched_rng.integers(idx.size)])
+        powers = cache.band_powers(i)
+        old = int(cache.bands[i])
+        best = int(np.argmin(powers))
+        new = old if (powers[old - 1] - powers[best]
+                      <= REL_TOL * max(1.0, powers[old - 1])) else best + 1
+        cache.set_band(i, new)
+        rows.append((t, i, old, new, idx.size, aggregate_interference(
+            top, cache.assignment(), cache.activity())))
+    return rows
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [0.99, 0.9, 0.5, 0.0])
+def test_simulate_churn_matches_per_flip_reference(alpha):
+    top = make_uniform_linear_array(30, 1.0)
+    cfg = DynamicsConfig(delta_t=0.01, horizon=2.0, alpha=alpha)
+    initial = uniform_random_assignment(30, 3, np.random.default_rng(2))
+    for seed in (4, 5):
+        tr = simulate_time_varying(top, cfg, 3, seed, initial=initial)
+        rows = _per_flip_reference(top, cfg, 3, seed, initial)
+        assert tr.events == len(rows) > 100
+        times, clusters, olds, news, counts, aggs = map(np.array, zip(*rows))
+        assert np.array_equal(tr.times[1:], times)
+        assert np.array_equal(tr.clusters[1:], clusters)
+        assert np.array_equal(tr.old_bands[1:], olds)
+        assert np.array_equal(tr.new_bands[1:], news)
+        assert np.array_equal(tr.active_counts[1:], counts)
+        assert np.allclose(tr.aggregates[1:], aggs, rtol=1e-12, atol=1e-12)
 
 
 def test_simulate_warns_on_fast_churn():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bandsim.interference import (ActivityState, Assignment,
                                   InterferenceCache, aggregate_interference,
@@ -208,3 +209,84 @@ def test_cache_rebuild_restores_consistency():
     before = cache.aggregate()
     cache.rebuild()
     assert cache.aggregate() == pytest.approx(before, rel=1e-15)
+
+
+def test_weight_matrix_cached_read_only():
+    top = make_rectangular_lattice(3, 3, 1.0)
+    w = weight_matrix(top)
+    assert w is weight_matrix(top)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 1] = 0.0
+    assert InterferenceCache(top, all_band_one(9, 2)).weights is w
+
+
+def _assert_matches_recompute(cache, top, tol=1e-12):
+    asg = cache.assignment()
+    act = ActivityState(cache.active.copy())
+    ref = aggregate_interference(top, asg, act)
+    assert abs(cache.aggregate() - ref) <= tol * max(1.0, abs(ref))
+    for j in range(top.n):
+        for k in range(1, cache.r + 1):
+            ref = band_interference(top, asg, act, j, k)
+            assert abs(cache.band_interference(j, k) - ref) \
+                <= tol * max(1.0, abs(ref))
+        if cache.active[j]:
+            ref = cluster_interference(top, asg, act, j)
+            assert abs(cache.cluster_interference(j) - ref) \
+                <= tol * max(1.0, abs(ref))
+    assert np.array_equal(cache.active_indices(), np.flatnonzero(act.active))
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("band"), st.integers(0, 11), st.integers(1, 3)),
+    st.tuples(st.just("active"), st.integers(0, 11), st.booleans()),
+    st.tuples(st.just("flips"), st.lists(st.booleans(), min_size=12,
+                                         max_size=12)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                      min_size=12, max_size=12, unique=True),
+       bands=st.lists(st.integers(1, 3), min_size=12, max_size=12),
+       active=st.lists(st.booleans(), min_size=12, max_size=12),
+       ops=st.lists(_OPS, max_size=40))
+def test_cache_interleaved_updates_match_recompute(cells, bands, active, ops):
+    # the running aggregate and the band sums stay those of a full recompute
+    # under any mix of switches, single toggles and batched flips
+    top = topology_from_positions(0.5 * np.array(cells, dtype=float))
+    cache = InterferenceCache(top, Assignment(np.array(bands), 3),
+                              ActivityState(np.array(active)))
+    for op in ops:
+        if op[0] == "band":
+            cache.set_band(op[1], op[2])
+        elif op[0] == "active":
+            cache.set_active(op[1], op[2])
+        else:
+            cache.toggle_active(np.array(op[1]))
+        _assert_matches_recompute(cache, top)
+
+
+def test_batched_flips_equal_single_toggles():
+    top = make_rectangular_lattice(5, 6, 1.0)
+    rng = np.random.default_rng(3)
+    asg = uniform_random_assignment(30, 3, rng)
+    act = ActivityState(rng.random(30) < 0.7)
+    batched = InterferenceCache(top, asg, act)
+    single = InterferenceCache(top, asg, act)
+    for _ in range(50):
+        flips = rng.random(30) < 0.2
+        batched.toggle_active(flips)
+        for j in np.flatnonzero(flips):
+            single.set_active(int(j), not single.active[j])
+        assert np.array_equal(batched.active, single.active)
+        assert np.array_equal(batched.active_indices(),
+                              single.active_indices())
+        for j in range(30):
+            assert np.allclose(batched.band_powers(j), single.band_powers(j),
+                               rtol=1e-12, atol=1e-12)
+        assert batched.aggregate() == pytest.approx(single.aggregate(),
+                                                    rel=1e-12, abs=1e-12)
+        _assert_matches_recompute(batched, top)
+    batched.toggle_active(np.zeros(30, dtype=bool))
+    assert np.array_equal(batched.active, single.active)
