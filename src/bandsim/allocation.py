@@ -103,13 +103,12 @@ class SimState:
 
     def pick_active(self) -> int:
         """Uniformly drawn active cluster, or -1 (and no draw) if none is
-        active.  With every cluster active the draw is the index itself."""
+        active."""
         idx = self.cache.active_indices()
         m = idx.size
         if m == 0:
             return -1
-        k = int(self.rng.integers(m))
-        return k if m == self.cache.n else int(idx[k])
+        return int(idx[self.rng.integers(m)])
 
 
 @dataclass(slots=True)

@@ -205,7 +205,8 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
         t += dt
         state.time = t
         if one_minus_alpha > 0.0:
-            cache.toggle_active(act_rng.random(n) < one_minus_alpha)
+            cache.toggle_active(
+                np.flatnonzero(act_rng.random(n) < one_minus_alpha))
         i = state.pick_active()
         if i >= 0:
             rec = apply_update(state, i)

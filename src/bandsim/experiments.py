@@ -153,9 +153,10 @@ def _write_json(path: Path, doc) -> None:
 
 
 def _csv_cell(v) -> str:
-    # exact float and int first: they fill almost every cell
-    if type(v) is float:
-        return "" if math.isnan(v) else _format_float(v)
+    # floats and plain ints fill almost every cell, so they are tested first
+    if isinstance(v, (float, np.floating)):
+        f = float(v)
+        return "" if math.isnan(f) else _format_float(f)
     if type(v) is int:
         return str(v)
     if v is None:
@@ -164,9 +165,6 @@ def _csv_cell(v) -> str:
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        return "" if math.isnan(f) else _format_float(f)
     return str(v)
 
 

@@ -165,9 +165,9 @@ class InterferenceCache:
     itself is zero).  Band switches and activity toggles adjust one weight
     column per event.  The aggregate is kept as a running value: by
     reciprocity a switch of active cluster i changes it by
-    2*(P[i,new] - P[i,old]) and a toggle by +-2*P[i,b_i].  rebuild() and
-    toggle_active() re-sum it exactly.  Owned by a single replica; not
-    thread-safe.
+    2*(P[i,new] - P[i,old]).  Activity changes, single (set_active) or
+    batched (toggle_active), and rebuild() re-sum it exactly.  Owned by a
+    single replica; not thread-safe.
     """
 
     def __init__(self, top: Topology, asg: Assignment, act: ActivityState | None = None):
@@ -238,24 +238,13 @@ class InterferenceCache:
         self.bands[i] = band
 
     def set_active(self, i: int, on: bool) -> None:
-        if bool(self.active[i]) == bool(on):
-            return
-        k = self.bands[i] - 1
-        col = self.weights[:, i]
-        if on:
-            self._aggregate += 2.0 * float(self._band_power[i, k])
-            self._band_power[:, k] += col
-        else:
-            self._aggregate -= 2.0 * float(self._band_power[i, k])
-            self._band_power[:, k] -= col
-        self.active[i] = bool(on)
-        self._active_idx = None
+        if bool(self.active[i]) != bool(on):
+            self.toggle_active(np.array([i]))
 
-    def toggle_active(self, flips: np.ndarray) -> None:
-        """Flip the activity of every cluster where the boolean mask flips
-        is set, as one batched update of the band sums followed by an exact
-        re-sum of the aggregate."""
-        idx = np.flatnonzero(flips)
+    def toggle_active(self, idx: np.ndarray) -> None:
+        """Flip the activity of the clusters at the indices idx (distinct),
+        as one batched update of the band sums followed by an exact re-sum
+        of the aggregate."""
         if idx.size == 0:
             return
         signed = np.zeros((idx.size, self.r))
