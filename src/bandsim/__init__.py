@@ -9,16 +9,15 @@ stochastic behavior under random on/off cluster activity.
 
 __version__ = "0.1.0"
 
-from .allocation import (PoissonClock, RandomPermutationRounds, SimState,
+from .allocation import (PoissonClock, RandomPermutationRounds,
                          UpdateRecord, apply_update, best_band,
-                         run_to_convergence, schedule_next)
+                         run_to_convergence)
 from .dynamics import (DynamicsConfig, DynamicsPrediction, SimTrace,
-                       SteadyStateStats, empirical_steady_state_variance,
-                       ensemble_mean_trace, fit_exponential_decay,
-                       lambda_from_alpha, markov_toggle_all,
-                       predicted_variance, run_ensemble, sample_on_grid,
-                       simulate_time_varying, stability_margin,
-                       steady_state_stats)
+                       SteadyStateStats, ensemble_mean_trace,
+                       fit_exponential_decay, lambda_from_alpha,
+                       markov_toggle_all, predicted_variance, run_ensemble,
+                       sample_on_grid, simulate_time_varying,
+                       stability_margin, steady_state_stats)
 from .experiments import (ConfigError, ExperimentConfig, RunResult,
                           config_hash, dumps_canonical, load_config,
                           parse_config, preset, resolve_out_dir,
@@ -45,8 +44,8 @@ __all__ = [
     "Assignment", "ActivityState", "InterferenceCache",
     "band_interference", "cluster_interference", "aggregate_interference",
     "worst_case_interference",
-    "SimState", "UpdateRecord", "PoissonClock", "RandomPermutationRounds",
-    "best_band", "apply_update", "schedule_next", "run_to_convergence",
+    "UpdateRecord", "PoissonClock", "RandomPermutationRounds",
+    "best_band", "apply_update", "run_to_convergence",
     "BoundReport", "alternating_assignment", "lattice_reuse_assignment",
     "canonical_relabel", "brute_force_optimal", "riemann_zeta",
     "asymptotic_lower_bound", "bound_report",
@@ -54,7 +53,7 @@ __all__ = [
     "markov_toggle_all", "lambda_from_alpha", "stability_margin",
     "simulate_time_varying", "run_ensemble", "sample_on_grid",
     "ensemble_mean_trace", "fit_exponential_decay", "predicted_variance",
-    "steady_state_stats", "empirical_steady_state_variance",
+    "steady_state_stats",
     "CapacityReport", "shannon_capacity", "capacity_comparison", "db_gap",
     "ConfigError", "ExperimentConfig", "RunResult", "parse_config",
     "load_config", "validate_config", "preset", "run_experiment",

@@ -16,19 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import (ActivityState, Assignment, InterferenceCache,
-                           all_active)
-from .topology import Topology
+from .interference import InterferenceCache
 
 __all__ = [
     "REL_TOL",
     "ConvergenceError",
     "SchedulingError",
-    "SimState",
     "UpdateRecord",
     "PoissonClock",
     "RandomPermutationRounds",
-    "schedule_next",
     "best_band",
     "apply_update",
     "default_update_guard",
@@ -48,69 +44,6 @@ class SchedulingError(RuntimeError):
     """No active cluster available to schedule."""
 
 
-class SimState:
-    """Mutable per-replica simulation state.
-
-    Owns the incremental interference cache; band and activity changes must
-    go through set_band/set_active (or apply_update) to keep it consistent.
-    """
-
-    def __init__(self, topology: Topology, assignment: Assignment,
-                 activity: ActivityState | None = None,
-                 rng: np.random.Generator | None = None):
-        if activity is None:
-            activity = all_active(topology.n)
-        self.topology = topology
-        self.cache = InterferenceCache(topology, assignment, activity)
-        self.alpha = activity.alpha
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self.epoch = 0
-        self.time = 0.0
-
-    @property
-    def n(self) -> int:
-        return self.topology.n
-
-    @property
-    def r(self) -> int:
-        return self.cache.r
-
-    @property
-    def bands(self) -> np.ndarray:
-        return self.cache.bands
-
-    @property
-    def active(self) -> np.ndarray:
-        return self.cache.active
-
-    def assignment(self) -> Assignment:
-        return self.cache.assignment()
-
-    def activity(self) -> ActivityState:
-        return self.cache.activity(self.alpha)
-
-    def aggregate(self) -> float:
-        return self.cache.aggregate()
-
-    def set_band(self, i: int, band: int) -> None:
-        self.cache.set_band(i, band)
-
-    def set_active(self, i: int, on: bool) -> None:
-        self.cache.set_active(i, on)
-
-    def active_indices(self) -> np.ndarray:
-        return self.cache.active_indices()
-
-    def pick_active(self) -> int:
-        """Uniformly drawn active cluster, or -1 (and no draw) if none is
-        active."""
-        idx = self.cache.active_indices()
-        m = idx.size
-        if m == 0:
-            return -1
-        return int(idx[self.rng.integers(m)])
-
-
 @dataclass(slots=True)
 class UpdateRecord:
     """One applied update: who moved where and the potential before/after."""
@@ -128,14 +61,13 @@ class UpdateRecord:
         return self.new_band != self.old_band
 
 
-def best_band(state: SimState, i: int) -> int:
+def best_band(cache: InterferenceCache, i: int) -> int:
     """Band with the least measured interference for active cluster i.
 
     The current band wins unless a strictly better one exists (beyond
     REL_TOL); among strictly better bands the lowest-interference one is
     chosen, ties broken by lowest band index.
     """
-    cache = state.cache
     if not cache.active[i]:
         raise ValueError(f"cluster {i} is inactive")
     powers = cache.band_powers(i).tolist()
@@ -147,15 +79,14 @@ def best_band(state: SimState, i: int) -> int:
     return powers.index(low) + 1
 
 
-def apply_update(state: SimState, i: int) -> UpdateRecord:
+def apply_update(cache: InterferenceCache, i: int) -> UpdateRecord:
     """Apply the best-band rule at cluster i and log the potential change."""
-    cache = state.cache
     before = cache.aggregate()
     old = int(cache.bands[i])
-    new = best_band(state, i)
+    new = best_band(cache, i)
     cache.set_band(i, new)
-    state.epoch += 1
-    return UpdateRecord(state.epoch, state.time, i, old, new, before,
+    cache.epoch += 1
+    return UpdateRecord(cache.epoch, cache.time, i, old, new, before,
                         cache.aggregate())
 
 
@@ -170,9 +101,10 @@ class PoissonClock:
         if not (self.delta_t > 0):
             raise ValueError(f"delta_t must be > 0, got {self.delta_t}")
 
-    def next(self, state: SimState) -> tuple[int, float]:
-        dt = float(state.rng.exponential(self.delta_t))
-        i = state.pick_active()
+    def next(self, cache: InterferenceCache) -> tuple[int, float]:
+        """(cluster index, time advance) for the next update event."""
+        dt = float(cache.rng.exponential(self.delta_t))
+        i = cache.pick_active()
         if i < 0:
             raise SchedulingError("no active clusters to schedule")
         return i, dt
@@ -189,12 +121,13 @@ class RandomPermutationRounds:
         self._order: np.ndarray = np.empty(0, dtype=np.int64)
         self._pos = 0
 
-    def next(self, state: SimState) -> tuple[int, float]:
+    def next(self, cache: InterferenceCache) -> tuple[int, float]:
+        """(cluster index, time advance) for the next update event."""
         if self._pos >= self._order.size:
-            idx = state.active_indices()
+            idx = cache.active_indices()
             if idx.size == 0:
                 raise SchedulingError("no active clusters to schedule")
-            self._order = state.rng.permutation(idx)
+            self._order = cache.rng.permutation(idx)
             self._pos = 0
         i = int(self._order[self._pos])
         self._pos += 1
@@ -204,19 +137,14 @@ class RandomPermutationRounds:
         return self._pos >= self._order.size
 
 
-def schedule_next(scheduler, state: SimState) -> tuple[int, float]:
-    """(cluster index, time advance) for the next update event."""
-    return scheduler.next(state)
-
-
 def default_update_guard(n: int, eta: float) -> int:
     """Update budget 10*N^(eta+2); convergence needs polynomially many."""
     return max(1, int(10.0 * float(n) ** (eta + 2.0)))
 
 
-def run_to_convergence(state: SimState, scheduler=None,
+def run_to_convergence(cache: InterferenceCache, scheduler=None,
                        max_updates: int | None = None
-                       ) -> tuple[SimState, list[UpdateRecord]]:
+                       ) -> tuple[InterferenceCache, list[UpdateRecord]]:
     """Run updates under a fixed activity pattern until no cluster moves.
 
     Permutation scheduling converges when a full round applies zero
@@ -227,12 +155,12 @@ def run_to_convergence(state: SimState, scheduler=None,
     """
     if scheduler is None:
         scheduler = RandomPermutationRounds()
-    n_active = int(state.cache.active.sum())
+    n_active = int(cache.active.sum())
     trace: list[UpdateRecord] = []
     if n_active == 0:
-        return state, trace
+        return cache, trace
     if max_updates is None:
-        max_updates = default_update_guard(state.n, state.topology.eta)
+        max_updates = default_update_guard(cache.n, cache.topology.eta)
 
     round_based = isinstance(scheduler, RandomPermutationRounds)
     switches_in_round = 0
@@ -242,10 +170,10 @@ def run_to_convergence(state: SimState, scheduler=None,
         if len(trace) >= max_updates:
             raise ConvergenceError(
                 f"no convergence within {max_updates} updates "
-                f"(n={state.n}, eta={state.topology.eta})")
-        i, dt = scheduler.next(state)
-        state.time += dt
-        rec = apply_update(state, i)
+                f"(n={cache.n}, eta={cache.topology.eta})")
+        i, dt = scheduler.next(cache)
+        cache.time += dt
+        rec = apply_update(cache, i)
         trace.append(rec)
         if round_based:
             if rec.switched:
@@ -258,4 +186,4 @@ def run_to_convergence(state: SimState, scheduler=None,
             quiet_streak = 0 if rec.switched else quiet_streak + 1
             if quiet_streak >= quiet_needed:
                 break
-    return state, trace
+    return cache, trace

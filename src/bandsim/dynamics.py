@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import SimState, apply_update
-from .interference import ActivityState, Assignment, all_band_one
+from .allocation import apply_update
+from .interference import (ActivityState, Assignment, InterferenceCache,
+                           all_active, all_band_one)
 from .topology import Topology
 
 __all__ = [
@@ -38,14 +39,12 @@ __all__ = [
     "markov_toggle_all",
     "lambda_from_alpha",
     "stability_margin",
-    "default_warmup",
     "simulate_time_varying",
     "run_ensemble",
     "sample_on_grid",
     "ensemble_mean_trace",
     "fit_exponential_decay",
     "predicted_variance",
-    "empirical_steady_state_variance",
     "steady_state_stats",
 ]
 
@@ -71,7 +70,6 @@ class DynamicsConfig:
     horizon: float
     alpha: float = 1.0
     replicas: int = 1
-    warmup: float | None = None
 
     def __post_init__(self):
         if not (self.delta_t > 0):
@@ -82,9 +80,6 @@ class DynamicsConfig:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
-        if self.warmup is not None and not (self.warmup < self.horizon):
-            raise ValueError(
-                f"warmup {self.warmup} must be below horizon {self.horizon}")
 
     def tau(self, n: int) -> float:
         return n * self.delta_t
@@ -161,11 +156,6 @@ def stability_margin(alpha: float, rho: float) -> float:
     return 8.0 * (1.0 - alpha) / rho
 
 
-def default_warmup(tau: float, rho: float = DEFAULT_RHO) -> float:
-    """Several relaxation times: 10*tau/rho."""
-    return 10.0 * tau / rho
-
-
 def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
                           seed: int,
                           initial: Assignment | None = None) -> SimTrace:
@@ -184,38 +174,37 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
     asg = initial if initial is not None else all_band_one(top.n, r)
     if asg.r != r:
         raise ValueError(f"initial assignment has r={asg.r}, expected {r}")
-    state = SimState(top, asg, ActivityState(np.ones(top.n, dtype=bool),
-                                             cfg.alpha), rng=sched_rng)
+    cache = InterferenceCache(top, asg, all_active(top.n, cfg.alpha),
+                              rng=sched_rng)
     n = top.n
     one_minus_alpha = 1.0 - cfg.alpha
 
     times = [0.0]
-    aggregates = [state.aggregate()]
+    aggregates = [cache.aggregate()]
     active_counts = [n]
     clusters = [-1]
     old_bands = [0]
     new_bands = [0]
 
-    cache = state.cache
     t = 0.0
     while True:
-        dt = float(state.rng.exponential(cfg.delta_t))
+        dt = float(cache.rng.exponential(cfg.delta_t))
         if t + dt > cfg.horizon:
             break
         t += dt
-        state.time = t
+        cache.time = t
         if one_minus_alpha > 0.0:
             cache.toggle_active(
                 np.flatnonzero(act_rng.random(n) < one_minus_alpha))
-        i = state.pick_active()
+        i = cache.pick_active()
         if i >= 0:
-            rec = apply_update(state, i)
+            rec = apply_update(cache, i)
             clusters.append(rec.cluster)
             old_bands.append(rec.old_band)
             new_bands.append(rec.new_band)
             aggregates.append(rec.aggregate_after)
         else:
-            state.epoch += 1
+            cache.epoch += 1
             clusters.append(-1)
             old_bands.append(0)
             new_bands.append(0)
@@ -229,7 +218,7 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
                     clusters=np.asarray(clusters, dtype=np.int64),
                     old_bands=np.asarray(old_bands, dtype=np.int64),
                     new_bands=np.asarray(new_bands, dtype=np.int64),
-                    final_bands=state.bands.copy(), seed=seed)
+                    final_bands=cache.bands.copy(), seed=seed)
 
 
 def run_ensemble(top: Topology, cfg: DynamicsConfig, r: int,
@@ -358,9 +347,3 @@ def steady_state_stats(traces: list[SimTrace], warmup: float,
                             within=within,
                             replicas=len(traces),
                             samples_per_replica=int(grid.size))
-
-
-def empirical_steady_state_variance(traces: list[SimTrace], warmup: float,
-                                    grid_dt: float | None = None) -> float:
-    """Variance of per-replica mean normalized aggregates after warmup."""
-    return steady_state_stats(traces, warmup, grid_dt).variance

@@ -24,17 +24,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocation import (PoissonClock, RandomPermutationRounds, SimState,
+from .allocation import (PoissonClock, RandomPermutationRounds,
                          run_to_convergence)
-from .dynamics import (DynamicsConfig, default_warmup, ensemble_mean_trace,
-                       fit_exponential_decay, lambda_from_alpha,
-                       predicted_variance, run_ensemble, stability_margin,
-                       steady_state_stats)
+from .dynamics import (DEFAULT_RHO, FIT_FLOOR, DynamicsConfig,
+                       ensemble_mean_trace, fit_exponential_decay,
+                       lambda_from_alpha, predicted_variance, run_ensemble,
+                       stability_margin, steady_state_stats)
 from .interference import (Assignment, InterferenceCache,
-                           aggregate_interference, all_active, all_band_one,
+                           aggregate_interference, all_band_one,
                            uniform_random_assignment,
                            worst_case_interference)
-from .metrics import capacity_fraction, db_gap, shannon_capacity
+from .metrics import capacity_fraction, db_gap, link_powers, \
+    shannon_capacity
 from .oracle import alternating_assignment, bound_report, \
     lattice_reuse_assignment
 from .topology import (Topology, load_topology, make_hexagonal_lattice,
@@ -389,7 +390,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
                         integer=True, minimum=1)
     base_seed = _get_num(ctx, doc, "config", "base_seed", required=True,
                          integer=True, minimum=0)
-    rho = _get_num(ctx, doc, "config", "rho", default=3.0, strict_min=0.0)
+    rho = _get_num(ctx, doc, "config", "rho", default=DEFAULT_RHO,
+                   strict_min=0.0)
 
     link = doc.get("link") or {}
     if not isinstance(link, dict):
@@ -555,18 +557,19 @@ def validate_config(path) -> dict:
     """Structural + semantic validation without running; returns a report."""
     try:
         cfg = load_config(path)
+        n_hint = _size_hint(cfg)
+        tau = (n_hint * cfg.delta_t
+               if n_hint is not None and cfg.delta_t is not None else None)
+        warmup = (_variance_warmup(cfg, tau)
+                  if tau is not None and cfg.experiment == "variance"
+                  else None)
     except ConfigError as exc:
         return {"valid": False, "errors": exc.errors, "warnings": [],
                 "derived": None}
-    derived: dict = {"warmup_default": None, "points": []}
-    n_hint = _size_hint(cfg)
-    if n_hint is not None and cfg.delta_t is not None:
-        tau = n_hint * cfg.delta_t
+    derived: dict = {"warmup_default": warmup, "points": []}
+    if tau is not None:
         derived["n"] = n_hint
         derived["tau"] = tau
-        derived["warmup_default"] = (0.6 * tau / cfg.rho
-                                     if cfg.experiment == "variance"
-                                     else default_warmup(tau, cfg.rho))
         alphas = ([1.0 - q for q in cfg.rates] if cfg.rates
                   else [cfg.alpha])
         for a in alphas:
@@ -617,7 +620,7 @@ def _base_preset(experiment: str, prefix: str, seed: int) -> dict:
         "scheduler": {"kind": "poisson", "delta_t": 0.01},
         "replicas": 5,
         "base_seed": seed,
-        "rho": 3.0,
+        "rho": DEFAULT_RHO,
         "link": {"signal_power": 1.0, "noise_power": 0.1},
         "output": {"dir": "results", "prefix": prefix},
     }
@@ -750,17 +753,10 @@ def _converge_one(cfg: ExperimentConfig, top: Topology, seed: int):
     """One static run to convergence; returns (records, initial, final, a0)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     initial = _initial_assignment(cfg, top.n, rng)
-    state = SimState(top, initial, all_active(top.n), rng=rng)
-    a0 = state.aggregate()
-    scheduler = _make_scheduler(cfg)
-    state, records = run_to_convergence(state, scheduler)
-    return records, initial, state.assignment(), a0
-
-
-def _link_params(cfg: ExperimentConfig, top: Topology) -> tuple[float, float]:
-    s = cfg.signal_power if cfg.signal_power is not None else top.p0
-    n0 = cfg.noise_power if cfg.noise_power is not None else 0.1 * top.p0
-    return s, n0
+    cache = InterferenceCache(top, initial, rng=rng)
+    a0 = cache.aggregate()
+    cache, records = run_to_convergence(cache, _make_scheduler(cfg))
+    return records, initial, cache.assignment(), a0
 
 
 def _d_ref(cfg: ExperimentConfig) -> float | None:
@@ -770,7 +766,7 @@ def _d_ref(cfg: ExperimentConfig) -> float | None:
 def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     top, lattice_dims = _build_topology(cfg)
     ref_asg, ref_kind = _reference_assignment(cfg, top, lattice_dims)
-    s, n0 = _link_params(cfg, top)
+    s, n0 = link_powers(top, cfg.signal_power, cfg.noise_power)
     i_w = worst_case_interference(top)
     ref_agg, ref_cap = _reference_levels(top, ref_asg, s, n0)
     trace_rows = []
@@ -785,7 +781,7 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
             trace_rows.append((k, e, rec.time, rec.cluster, rec.old_band,
                                rec.new_band, rec.aggregate_after, top.n))
         if cfg.write_capacity_series:
-            cap_cache = InterferenceCache(top, initial, all_active(top.n))
+            cap_cache = InterferenceCache(top, initial)
             cap = _normalized_capacity(cap_cache, s, n0)
             cap_rows.append((k, 0, 0.0, cap))
             for e, rec in enumerate(records, 1):
@@ -888,7 +884,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         top, lattice_dims = _build_topology(
             cfg, size=tuple(size) if isinstance(size, list) else size)
         ref_asg, ref_kind = _reference_assignment(cfg, top, lattice_dims)
-        s, n0 = _link_params(cfg, top)
+        s, n0 = link_powers(top, cfg.signal_power, cfg.noise_power)
         i_w = worst_case_interference(top)
         ref_agg, ref_cap = _reference_levels(top, ref_asg, s, n0)
         finals = []
@@ -991,7 +987,7 @@ def _run_relaxation(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         "i_w": i_w,
         "i_a_mean_final": i_a,
         "i_a_normalized": i_a / top.n,
-        "fit_floor": 0.05,
+        "fit_floor": FIT_FLOOR,
     }
     files = _emit(cfg, out_dir, summary,
                   trace_rows=(_trace_rows_from_sim(traces)
@@ -1000,30 +996,35 @@ def _run_relaxation(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     return RunResult(out_dir, files, summary)
 
 
-def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
-    top, _ = _build_topology(cfg)
-    tau = top.n * cfg.delta_t
+def _variance_warmup(cfg: ExperimentConfig, tau: float) -> float:
+    """Warmup of a variance run, the config's or else 0.6*tau/rho; raises
+    ConfigError unless it lies below the horizon."""
     # near-equilibrium window: past the relaxation time, before the activity
     # chain wanders far from the all-active start the prediction assumes
     warmup = cfg.warmup if cfg.warmup is not None else 0.6 * tau / cfg.rho
     if not (warmup < cfg.horizon):
         raise ConfigError([f"warmup: effective value {warmup} must be below "
                            f"horizon {cfg.horizon}"])
+    return warmup
+
+
+def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
+    top, _ = _build_topology(cfg)
+    tau = top.n * cfg.delta_t
+    warmup = _variance_warmup(cfg, tau)
     init_rng = np.random.default_rng(
         np.random.SeedSequence((cfg.base_seed, 1)))
-    init_state = SimState(top, _initial_assignment(cfg, top.n, init_rng),
-                          rng=init_rng)
-    init_state, _ = run_to_convergence(
-        init_state, PoissonClock(cfg.delta_t))
-    init = init_state.assignment()
+    init_cache = InterferenceCache(
+        top, _initial_assignment(cfg, top.n, init_rng), rng=init_rng)
+    init_cache, _ = run_to_convergence(init_cache, PoissonClock(cfg.delta_t))
+    init = init_cache.assignment()
     var_rows = []
     points = []
     all_trace_rows = []
     for qi, q in enumerate(cfg.rates):
         alpha = 1.0 - q
         dyn = DynamicsConfig(delta_t=cfg.delta_t, horizon=cfg.horizon,
-                             alpha=alpha, replicas=cfg.replicas,
-                             warmup=warmup)
+                             alpha=alpha, replicas=cfg.replicas)
         seed = cfg.base_seed + qi * cfg.replicas
         traces = run_ensemble(top, dyn, cfg.bands, seed, initial=init)
         if cfg.write_trace:
@@ -1063,7 +1064,7 @@ def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         "rho": cfg.rho,
         "warmup": warmup,
         "horizon": cfg.horizon,
-        "initial_aggregate": init_state.aggregate(),
+        "initial_aggregate": init_cache.aggregate(),
         "estimator": _VARIANCE_ESTIMATOR_NOTE,
         "normalization": "aggregate divided by n before statistics; the "
                          "prediction is evaluated at the empirical mean "

@@ -6,8 +6,9 @@ Conventions, used everywhere downstream:
   * every per-band quantity excludes the receiving cluster's own emission.
 
 Plain functions recompute from scratch (the O(N^2) oracle path); the
-InterferenceCache keeps per-cluster per-band sums updated in O(N) per event
-for the simulation inner loop, and the aggregate updated in O(1).
+InterferenceCache is the mutable state of one simulated replica.  It keeps
+per-cluster per-band sums updated in O(N) per event for the simulation
+inner loop, and the aggregate updated in O(1).
 """
 
 from __future__ import annotations
@@ -158,25 +159,35 @@ def worst_case_interference(top: Topology, act: ActivityState | None = None) -> 
 
 
 class InterferenceCache:
-    """Per-cluster per-band interference sums with O(N) event updates.
+    """Mutable state of one replica: bands, activity, per-cluster per-band
+    interference sums with O(N) event updates, the scheduling stream rng,
+    the clock time, the update counter epoch and the persistence alpha.
 
     _band_power[j, k] is the power cluster j would receive on band k+1 from
     the currently active transmitters (excluding j itself, whose weight to
     itself is zero).  Band switches and activity toggles adjust one weight
-    column per event.  The aggregate is kept as a running value: by
-    reciprocity a switch of active cluster i changes it by
+    column per event, so bands and activity change only through set_band,
+    set_active and toggle_active.  The aggregate is kept as a running value:
+    by reciprocity a switch of active cluster i changes it by
     2*(P[i,new] - P[i,old]).  Activity changes, single (set_active) or
-    batched (toggle_active), and rebuild() re-sum it exactly.  Owned by a
-    single replica; not thread-safe.
+    batched (toggle_active), and rebuild() re-sum it exactly.  Not
+    thread-safe.
     """
 
-    def __init__(self, top: Topology, asg: Assignment, act: ActivityState | None = None):
+    def __init__(self, top: Topology, asg: Assignment,
+                 act: ActivityState | None = None,
+                 rng: np.random.Generator | None = None):
         _check_lengths(top, asg, act)
+        if act is None:
+            act = all_active(top.n)
         self.topology = top
         self.r = asg.r
         self.bands = asg.bands.copy()
-        self.active = (act.active.copy() if act is not None
-                       else np.ones(top.n, dtype=bool))
+        self.active = act.active.copy()
+        self.alpha = act.alpha
+        self.rng = rng if rng is not None else np.random.default_rng()
+        self.epoch = 0
+        self.time = 0.0
         self.weights = weight_matrix(top)
         self._band_power = np.zeros((top.n, asg.r))
         self._idx = np.arange(top.n)
@@ -223,6 +234,15 @@ class InterferenceCache:
             self._active_idx = np.flatnonzero(self.active)
         return self._active_idx
 
+    def pick_active(self) -> int:
+        """Uniformly drawn active cluster, or -1 (and no draw) if none is
+        active."""
+        idx = self.active_indices()
+        m = idx.size
+        if m == 0:
+            return -1
+        return int(idx[self.rng.integers(m)])
+
     def set_band(self, i: int, band: int) -> None:
         old = int(self.bands[i])
         if band == old:
@@ -257,5 +277,5 @@ class InterferenceCache:
     def assignment(self) -> Assignment:
         return Assignment(self.bands.copy(), self.r)
 
-    def activity(self, alpha: float = 1.0) -> ActivityState:
-        return ActivityState(self.active.copy(), alpha)
+    def activity(self) -> ActivityState:
+        return ActivityState(self.active.copy(), self.alpha)

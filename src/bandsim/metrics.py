@@ -17,6 +17,7 @@ from .topology import Topology
 
 __all__ = [
     "CapacityReport",
+    "link_powers",
     "shannon_capacity",
     "capacity_comparison",
     "capacity_fraction",
@@ -53,6 +54,20 @@ def _per_cluster_interference(top: Topology, asg: Assignment,
     return (w * co).sum(axis=1)
 
 
+def link_powers(top: Topology, signal_power: float | None = None,
+                noise_power: float | None = None) -> tuple[float, float]:
+    """(S, N0) with the defaults S = p0 and N0 = 0.1*p0; both must be > 0."""
+    if signal_power is None:
+        signal_power = top.p0
+    if noise_power is None:
+        noise_power = 0.1 * top.p0
+    if not (signal_power > 0):
+        raise ValueError(f"signal_power must be > 0, got {signal_power}")
+    if not (noise_power > 0):
+        raise ValueError(f"noise_power must be > 0, got {noise_power}")
+    return signal_power, noise_power
+
+
 def shannon_capacity(top: Topology, asg: Assignment,
                      act: ActivityState | None = None,
                      signal_power: float | None = None,
@@ -62,14 +77,7 @@ def shannon_capacity(top: Topology, asg: Assignment,
 
     Inactive clusters get NaN and do not count in the mean.
     """
-    if signal_power is None:
-        signal_power = top.p0
-    if noise_power is None:
-        noise_power = 0.1 * top.p0
-    if not (signal_power > 0):
-        raise ValueError(f"signal_power must be > 0, got {signal_power}")
-    if not (noise_power > 0):
-        raise ValueError(f"noise_power must be > 0, got {noise_power}")
+    signal_power, noise_power = link_powers(top, signal_power, noise_power)
     if asg.n != top.n or (act is not None and act.n != top.n):
         raise ValueError("length mismatch with topology")
     active = act.active if act is not None else np.ones(top.n, dtype=bool)
@@ -88,10 +96,7 @@ def capacity_comparison(top: Topology, act: ActivityState | None,
                         signal_power: float | None = None,
                         noise_power: float | None = None) -> CapacityReport:
     """Normalized capacity of an assignment relative to a reference."""
-    if signal_power is None:
-        signal_power = top.p0
-    if noise_power is None:
-        noise_power = 0.1 * top.p0
+    signal_power, noise_power = link_powers(top, signal_power, noise_power)
     caps, normalized = shannon_capacity(top, algo_asg, act,
                                         signal_power, noise_power)
     _, ref_normalized = shannon_capacity(top, reference_asg, act,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from bandsim.allocation import (REL_TOL, PoissonClock,
-                                RandomPermutationRounds, SimState,
+                                RandomPermutationRounds,
                                 default_update_guard, run_to_convergence)
 from bandsim.dynamics import stability_margin
 from bandsim.experiments import parse_config, preset, run_experiment
@@ -95,8 +95,8 @@ def _build_suite() -> list:
                    else uniform_random_assignment(n, r, rng))
         scheduler = (RandomPermutationRounds() if case % 2 == 0
                      else PoissonClock(0.01))
-        state = SimState(top, initial,
-                         rng=np.random.default_rng(int(rng.integers(1 << 31))))
+        state = InterferenceCache(
+            top, initial, rng=np.random.default_rng(int(rng.integers(1 << 31))))
         state, records = run_to_convergence(state, scheduler)
         out.append(_Scenario(label=label, n=n, r=r, updates=len(records),
                              guard=default_update_guard(n, eta),
@@ -243,9 +243,9 @@ def test_acceptance_06_db_gap_vs_alternating(capsys):
     ref = aggregate_interference(top, alternating_assignment(100, 2))
     gaps, fixed, margins, pairs = [], [], [], []
     for k in range(20):
-        state = SimState(top, all_band_one(100, 2),
-                         rng=np.random.default_rng(
-                             np.random.SeedSequence(SUITE_SEED + k)))
+        state = InterferenceCache(top, all_band_one(100, 2),
+                                  rng=np.random.default_rng(
+                                      np.random.SeedSequence(SUITE_SEED + k)))
         state, _ = run_to_convergence(state)
         gaps.append(db_gap(state.aggregate(), ref))
         is_fixed, margin = _fixed_point(top, state)
@@ -280,9 +280,9 @@ def test_acceptance_07_capacity_fraction(capsys):
         fractions = []
         pairs = []
         for k in range(5):
-            state = SimState(top, all_band_one(top.n, r),
-                             rng=np.random.default_rng(
-                                 np.random.SeedSequence(SUITE_SEED + k)))
+            state = InterferenceCache(top, all_band_one(top.n, r),
+                                      rng=np.random.default_rng(
+                                          np.random.SeedSequence(SUITE_SEED + k)))
             state, _ = run_to_convergence(state)
             rep = capacity_comparison(top, None, state.assignment(), ref)
             fractions.append(rep.achieved_fraction)

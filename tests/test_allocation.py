@@ -3,10 +3,10 @@ import pytest
 
 from bandsim.allocation import (REL_TOL, ConvergenceError, PoissonClock,
                                 RandomPermutationRounds, SchedulingError,
-                                SimState, apply_update, best_band,
-                                default_update_guard, run_to_convergence,
-                                schedule_next)
+                                apply_update, best_band,
+                                default_update_guard, run_to_convergence)
 from bandsim.interference import (ActivityState, Assignment,
+                                  InterferenceCache,
                                   aggregate_interference, all_active,
                                   all_band_one, band_interference,
                                   uniform_random_assignment)
@@ -18,7 +18,7 @@ from bandsim.topology import (make_rectangular_lattice,
 def _state(top, bands, r, active=None, seed=0):
     asg = Assignment(np.asarray(bands), r)
     act = None if active is None else ActivityState(np.asarray(active, bool))
-    return SimState(top, asg, act, rng=np.random.default_rng(seed))
+    return InterferenceCache(top, asg, act, rng=np.random.default_rng(seed))
 
 
 def test_best_band_moves_off_crowded_band():
@@ -112,8 +112,9 @@ def test_every_switch_lowers_the_aggregate():
         active = rng.random(n) < 0.8
         if not active.any():
             active[0] = True
-        state = SimState(top, asg, ActivityState(active),
-                         rng=np.random.default_rng(int(rng.integers(1 << 30))))
+        state = InterferenceCache(
+            top, asg, ActivityState(active),
+            rng=np.random.default_rng(int(rng.integers(1 << 30))))
         sched = (PoissonClock(0.1) if trial % 2 else RandomPermutationRounds())
         state, records = run_to_convergence(state, sched)
         agg = None
@@ -134,8 +135,9 @@ def test_converged_state_is_nash():
         n = int(rng.integers(4, 10))
         r = int(rng.integers(2, 4))
         top = make_uniform_linear_array(n, 1.0)
-        state = SimState(top, uniform_random_assignment(n, r, rng),
-                         rng=np.random.default_rng(int(rng.integers(1 << 30))))
+        state = InterferenceCache(
+            top, uniform_random_assignment(n, r, rng),
+            rng=np.random.default_rng(int(rng.integers(1 << 30))))
         state, _ = run_to_convergence(state)
         asg = state.assignment()
         act = state.activity()
@@ -149,7 +151,7 @@ def test_permutation_round_visits_each_active_once():
     top = make_uniform_linear_array(6, 1.0)
     state = _state(top, [1] * 6, 2, active=[True, True, False, True, True, True])
     sched = RandomPermutationRounds()
-    seen = [schedule_next(sched, state)[0] for _ in range(5)]
+    seen = [sched.next(state)[0] for _ in range(5)]
     assert sorted(seen) == [0, 1, 3, 4, 5]
     assert sched.at_round_boundary()
     # next round reshuffles the same set
@@ -244,8 +246,8 @@ def test_convergence_reproducible_for_fixed_seed():
     top = make_uniform_linear_array(20, 1.0)
 
     def run():
-        state = SimState(top, all_band_one(20, 2),
-                         rng=np.random.default_rng(77))
+        state = InterferenceCache(top, all_band_one(20, 2),
+                                  rng=np.random.default_rng(77))
         state, records = run_to_convergence(state, PoissonClock(0.05))
         return state.bands.copy(), len(records)
 
@@ -257,7 +259,8 @@ def test_convergence_reproducible_for_fixed_seed():
 
 def test_final_aggregate_matches_recompute():
     top = make_rectangular_lattice(4, 4, 1.0)
-    state = SimState(top, all_band_one(16, 4), rng=np.random.default_rng(1))
+    state = InterferenceCache(top, all_band_one(16, 4),
+                              rng=np.random.default_rng(1))
     state, _ = run_to_convergence(state)
     assert state.aggregate() == pytest.approx(
         aggregate_interference(top, state.assignment(), state.activity()),
@@ -266,7 +269,7 @@ def test_final_aggregate_matches_recompute():
 
 def test_simstate_default_activity_all_on():
     top = make_uniform_linear_array(4, 1.0)
-    state = SimState(top, all_band_one(4, 2))
+    state = InterferenceCache(top, all_band_one(4, 2))
     assert state.active.all()
     assert np.array_equal(state.active_indices(), np.arange(4))
     assert state.n == 4

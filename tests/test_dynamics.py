@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from bandsim.allocation import (REL_TOL, PoissonClock, SimState,
-                                run_to_convergence)
+from bandsim.allocation import REL_TOL, PoissonClock, run_to_convergence
 from bandsim.dynamics import (DynamicsConfig, FitError, SimTrace,
-                              StatisticsError, default_warmup,
-                              empirical_steady_state_variance,
-                              ensemble_mean_trace, fit_exponential_decay,
+                              StatisticsError, ensemble_mean_trace,
+                              fit_exponential_decay,
                               lambda_from_alpha, markov_toggle_all,
                               predicted_variance, replica_streams,
                               run_ensemble, sample_on_grid,
@@ -34,8 +32,6 @@ def test_config_validation():
         DynamicsConfig(delta_t=0.1, horizon=1.0, alpha=1.5)
     with pytest.raises(ValueError):
         DynamicsConfig(delta_t=0.1, horizon=1.0, replicas=0)
-    with pytest.raises(ValueError):
-        DynamicsConfig(delta_t=0.1, horizon=1.0, warmup=1.0)
     cfg = DynamicsConfig(delta_t=0.01, horizon=2.0)
     assert cfg.tau(100) == pytest.approx(1.0)
 
@@ -56,11 +52,6 @@ def test_stability_margin():
     assert stability_margin(0.9, 3.0) == pytest.approx(8.0 * 0.1 / 3.0)
     with pytest.raises(ValueError):
         stability_margin(0.9, 0.0)
-
-
-def test_default_warmup():
-    assert default_warmup(1.0, 3.0) == pytest.approx(10.0 / 3.0)
-    assert default_warmup(2.0) == pytest.approx(20.0 / 3.0)
 
 
 def test_predicted_variance_finite():
@@ -157,7 +148,7 @@ def test_simulate_alpha_one_matches_static_engine():
     cfg = DynamicsConfig(delta_t=0.05, horizon=10.0)
     tr = simulate_time_varying(top, cfg, 2, seed=7)
     sched_rng, _ = replica_streams(7)
-    state = SimState(top, all_band_one(20, 2), rng=sched_rng)
+    state = InterferenceCache(top, all_band_one(20, 2), rng=sched_rng)
     state, records = run_to_convergence(state, PoissonClock(0.05))
     assert np.array_equal(tr.final_bands, state.bands)
     # event-by-event match over the shared prefix
@@ -328,8 +319,6 @@ def test_steady_state_stats_hand_case():
     assert stats.within == 0.0
     assert stats.replicas == 2
     assert stats.samples_per_replica == 10
-    assert empirical_steady_state_variance(
-        [_flat_trace(1.0), _flat_trace(3.0)], 0.0) == pytest.approx(1.0)
 
 
 def test_steady_state_stats_normalizes_by_n():
@@ -352,9 +341,9 @@ def test_steady_state_stats_errors():
 def test_quiescent_ensemble_has_zero_variance():
     # alpha = 1 from a shared converged assignment: nothing ever moves
     top = make_uniform_linear_array(10, 1.0)
-    state = SimState(top, uniform_random_assignment(10, 2,
-                                                    np.random.default_rng(1)),
-                     rng=np.random.default_rng(1))
+    state = InterferenceCache(
+        top, uniform_random_assignment(10, 2, np.random.default_rng(1)),
+        rng=np.random.default_rng(1))
     state, _ = run_to_convergence(state)
     converged = state.assignment()
     cfg = DynamicsConfig(delta_t=0.05, horizon=2.0, alpha=1.0, replicas=4)

@@ -236,7 +236,8 @@ def test_validate_config_default_warmup_for_dynamics(tmp_path):
     path = tmp_path / "fig5.json"
     path.write_text(dumps_canonical(preset("fig5")) + "\n", encoding="utf-8")
     report = validate_config(path)
-    assert report["derived"]["warmup_default"] == pytest.approx(10.0 / 3.0)
+    # only variance runs have a warmup
+    assert report["derived"]["warmup_default"] is None
 
 
 def test_validate_config_invalid(tmp_path):
@@ -403,6 +404,8 @@ def test_variance_run_outputs(tmp_path):
     summary = result.summary
     # default near-equilibrium warmup: 0.6 * tau / rho
     assert summary["warmup"] == pytest.approx(0.6 * 0.5 / 3.0)
+    report = validate_config(_write_config(tmp_path, doc))
+    assert report["derived"]["warmup_default"] == summary["warmup"]
     assert summary["initial_aggregate"] > 0.0
     point = summary["points"][0]
     assert point["alpha"] == pytest.approx(0.995)
@@ -427,6 +430,24 @@ def test_variance_run_rejects_late_warmup(tmp_path):
     cfg = parse_config(doc)
     with pytest.raises(ConfigError, match="warmup"):
         run_experiment(cfg, out_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("over", [
+    # default warmup 0.6 * tau / rho = 0.2 lies past the horizon 0.1
+    {"horizon": 0.1, "topology": {"kind": "ula", "n": 20, "d": 1.0}},
+    {"horizon": 1.0, "warmup": 2.0,
+     "topology": {"kind": "ula", "n": 10, "d": 1.0}},
+], ids=["default", "explicit"])
+def test_validate_rejects_late_variance_warmup(tmp_path, over):
+    doc = _tiny_doc(experiment="variance", rates=[0.005],
+                    scheduler={"kind": "poisson", "delta_t": 0.05}, **over)
+    doc["replicas"] = 4
+    report = validate_config(_write_config(tmp_path, doc))
+    assert report["valid"] is False
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(parse_config(doc), out_dir=str(tmp_path))
+    assert report["errors"] == exc.value.errors
+    assert report["errors"][0].startswith("warmup: effective value")
 
 
 def test_resolve_out_dir_precedence(tmp_path, monkeypatch):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandsim.allocation import SimState, run_to_convergence
-from bandsim.interference import (ActivityState, Assignment,
+from bandsim.allocation import run_to_convergence
+from bandsim.interference import (ActivityState, Assignment, InterferenceCache,
                                   aggregate_interference, all_band_one,
                                   uniform_random_assignment, weight_matrix)
 from bandsim.oracle import (BoundReport, OracleCapacityError,
@@ -207,8 +207,9 @@ def test_brute_force_never_above_converged_runs():
         for eta in (2.0, 3.0):
             top = make_uniform_linear_array(n, 1.0, eta=eta)
             _, opt = brute_force_optimal(top, None, r)
-            state = SimState(top, uniform_random_assignment(n, r, rng),
-                             rng=np.random.default_rng(int(rng.integers(1 << 30))))
+            state = InterferenceCache(
+                top, uniform_random_assignment(n, r, rng),
+                rng=np.random.default_rng(int(rng.integers(1 << 30))))
             state, _ = run_to_convergence(state)
             assert opt <= state.aggregate() + 1e-12
 
@@ -242,7 +243,8 @@ def test_normalized_optimum_approaches_asymptote():
 
 def test_bound_report_oracle_branch():
     top = make_uniform_linear_array(8, 1.0)
-    state = SimState(top, all_band_one(8, 2), rng=np.random.default_rng(4))
+    state = InterferenceCache(top, all_band_one(8, 2),
+                              rng=np.random.default_rng(4))
     state, _ = run_to_convergence(state)
     rep = bound_report(top, None, state.assignment(), 2, d_ref=1.0)
     assert rep.i_o_kind == "oracle"
@@ -261,7 +263,8 @@ def test_bound_report_oracle_branch():
 def test_bound_report_reference_branch():
     # 40 clusters: 2^40 exceeds the oracle cap, alternating fallback kicks in
     top = make_uniform_linear_array(40, 1.0)
-    state = SimState(top, all_band_one(40, 2), rng=np.random.default_rng(4))
+    state = InterferenceCache(top, all_band_one(40, 2),
+                              rng=np.random.default_rng(4))
     state, _ = run_to_convergence(state)
     rep = bound_report(top, None, state.assignment(), 2, d_ref=1.0)
     assert rep.i_o_kind == "reference"
@@ -273,7 +276,8 @@ def test_bound_report_reference_branch():
 
 def test_bound_report_supplied_reference():
     top = make_rectangular_lattice(5, 5, 1.0)
-    state = SimState(top, all_band_one(25, 2), rng=np.random.default_rng(4))
+    state = InterferenceCache(top, all_band_one(25, 2),
+                              rng=np.random.default_rng(4))
     state, _ = run_to_convergence(state)
     ref = lattice_reuse_assignment(5, 5, 2)
     rep = bound_report(top, None, state.assignment(), 2, d_ref=1.0,
@@ -291,8 +295,9 @@ def test_bound_report_worst_case_upper_bound():
         n = int(rng.integers(5, 12))
         r = int(rng.integers(2, 5))
         top = make_uniform_linear_array(n, 1.0)
-        state = SimState(top, uniform_random_assignment(n, r, rng),
-                         rng=np.random.default_rng(int(rng.integers(1 << 30))))
+        state = InterferenceCache(
+            top, uniform_random_assignment(n, r, rng),
+            rng=np.random.default_rng(int(rng.integers(1 << 30))))
         state, _ = run_to_convergence(state)
         rep = bound_report(top, None, state.assignment(), r, d_ref=1.0)
         assert rep.upper_bound_ok
