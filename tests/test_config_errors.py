@@ -1,0 +1,240 @@
+"""Exact error lists of malformed config documents.
+
+Together the documents reach every message that `parse_config` and its
+sweep-size parser can report, so any rewrite of the parser must keep each
+message, its field path and the set of lines it reports.  Lists are
+compared sorted: the order in which checks run is not part of the contract.
+"""
+
+import pytest
+
+from bandsim.experiments import ConfigError, parse_config
+
+P = {"kind": "poisson", "delta_t": 0.05}
+
+CASES = {
+    "not_object": (
+        [1, 2],
+        ['config: must be a JSON object']),
+    "empty": (
+        {},
+        ['config.bands: required',
+         'config.base_seed: required',
+         'config.experiment: required',
+         'scheduler: required object',
+         'topology: required object']),
+    "bad_kinds": (
+        {"experiment": "nope", "topology": {"kind": "nowhere"},
+         "bands": "two", "base_seed": 1.5, "scheduler": [],
+         "initial_assignment": "zeros", "bogus": 1},
+        ["config.bands: expected a number, got 'two'",
+         'config.base_seed: expected an integer, got 1.5',
+         'config.bogus: unknown key',
+         "config.experiment: must be one of ['converge', 'relaxation', "
+         "'sweep', 'variance'], got 'nope'",
+         "config.initial_assignment: must be one of ['all_band_one', "
+         "'uniform_random'], got 'zeros'",
+         'scheduler: required object',
+         "topology.kind: must be one of ['file', 'hex', 'random_linear', "
+         "'rect', 'ula'], got 'nowhere'"]),
+    "ula_bad": (
+        {"experiment": "converge",
+         "topology": {"kind": "ula", "n": 1.5, "d": 0, "x": 1},
+         "bands": 0, "base_seed": -1, "eta": 0.5, "p0": 0,
+         "replicas": 0, "rho": 0,
+         "scheduler": {"kind": "round_robin", "delta_t": 0, "y": 2},
+         "link": {"signal_power": 0, "noise_power": "x", "z": 3},
+         "output": {"dir": "", "prefix": "", "write_trace": 1,
+                    "write_capacity_series": "no", "w": 4}},
+        ['config.bands: must be >= 1, got 0',
+         'config.base_seed: must be >= 0, got -1',
+         'config.eta: must be >= 1.0, got 0.5',
+         'config.p0: must be > 0.0, got 0',
+         'config.replicas: must be >= 1, got 0',
+         'config.rho: must be > 0.0, got 0',
+         "link.noise_power: expected a number, got 'x'",
+         'link.signal_power: must be > 0.0, got 0',
+         'link.z: unknown key',
+         'output.dir: expected a non-empty string',
+         'output.prefix: expected a non-empty string',
+         'output.w: unknown key',
+         "output.write_capacity_series: expected true/false, got 'no'",
+         'output.write_trace: expected true/false, got 1',
+         'scheduler.delta_t: must be > 0.0, got 0',
+         "scheduler.kind: must be one of ['permutation', 'poisson'], got "
+         "'round_robin'",
+         'scheduler.y: unknown key',
+         'topology.d: must be > 0.0, got 0',
+         'topology.n: expected an integer, got 1.5',
+         'topology.x: unknown key']),
+    "ula_missing": (
+        {"experiment": "converge", "topology": {"kind": "ula"},
+         "bands": 2, "base_seed": 1, "scheduler": {},
+         "link": [1], "output": [2],
+         "alpha": 0.5, "horizon": 1.0, "warmup": 0.1,
+         "sweep": {"sizes": [4]}, "rates": [0.1]},
+        ["alpha: not allowed for experiment 'converge'",
+         "horizon: not allowed for experiment 'converge'",
+         'link: expected an object',
+         'output: expected an object',
+         "rates: not allowed for experiment 'converge'",
+         'scheduler.delta_t: required',
+         'scheduler.kind: required',
+         "sweep: not allowed for experiment 'converge'",
+         'topology.d: required',
+         'topology.n: required',
+         "warmup: not allowed for experiment 'converge'"]),
+    "random_linear": (
+        {"experiment": "converge",
+         "topology": {"kind": "random_linear", "n": 1,
+                      "d": 1.0, "min_sep": 2.0},
+         "bands": 2, "base_seed": 1, "scheduler": P},
+        ['topology.min_sep: must be <= d (1.0), got 2.0',
+         'topology.n: must be >= 2, got 1']),
+    "no_kind": (
+        {"experiment": "converge", "topology": {"rows": 2},
+         "bands": 2, "base_seed": 1,
+         "scheduler": {"kind": "poisson"}},
+        ['scheduler.delta_t: required', 'topology.kind: required']),
+    "random_linear_missing": (
+        {"experiment": "converge",
+         "topology": {"kind": "random_linear", "n": 4},
+         "bands": 2, "base_seed": 1, "scheduler": P},
+        ['topology.d: required', 'topology.min_sep: required']),
+    "rect_small": (
+        {"experiment": "converge",
+         "topology": {"kind": "rect", "rows": 1, "cols": 1,
+                      "d": 1.0},
+         "bands": 2, "base_seed": 1, "scheduler": P},
+        ['topology.rows: lattice needs at least 2 clusters']),
+    "hex_bad": (
+        {"experiment": "converge",
+         "topology": {"kind": "hex", "rows": 0, "cols": "3",
+                      "n": 4},
+         "bands": 2, "base_seed": 1, "scheduler": P},
+        ["topology.cols: expected a number, got '3'",
+         'topology.d: required',
+         'topology.n: unknown key',
+         'topology.rows: must be >= 1, got 0']),
+    "file": (
+        {"experiment": "converge",
+         "topology": {"kind": "file", "path": "", "d": 1.0},
+         "eta": 2.0, "p0": 1.0, "bands": 2, "base_seed": 1,
+         "scheduler": P},
+        ['eta: comes from the topology file; remove it',
+         'p0: comes from the topology file; remove it',
+         'topology.d: unknown key',
+         'topology.path: required string']),
+    "sweep_ula": (
+        {"experiment": "sweep",
+         "topology": {"kind": "ula", "n": 4, "d": 1.0},
+         "bands": 2, "base_seed": 1, "scheduler": P,
+         "alpha": 1.0, "horizon": 1.0, "warmup": 0.1,
+         "rates": [0.1],
+         "sweep": {"sizes": [1, 2.5, "3", True, 8], "step": 1}},
+        ["alpha: not allowed for experiment 'sweep'",
+         "horizon: not allowed for experiment 'sweep'",
+         "rates: not allowed for experiment 'sweep'",
+         'sweep.sizes[0]: expected an integer >= 2, got 1',
+         'sweep.sizes[1]: expected an integer >= 2, got 2.5',
+         "sweep.sizes[2]: expected an integer >= 2, got '3'",
+         'sweep.sizes[3]: expected an integer >= 2, got True',
+         'sweep.step: unknown key',
+         'topology.n: fixed size not allowed in a sweep',
+         "warmup: not allowed for experiment 'sweep'"]),
+    "sweep_rect": (
+        {"experiment": "sweep",
+         "topology": {"kind": "rect", "rows": 2, "cols": 3,
+                      "d": 1.0},
+         "bands": 2, "base_seed": 1, "scheduler": P,
+         "sweep": {"sizes": [4, [1, 1], [2, 0], [2, 2, 2],
+                             [2.0, 2], [3, 3]]}},
+        ['sweep.sizes[0]: expected [rows, cols] with rows*cols >= 2, got 4',
+         'sweep.sizes[1]: expected [rows, cols] with rows*cols >= 2, got '
+         '[1, 1]',
+         'sweep.sizes[2]: expected [rows, cols] with rows*cols >= 2, got '
+         '[2, 0]',
+         'sweep.sizes[3]: expected [rows, cols] with rows*cols >= 2, got '
+         '[2, 2, 2]',
+         'sweep.sizes[4]: expected [rows, cols] with rows*cols >= 2, got '
+         '[2.0, 2]',
+         'topology.rows: fixed size not allowed in a sweep']),
+    "sweep_hex_empty": (
+        {"experiment": "sweep",
+         "topology": {"kind": "hex", "cols": 3, "d": 1.0},
+         "bands": 2, "base_seed": 1, "scheduler": P,
+         "sweep": {"sizes": []}},
+        ['sweep.sizes: required non-empty list',
+         'topology.rows: fixed size not allowed in a sweep']),
+    "sweep_misc": (
+        {"experiment": "sweep",
+         "topology": {"kind": "random_linear", "n": 5, "d": 1.0,
+                      "min_sep": 0.5},
+         "bands": 2, "base_seed": 1, "scheduler": P,
+         "sweep": [4, 8]},
+        ["sweep: required object with a 'sizes' list",
+         'topology.n: fixed size not allowed in a sweep']),
+    "sweep_file": (
+        {"experiment": "sweep",
+         "topology": {"kind": "file", "path": 3},
+         "p0": 1.0, "bands": 2, "base_seed": 1, "scheduler": P,
+         "sweep": {"sizes": "4"}},
+        ['p0: comes from the topology file; remove it',
+         'sweep.sizes: required non-empty list',
+         "topology.kind: 'file' cannot drive a sweep",
+         'topology.path: required string']),
+    "relaxation": (
+        {"experiment": "relaxation",
+         "topology": {"kind": "ula", "n": 6, "d": 1.0},
+         "bands": 2, "base_seed": 1,
+         "scheduler": {"kind": "permutation", "delta_t": 1.0},
+         "initial_assignment": "uniform_random",
+         "alpha": 0.9, "warmup": 0.1, "sweep": {"sizes": [4]},
+         "rates": [0.1]},
+        ['alpha: relaxation fitting requires alpha = 1',
+         'config.horizon: required',
+         'initial_assignment: relaxation starts from the worst case '
+         '(all_band_one)',
+         "rates: not allowed for experiment 'relaxation'",
+         "scheduler.kind: dynamics experiments need 'poisson'",
+         "sweep: not allowed for experiment 'relaxation'",
+         "warmup: not allowed for experiment 'relaxation'"]),
+    "relaxation_range": (
+        {"experiment": "relaxation",
+         "topology": {"kind": "ula", "n": 6, "d": 1.0},
+         "bands": 2, "base_seed": 1, "scheduler": P,
+         "alpha": 1.5, "horizon": 0},
+        ['config.alpha: must be <= 1.0, got 1.5',
+         'config.horizon: must be > 0.0, got 0']),
+    "variance": (
+        {"experiment": "variance",
+         "topology": {"kind": "ula", "n": 6, "d": 1.0},
+         "bands": 2, "base_seed": 1, "replicas": 1,
+         "scheduler": {"kind": "permutation", "delta_t": 1.0},
+         "alpha": 0.9, "sweep": {"sizes": [4]}, "warmup": -1,
+         "rates": [0.5, 1.5, True, "x", -0.1]},
+        ["alpha: not allowed for experiment 'variance'",
+         'config.horizon: required',
+         'config.warmup: must be >= 0.0, got -1',
+         'rates[1]: must be a number in [0, 1], got 1.5',
+         'rates[2]: must be a number in [0, 1], got True',
+         "rates[3]: must be a number in [0, 1], got 'x'",
+         'rates[4]: must be a number in [0, 1], got -0.1',
+         'replicas: variance estimation needs >= 2 replicas',
+         "scheduler.kind: dynamics experiments need 'poisson'",
+         "sweep: not allowed for experiment 'variance'"]),
+    "variance_no_rates": (
+        {"experiment": "variance",
+         "topology": {"kind": "ula", "n": 6, "d": 1.0},
+         "bands": 2, "base_seed": 1, "replicas": 4,
+         "scheduler": P, "horizon": 1.0, "rates": []},
+        ['rates: required non-empty list of switching rates']),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_parse_error_list_is_pinned(name):
+    doc, expected = CASES[name]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert sorted(exc.value.errors) == expected
