@@ -6,8 +6,10 @@ aggregate, which therefore acts as a Lyapunov potential and guarantees
 convergence to a local minimum.
 
 Switching uses a strict-improvement rule: the current band is kept unless
-some band beats it by more than REL_TOL relative (absolute floor 1), which
-rules out oscillation between equal-interference states.
+some band beats it by more than REL_TOL times the current band's power,
+which rules out oscillation between equal-interference states.  The rule
+has no absolute floor, so scaling p0 (or d) scales every comparison alike
+and the dynamics do not depend on units.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ __all__ = [
 ]
 
 # Strict-improvement threshold: switch only if the best band improves on the
-# current one by more than REL_TOL * max(1, current level).
+# current one by more than REL_TOL times the current level; no absolute
+# floor, so the rule does not depend on the units of p0 or d.
 REL_TOL = 1e-9
 
 
@@ -74,7 +77,7 @@ def best_band(cache: InterferenceCache, i: int) -> int:
     current = int(cache.bands[i])
     cur_val = powers[current - 1]
     low = min(powers)
-    if cur_val - low <= REL_TOL * max(1.0, cur_val):
+    if cur_val - low <= REL_TOL * cur_val:
         return current
     return powers.index(low) + 1
 

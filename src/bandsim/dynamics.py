@@ -74,8 +74,9 @@ class DynamicsConfig:
     def __post_init__(self):
         if not (self.delta_t > 0):
             raise ValueError(f"delta_t must be > 0, got {self.delta_t}")
-        if not (self.horizon > 0):
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
+        if not (0 < self.horizon < math.inf):
+            raise ValueError(f"horizon must be finite and > 0, got "
+                             f"{self.horizon}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.replicas < 1:

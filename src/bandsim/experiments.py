@@ -38,9 +38,9 @@ from .metrics import capacity_fraction, db_gap, link_powers, \
     shannon_capacity
 from .oracle import alternating_assignment, bound_report, \
     lattice_reuse_assignment
-from .topology import (Topology, load_topology, make_hexagonal_lattice,
-                       make_random_linear_array, make_rectangular_lattice,
-                       make_uniform_linear_array)
+from .topology import (Topology, TopologyError, load_topology,
+                       make_hexagonal_lattice, make_random_linear_array,
+                       make_rectangular_lattice, make_uniform_linear_array)
 
 __all__ = [
     "ConfigError",
@@ -60,7 +60,17 @@ __all__ = [
 OUTPUT_DIR_ENV = "BANDSIM_OUTPUT_DIR"
 
 EXPERIMENTS = ("converge", "sweep", "relaxation", "variance")
-TOPOLOGY_KINDS = ("ula", "random_linear", "rect", "hex", "file")
+# keys of each topology kind besides 'kind', in the order they are checked
+_TOPOLOGY_KEYS = {"ula": ("d", "n"), "random_linear": ("d", "min_sep", "n"),
+                  "rect": ("d", "rows", "cols"), "hex": ("d", "rows", "cols"),
+                  "file": ("path",)}
+TOPOLOGY_KINDS = tuple(_TOPOLOGY_KEYS)
+# size keys and their minimum; a sweep supplies them instead of the config
+_SIZE_MIN = {"n": 2, "rows": 1, "cols": 1}
+# top-level keys that only some experiments accept
+_ACCEPTED_BY = {"alpha": ("relaxation",), "horizon": ("relaxation", "variance"),
+                "warmup": ("variance",), "sweep": ("sweep",),
+                "rates": ("variance",)}
 SCHEDULER_KINDS = ("permutation", "poisson")
 INITIAL_MODES = ("all_band_one", "uniform_random")
 
@@ -244,6 +254,9 @@ def _get_num(ctx: _Ctx, sec: dict, path: str, key: str, *, required=False,
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         ctx.err(f"{path}.{key}", f"expected a number, got {v!r}")
         return None
+    if isinstance(v, float) and not math.isfinite(v):
+        ctx.err(f"{path}.{key}", f"expected a finite number, got {v!r}")
+        return None
     if integer and not isinstance(v, int):
         ctx.err(f"{path}.{key}", f"expected an integer, got {v!r}")
         return None
@@ -282,10 +295,14 @@ def _get_bool(ctx: _Ctx, sec: dict, path: str, key: str, default: bool) -> bool:
     return v
 
 
-def _forbid(ctx: _Ctx, doc: dict, keys: list[str], experiment: str):
-    for k in keys:
-        if k in doc and doc[k] is not None:
-            ctx.err(k, f"not allowed for experiment '{experiment}'")
+def _section(ctx: _Ctx, doc: dict, key: str, allowed: set[str]) -> dict:
+    """Optional object `key` of doc, its keys checked; {} when absent."""
+    sec = doc.get(key) or {}
+    if not isinstance(sec, dict):
+        ctx.err(key, "expected an object")
+        return {}
+    _expect_keys(ctx, sec, key, allowed)
+    return sec
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -316,49 +333,34 @@ def parse_config(doc: dict) -> ExperimentConfig:
         kind = _get_choice(ctx, topo, "topology", "kind", TOPOLOGY_KINDS,
                            required=True)
         sweeping = experiment == "sweep"
-        if kind == "ula":
-            _expect_keys(ctx, topo, "topology", {"kind", "n", "d"})
-            d = _get_num(ctx, topo, "topology", "d", required=True,
-                         strict_min=0.0)
-            n = _get_num(ctx, topo, "topology", "n", integer=True, minimum=2,
-                         required=not sweeping)
-            if sweeping and n is not None:
-                ctx.err("topology.n", "fixed size not allowed in a sweep")
-            topo_params = {"n": n, "d": d}
-        elif kind == "random_linear":
-            _expect_keys(ctx, topo, "topology", {"kind", "n", "d", "min_sep"})
-            d = _get_num(ctx, topo, "topology", "d", required=True,
-                         strict_min=0.0)
-            min_sep = _get_num(ctx, topo, "topology", "min_sep",
-                               required=True, strict_min=0.0)
-            n = _get_num(ctx, topo, "topology", "n", integer=True, minimum=2,
-                         required=not sweeping)
-            if sweeping and n is not None:
-                ctx.err("topology.n", "fixed size not allowed in a sweep")
-            if None not in (d, min_sep) and min_sep > d:
-                ctx.err("topology.min_sep", f"must be <= d ({d}), got {min_sep}")
-            topo_params = {"n": n, "d": d, "min_sep": min_sep}
-        elif kind in ("rect", "hex"):
-            _expect_keys(ctx, topo, "topology", {"kind", "rows", "cols", "d"})
-            d = _get_num(ctx, topo, "topology", "d", required=True,
-                         strict_min=0.0)
-            rows = _get_num(ctx, topo, "topology", "rows", integer=True,
-                            minimum=1, required=not sweeping)
-            cols = _get_num(ctx, topo, "topology", "cols", integer=True,
-                            minimum=1, required=not sweeping)
-            if sweeping and (rows is not None or cols is not None):
-                ctx.err("topology.rows", "fixed size not allowed in a sweep")
-            if not sweeping and None not in (rows, cols) and rows * cols < 2:
-                ctx.err("topology.rows", "lattice needs at least 2 clusters")
-            topo_params = {"rows": rows, "cols": cols, "d": d}
-        elif kind == "file":
-            _expect_keys(ctx, topo, "topology", {"kind", "path"})
-            path = topo.get("path")
-            if not isinstance(path, str) or not path:
-                ctx.err("topology.path", "required string")
-            if sweeping:
-                ctx.err("topology.kind", "'file' cannot drive a sweep")
-            topo_params = {"path": path}
+        keys = _TOPOLOGY_KEYS.get(kind, ())
+        if kind is not None:
+            _expect_keys(ctx, topo, "topology", {"kind", *keys})
+        for key in keys:
+            if key == "path":
+                path = topo_params[key] = topo.get(key)
+                if not isinstance(path, str) or not path:
+                    ctx.err("topology.path", "required string")
+            elif key in _SIZE_MIN:
+                topo_params[key] = _get_num(
+                    ctx, topo, "topology", key, integer=True,
+                    minimum=_SIZE_MIN[key], required=not sweeping)
+            else:
+                topo_params[key] = _get_num(ctx, topo, "topology", key,
+                                            required=True, strict_min=0.0)
+        p = topo_params
+        sizes = [k for k in keys if k in _SIZE_MIN]
+        if sweeping and any(p[k] is not None for k in sizes):
+            ctx.err(f"topology.{sizes[0]}", "fixed size not allowed in a sweep")
+        if kind == "random_linear" and None not in (p["d"], p["min_sep"]) \
+                and p["min_sep"] > p["d"]:
+            ctx.err("topology.min_sep",
+                    f"must be <= d ({p['d']}), got {p['min_sep']}")
+        if "rows" in p and not sweeping and None not in (p["rows"], p["cols"]) \
+                and p["rows"] * p["cols"] < 2:
+            ctx.err("topology.rows", "lattice needs at least 2 clusters")
+        if kind == "file" and sweeping:
+            ctx.err("topology.kind", "'file' cannot drive a sweep")
 
     # model parameters -------------------------------------------------
     if kind == "file":
@@ -393,25 +395,21 @@ def parse_config(doc: dict) -> ExperimentConfig:
     rho = _get_num(ctx, doc, "config", "rho", default=DEFAULT_RHO,
                    strict_min=0.0)
 
-    link = doc.get("link") or {}
-    if not isinstance(link, dict):
-        ctx.err("link", "expected an object")
-        link = {}
-    _expect_keys(ctx, link, "link", {"signal_power", "noise_power"})
+    link = _section(ctx, doc, "link", {"signal_power", "noise_power"})
     signal_power = _get_num(ctx, link, "link", "signal_power", strict_min=0.0)
     noise_power = _get_num(ctx, link, "link", "noise_power", strict_min=0.0)
 
     # per-experiment sections -------------------------------------------
+    if experiment is not None:
+        for key, accepted_by in _ACCEPTED_BY.items():
+            if experiment not in accepted_by and doc.get(key) is not None:
+                ctx.err(key, f"not allowed for experiment '{experiment}'")
     alpha = 1.0
     horizon = None
     warmup = None
     sweep_sizes = None
     rates = None
-    if experiment == "converge":
-        _forbid(ctx, doc, ["alpha", "horizon", "warmup", "sweep", "rates"],
-                "converge")
-    elif experiment == "sweep":
-        _forbid(ctx, doc, ["alpha", "horizon", "warmup", "rates"], "sweep")
+    if experiment == "sweep":
         sweep = doc.get("sweep")
         if not isinstance(sweep, dict):
             ctx.err("sweep", "required object with a 'sizes' list")
@@ -419,25 +417,20 @@ def parse_config(doc: dict) -> ExperimentConfig:
             _expect_keys(ctx, sweep, "sweep", {"sizes"})
             sweep_sizes = _parse_sizes(ctx, sweep.get("sizes"), kind)
     elif experiment == "relaxation":
-        _forbid(ctx, doc, ["sweep", "rates", "warmup"], "relaxation")
         alpha = _get_num(ctx, doc, "config", "alpha", default=1.0,
                          minimum=0.0, maximum=1.0)
         if alpha is not None and alpha != 1.0:
             ctx.err("alpha", "relaxation fitting requires alpha = 1")
-        horizon = _get_num(ctx, doc, "config", "horizon", required=True,
-                           strict_min=0.0)
         if initial == "uniform_random":
             ctx.err("initial_assignment",
                     "relaxation starts from the worst case (all_band_one)")
-        if scheduler_kind == "permutation":
-            ctx.err("scheduler.kind", "dynamics experiments need 'poisson'")
-    elif experiment == "variance":
-        _forbid(ctx, doc, ["alpha", "sweep"], "variance")
+    if experiment in ("relaxation", "variance"):
         horizon = _get_num(ctx, doc, "config", "horizon", required=True,
                            strict_min=0.0)
-        warmup = _get_num(ctx, doc, "config", "warmup", minimum=0.0)
         if scheduler_kind == "permutation":
             ctx.err("scheduler.kind", "dynamics experiments need 'poisson'")
+    if experiment == "variance":
+        warmup = _get_num(ctx, doc, "config", "warmup", minimum=0.0)
         raw_rates = doc.get("rates")
         if not isinstance(raw_rates, list) or not raw_rates:
             ctx.err("rates", "required non-empty list of switching rates")
@@ -452,12 +445,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if replicas is not None and replicas < 2:
             ctx.err("replicas", "variance estimation needs >= 2 replicas")
 
-    out = doc.get("output") or {}
-    if not isinstance(out, dict):
-        ctx.err("output", "expected an object")
-        out = {}
-    _expect_keys(ctx, out, "output",
-                 {"dir", "prefix", "write_trace", "write_capacity_series"})
+    out = _section(ctx, doc, "output",
+                   {"dir", "prefix", "write_trace", "write_capacity_series"})
     out_dir = out.get("dir", "results")
     if not isinstance(out_dir, str) or not out_dir:
         ctx.err("output.dir", "expected a non-empty string")
@@ -519,6 +508,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         warnings=ctx.warnings)
 
 
+def _is_int(v, minimum: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= minimum
+
+
 def _parse_sizes(ctx: _Ctx, sizes, kind) -> list | None:
     if not isinstance(sizes, list) or not sizes:
         ctx.err("sweep.sizes", "required non-empty list")
@@ -528,14 +521,14 @@ def _parse_sizes(ctx: _Ctx, sizes, kind) -> list | None:
     for pos, v in enumerate(sizes):
         if lattice:
             if (not isinstance(v, list) or len(v) != 2
-                    or not all(isinstance(x, int) and x >= 1 for x in v)
+                    or not all(_is_int(x, 1) for x in v)
                     or v[0] * v[1] < 2):
                 ctx.err(f"sweep.sizes[{pos}]",
                         f"expected [rows, cols] with rows*cols >= 2, got {v!r}")
             else:
                 out.append([int(v[0]), int(v[1])])
         else:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 2:
+            if not _is_int(v, 2):
                 ctx.err(f"sweep.sizes[{pos}]",
                         f"expected an integer >= 2, got {v!r}")
             else:
@@ -593,25 +586,41 @@ def validate_config(path) -> dict:
 
 def _size_hint(cfg: ExperimentConfig) -> int | None:
     p = cfg.topology_params
-    if cfg.topology_kind in ("ula", "random_linear"):
-        return p.get("n")
-    if cfg.topology_kind in ("rect", "hex"):
-        rows, cols = p.get("rows"), p.get("cols")
-        return rows * cols if rows and cols else None
     if cfg.topology_kind == "file":
         try:
-            return load_topology(p["path"]).n
+            return _load_file_topology(p["path"]).n
         except OSError:
             return None
-    return None
+    if "n" in p:
+        return p["n"]
+    rows, cols = p.get("rows"), p.get("cols")
+    return rows * cols if rows and cols else None
+
+
+def _load_file_topology(path: str) -> Topology:
+    """The topology saved at `path`; a file that holds no valid topology is
+    a ConfigError on topology.path."""
+    try:
+        return load_topology(path)
+    except TopologyError as exc:
+        raise ConfigError([f"topology.path: {exc}"]) from exc
 
 
 # ---------------------------------------------------------------------------
 # presets
 
 
-def _base_preset(experiment: str, prefix: str, seed: int) -> dict:
-    return {
+def preset(name: str) -> dict:
+    """Built-in experiment configs, one per standard output series.
+
+    Each preset writes under its own name and seeds at 20260815 plus its
+    place in PRESET_NAMES.
+    """
+    if name not in PRESET_NAMES:
+        raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    experiment = {"fig2": "converge", "fig3": "sweep", "fig4": "sweep",
+                  "fig5": "relaxation", "fig6": "variance"}[name[:4]]
+    doc = {
         "experiment": experiment,
         "bands": 2,
         "eta": 2.0,
@@ -619,66 +628,37 @@ def _base_preset(experiment: str, prefix: str, seed: int) -> dict:
         "initial_assignment": "all_band_one",
         "scheduler": {"kind": "poisson", "delta_t": 0.01},
         "replicas": 5,
-        "base_seed": seed,
+        "base_seed": 20260815 + PRESET_NAMES.index(name),
         "rho": DEFAULT_RHO,
         "link": {"signal_power": 1.0, "noise_power": 0.1},
-        "output": {"dir": "results", "prefix": prefix},
+        "output": {"dir": "results", "prefix": name},
     }
-
-
-def preset(name: str) -> dict:
-    """Built-in experiment configs, one per standard output series."""
-    seed0 = 20260815
-    if name == "fig2a":
-        doc = _base_preset("converge", "fig2a", seed0)
-        doc["topology"] = {"kind": "ula", "n": 100, "d": 1.0}
-        doc["output"].update(write_trace=True, write_capacity_series=True)
-        return doc
-    if name == "fig2b":
-        doc = _base_preset("converge", "fig2b", seed0 + 1)
-        doc["topology"] = {"kind": "rect", "rows": 10, "cols": 10, "d": 1.0}
+    kind = {"fig2b": "rect", "fig4a": "rect",
+            "fig2c": "hex", "fig4b": "hex"}.get(name, "ula")
+    doc["topology"] = {"kind": kind}
+    if experiment != "sweep":  # a sweep supplies the sizes
+        doc["topology"].update({"n": 100} if kind == "ula"
+                               else {"rows": 10, "cols": 10})
+    doc["topology"]["d"] = 1.0
+    if kind != "ula":
         doc["bands"] = 4
+    if experiment == "converge":
         doc["output"].update(write_trace=True, write_capacity_series=True)
-        return doc
-    if name == "fig2c":
-        doc = _base_preset("converge", "fig2c", seed0 + 2)
-        doc["topology"] = {"kind": "hex", "rows": 10, "cols": 10, "d": 1.0}
-        doc["bands"] = 4
-        doc["output"].update(write_trace=True, write_capacity_series=True)
-        return doc
-    if name == "fig3":
-        doc = _base_preset("sweep", "fig3", seed0 + 3)
-        doc["topology"] = {"kind": "ula", "d": 1.0}
+    elif experiment == "sweep":
         doc["scheduler"] = {"kind": "permutation", "delta_t": 0.01}
         doc["replicas"] = 20
-        doc["sweep"] = {"sizes": [10, 20, 40, 60, 80, 100]}
-        return doc
-    if name == "fig4a" or name == "fig4b":
-        doc = _base_preset("sweep", name, seed0 + (4 if name == "fig4a" else 5))
-        doc["topology"] = {"kind": "rect" if name == "fig4a" else "hex",
-                           "d": 1.0}
-        doc["bands"] = 4
-        doc["scheduler"] = {"kind": "permutation", "delta_t": 0.01}
-        doc["replicas"] = 20
-        doc["sweep"] = {"sizes": [[4, 4], [5, 5], [6, 6], [7, 7], [8, 8],
-                                  [9, 9], [10, 10]]}
-        return doc
-    if name == "fig5":
-        doc = _base_preset("relaxation", "fig5", seed0 + 6)
-        doc["topology"] = {"kind": "ula", "n": 100, "d": 1.0}
+        doc["sweep"] = {"sizes": [10, 20, 40, 60, 80, 100] if name == "fig3"
+                        else [[k, k] for k in range(4, 11)]}
+    elif experiment == "relaxation":
         doc["alpha"] = 1.0
         doc["horizon"] = 8.0
         doc["replicas"] = 500
-        return doc
-    if name == "fig6":
-        doc = _base_preset("variance", "fig6", seed0 + 7)
-        doc["topology"] = {"kind": "ula", "n": 100, "d": 1.0}
+    else:
         doc["horizon"] = 1.0
         doc["warmup"] = 0.2
         doc["replicas"] = 200
         doc["rates"] = [0.001, 0.005, 0.01, 0.05, 0.1, 0.2, 0.375]
-        return doc
-    raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return doc
 
 
 PRESET_NAMES = ("fig2a", "fig2b", "fig2c", "fig3", "fig4a", "fig4b",
@@ -714,19 +694,59 @@ def _build_topology(cfg: ExperimentConfig, size=None) -> tuple[Topology, tuple |
             else make_hexagonal_lattice
         return maker(rows, cols, p["d"], cfg.p0, cfg.eta), (rows, cols)
     if kind == "file":
-        return load_topology(p["path"]), None
+        return _load_file_topology(p["path"]), None
     raise ValueError(f"unhandled topology kind {kind}")
 
 
-def _reference_assignment(cfg: ExperimentConfig, top: Topology,
-                          lattice_dims) -> tuple[Assignment | None, str | None]:
+@dataclass
+class _Reference:
+    """One topology and the levels its converged replicas are scored
+    against; asg, kind, aggregate and capacity are None without a
+    reference assignment."""
+
+    top: Topology
+    asg: Assignment | None
+    kind: str | None
+    s: float
+    n0: float
+    i_w: float
+    aggregate: float | None = None
+    capacity: float | None = None
+
+
+def _reference(cfg: ExperimentConfig, size=None) -> _Reference:
+    """Build the topology (at `size` in a sweep) and its reference levels:
+    1:r reuse on a lattice with 2 or 4 bands, else alternating in 1-D."""
+    top, lattice_dims = _build_topology(cfg, size)
+    asg, kind = None, None
     if lattice_dims is not None and cfg.bands in (2, 4):
-        rows, cols = lattice_dims
-        return lattice_reuse_assignment(rows, cols, cfg.bands), \
-            f"reuse_1_{cfg.bands}"
-    if top.dim == 1:
-        return alternating_assignment(top.n, cfg.bands), "alternating"
-    return None, None
+        asg = lattice_reuse_assignment(*lattice_dims, cfg.bands)
+        kind = f"reuse_1_{cfg.bands}"
+    elif top.dim == 1:
+        asg, kind = alternating_assignment(top.n, cfg.bands), "alternating"
+    s, n0 = link_powers(top, cfg.signal_power, cfg.noise_power)
+    ref = _Reference(top, asg, kind, s, n0, worst_case_interference(top))
+    if asg is not None:
+        _, ref.capacity = shannon_capacity(top, asg, None, s, n0)
+        ref.aggregate = aggregate_interference(top, asg, None)
+    return ref
+
+
+def _score(cfg: ExperimentConfig, ref: _Reference, final: Assignment):
+    """Bound report of one converged assignment, plus its capacity and dB
+    gap against the reference ({} without a reference)."""
+    brep = bound_report(ref.top, None, final, cfg.bands,
+                        d_ref=cfg.topology_params.get("d"), reference=ref.asg)
+    if ref.asg is None:
+        return brep, {}
+    _, cap_norm = shannon_capacity(ref.top, final, None, ref.s, ref.n0)
+    return brep, {
+        "capacity_fraction": capacity_fraction(cap_norm, ref.capacity),
+        "capacity_normalized": cap_norm,
+        "db_gap_vs_reference": (db_gap(brep.i_a, ref.aggregate)
+                                if brep.i_a > 0 and ref.aggregate > 0
+                                else None),
+    }
 
 
 def _make_scheduler(cfg: ExperimentConfig):
@@ -759,16 +779,9 @@ def _converge_one(cfg: ExperimentConfig, top: Topology, seed: int):
     return records, initial, cache.assignment(), a0
 
 
-def _d_ref(cfg: ExperimentConfig) -> float | None:
-    return cfg.topology_params.get("d")
-
-
 def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
-    top, lattice_dims = _build_topology(cfg)
-    ref_asg, ref_kind = _reference_assignment(cfg, top, lattice_dims)
-    s, n0 = link_powers(top, cfg.signal_power, cfg.noise_power)
-    i_w = worst_case_interference(top)
-    ref_agg, ref_cap = _reference_levels(top, ref_asg, s, n0)
+    ref = _reference(cfg)
+    top, s, n0 = ref.top, ref.s, ref.n0
     trace_rows = []
     cap_rows = []
     detail = []
@@ -776,10 +789,11 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     for k in range(cfg.replicas):
         seed = cfg.base_seed + k
         records, initial, final, a0 = _converge_one(cfg, top, seed)
-        trace_rows.append((k, 0, 0.0, -1, 0, 0, a0, top.n))
-        for e, rec in enumerate(records, 1):
-            trace_rows.append((k, e, rec.time, rec.cluster, rec.old_band,
-                               rec.new_band, rec.aggregate_after, top.n))
+        if cfg.write_trace:
+            trace_rows.append((k, 0, 0.0, -1, 0, 0, a0, top.n))
+            for e, rec in enumerate(records, 1):
+                trace_rows.append((k, e, rec.time, rec.cluster, rec.old_band,
+                                   rec.new_band, rec.aggregate_after, top.n))
         if cfg.write_capacity_series:
             cap_cache = InterferenceCache(top, initial)
             cap = _normalized_capacity(cap_cache, s, n0)
@@ -789,10 +803,9 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
                     cap_cache.set_band(rec.cluster, rec.new_band)
                     cap = _normalized_capacity(cap_cache, s, n0)
                 cap_rows.append((k, e, rec.time, cap))
-        brep = bound_report(top, None, final, cfg.bands, d_ref=_d_ref(cfg),
-                            reference=ref_asg)
+        brep, scores = _score(cfg, ref, final)
         reports.append(brep)
-        entry = {
+        detail.append({
             "replica": k,
             "seed": seed,
             "updates": len(records),
@@ -800,56 +813,47 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
             "final_aggregate": brep.i_a,
             "final_normalized": brep.i_a / top.n,
             "ratio_aw": brep.ratio_aw,
-        }
-        if ref_asg is not None:
-            _, cap_norm = shannon_capacity(top, final, None, s, n0)
-            entry["capacity_fraction"] = capacity_fraction(cap_norm, ref_cap)
-            entry["capacity_normalized"] = cap_norm
-            entry["db_gap_vs_reference"] = (
-                db_gap(brep.i_a, ref_agg)
-                if brep.i_a > 0 and ref_agg > 0 else None)
-        detail.append(entry)
+            **scores,
+        })
 
     _check_bounds(reports, cfg)
     finals = [d["final_aggregate"] for d in detail]
     updates = [d["updates"] for d in detail]
-    summary = {
-        "experiment": "converge",
-        "version": __version__,
-        "config_hash": config_hash(cfg.resolved),
-        "n": top.n,
-        "bands": cfg.bands,
-        "eta": top.eta,
-        "p0": top.p0,
-        "replicas": cfg.replicas,
-        "i_w": i_w,
-        "i_w_over_r": i_w / cfg.bands,
-        "reference": (None if ref_asg is None else
-                      {"kind": ref_kind, "aggregate": ref_agg,
-                       "normalized_aggregate": ref_agg / top.n,
-                       "normalized_capacity": ref_cap}),
-        "final_aggregate": {"mean": float(np.mean(finals)),
-                            "min": float(np.min(finals)),
-                            "max": float(np.max(finals))},
-        "update_counts": {"max": int(np.max(updates)),
-                          "le_50n": bool(np.max(updates) <= 50 * top.n)},
-        "bounds": _bounds_block(reports),
-        "link": {"signal_power": s, "noise_power": n0},
-        "replicas_detail": detail,
-    }
-    files = _emit(cfg, out_dir, summary, trace_rows=trace_rows,
-                  cap_rows=cap_rows if cfg.write_capacity_series else None)
+    summary = _summary(
+        cfg, top,
+        p0=top.p0,
+        i_w=ref.i_w,
+        i_w_over_r=ref.i_w / cfg.bands,
+        reference=(None if ref.asg is None else
+                   {"kind": ref.kind, "aggregate": ref.aggregate,
+                    "normalized_aggregate": ref.aggregate / top.n,
+                    "normalized_capacity": ref.capacity}),
+        final_aggregate={"mean": float(np.mean(finals)),
+                         "min": float(np.min(finals)),
+                         "max": float(np.max(finals))},
+        update_counts={"max": int(np.max(updates)),
+                       "le_50n": bool(np.max(updates) <= 50 * top.n)},
+        bounds=_bounds_block(reports),
+        link={"signal_power": s, "noise_power": n0},
+        replicas_detail=detail,
+    )
+    files = _emit(cfg, out_dir, summary, [
+        ("trace.csv", TRACE_HEADER, trace_rows if cfg.write_trace else None),
+        ("capacity.csv",
+         ["replica", "event_index", "time", "normalized_capacity"],
+         cap_rows if cfg.write_capacity_series else None)])
     return RunResult(out_dir, files, summary)
 
 
-def _reference_levels(top: Topology, ref_asg: Assignment | None,
-                      s: float, n0: float) -> tuple[float | None, float | None]:
-    """(aggregate, normalized capacity) of the reference assignment, computed
-    once per topology; (None, None) without a reference."""
-    if ref_asg is None:
-        return None, None
-    _, ref_cap = shannon_capacity(top, ref_asg, None, s, n0)
-    return aggregate_interference(top, ref_asg, None), ref_cap
+def _summary(cfg: ExperimentConfig, top: Topology | None, **fields) -> dict:
+    """Summary head every experiment shares (n and eta from `top` when it
+    is given), then `fields`."""
+    head = {"experiment": cfg.experiment, "version": __version__,
+            "config_hash": config_hash(cfg.resolved), "bands": cfg.bands,
+            "replicas": cfg.replicas}
+    if top is not None:
+        head.update(n=top.n, eta=top.eta)
+    return {**head, **fields}
 
 
 def _bounds_block(reports) -> dict:
@@ -877,74 +881,58 @@ def _check_bounds(reports, cfg: ExperimentConfig):
 
 
 def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
-    rows = []
     per_size = []
     all_reports = []
     for si, size in enumerate(cfg.sweep_sizes):
-        top, lattice_dims = _build_topology(
-            cfg, size=tuple(size) if isinstance(size, list) else size)
-        ref_asg, ref_kind = _reference_assignment(cfg, top, lattice_dims)
-        s, n0 = link_powers(top, cfg.signal_power, cfg.noise_power)
-        i_w = worst_case_interference(top)
-        ref_agg, ref_cap = _reference_levels(top, ref_asg, s, n0)
+        ref = _reference(cfg, size)
+        n = ref.top.n
         finals = []
         fractions = []
         gaps = []
         reports = []
         for k in range(cfg.replicas):
             seed = cfg.base_seed + si * cfg.replicas + k
-            _, _, final, _ = _converge_one(cfg, top, seed)
-            brep = bound_report(top, None, final, cfg.bands,
-                                d_ref=_d_ref(cfg), reference=ref_asg)
+            _, _, final, _ = _converge_one(cfg, ref.top, seed)
+            brep, scores = _score(cfg, ref, final)
             reports.append(brep)
             finals.append(brep.i_a)
-            if ref_asg is not None:
-                _, cap_norm = shannon_capacity(top, final, None, s, n0)
-                fractions.append(capacity_fraction(cap_norm, ref_cap))
-                if brep.i_a > 0 and ref_agg > 0:
-                    gaps.append(db_gap(brep.i_a, ref_agg))
+            if scores:
+                fractions.append(scores["capacity_fraction"])
+                if scores["db_gap_vs_reference"] is not None:
+                    gaps.append(scores["db_gap_vs_reference"])
         _check_bounds(reports, cfg)
         all_reports.extend(reports)
-        n = top.n
-        lower = reports[0].analytic_lower
-        if isinstance(size, list):
-            rows_cols = size
-        else:
-            rows_cols = (None, None)
-        row = {
+        rows, cols = size if isinstance(size, list) else (None, None)
+        per_size.append({
             "n": n,
-            "rows": rows_cols[0],
-            "cols": rows_cols[1],
-            "i_w_norm": i_w / n,
-            "upper_norm": i_w / cfg.bands / n,
+            "rows": rows,
+            "cols": cols,
+            "i_w_norm": ref.i_w / n,
+            "upper_norm": ref.i_w / cfg.bands / n,
             "ia_mean_norm": float(np.mean(finals)) / n,
             "ia_min_norm": float(np.min(finals)) / n,
             "ia_max_norm": float(np.max(finals)) / n,
-            "ref_norm": ref_agg / n if ref_agg is not None else None,
-            "lower_norm": lower,
+            "ref_norm": (ref.aggregate / n if ref.aggregate is not None
+                         else None),
+            "lower_norm": reports[0].analytic_lower,
             "db_gap_mean": float(np.mean(gaps)) if gaps else None,
             "capacity_fraction_mean": (float(np.mean(fractions))
                                        if fractions else None),
-            "reference_kind": ref_kind,
-        }
-        rows.append(row)
-        per_size.append({**row, "finals": finals})
+            "reference_kind": ref.kind,
+            "finals": finals,
+        })
+    summary = _summary(
+        cfg, None,
+        eta=cfg.eta,
+        p0=cfg.p0,
+        bounds=_bounds_block(all_reports),
+        sizes=per_size,
+    )
     header = ["n", "rows", "cols", "i_w_norm", "upper_norm", "ia_mean_norm",
               "ia_min_norm", "ia_max_norm", "ref_norm", "lower_norm",
               "db_gap_mean", "capacity_fraction_mean", "reference_kind"]
-    csv_rows = [[r[h] for h in header] for r in rows]
-    summary = {
-        "experiment": "sweep",
-        "version": __version__,
-        "config_hash": config_hash(cfg.resolved),
-        "bands": cfg.bands,
-        "eta": cfg.eta,
-        "p0": cfg.p0,
-        "replicas": cfg.replicas,
-        "bounds": _bounds_block(all_reports),
-        "sizes": per_size,
-    }
-    files = _emit(cfg, out_dir, summary, sweep=(header, csv_rows))
+    csv_rows = [[row[h] for h in header] for row in per_size]
+    files = _emit(cfg, out_dir, summary, [("sweep.csv", header, csv_rows)])
     return RunResult(out_dir, files, summary)
 
 
@@ -973,26 +961,21 @@ def _run_relaxation(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     model = np.exp(-cfg.rho * grid / tau)
     decay_rows = list(zip(grid, mean_trace.aggregates,
                           mean_trace.aggregates / top.n, bracket, model))
-    summary = {
-        "experiment": "relaxation",
-        "version": __version__,
-        "config_hash": config_hash(cfg.resolved),
-        "n": top.n,
-        "bands": cfg.bands,
-        "eta": top.eta,
-        "replicas": cfg.replicas,
-        "tau": tau,
-        "rho_assumed": cfg.rho,
-        "rho_fitted": rho_hat,
-        "i_w": i_w,
-        "i_a_mean_final": i_a,
-        "i_a_normalized": i_a / top.n,
-        "fit_floor": FIT_FLOOR,
-    }
-    files = _emit(cfg, out_dir, summary,
-                  trace_rows=(_trace_rows_from_sim(traces)
-                              if cfg.write_trace else None),
-                  decay_rows=decay_rows)
+    summary = _summary(
+        cfg, top,
+        tau=tau,
+        rho_assumed=cfg.rho,
+        rho_fitted=rho_hat,
+        i_w=i_w,
+        i_a_mean_final=i_a,
+        i_a_normalized=i_a / top.n,
+        fit_floor=FIT_FLOOR,
+    )
+    files = _emit(cfg, out_dir, summary, [
+        ("trace.csv", TRACE_HEADER,
+         _trace_rows_from_sim(traces) if cfg.write_trace else None),
+        ("decay.csv", ["time", "mean_aggregate", "mean_normalized",
+                       "bracket", "model_bracket"], decay_rows)])
     return RunResult(out_dir, files, summary)
 
 
@@ -1018,7 +1001,6 @@ def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         top, _initial_assignment(cfg, top.n, init_rng), rng=init_rng)
     init_cache, _ = run_to_convergence(init_cache, PoissonClock(cfg.delta_t))
     init = init_cache.assignment()
-    var_rows = []
     points = []
     all_trace_rows = []
     for qi, q in enumerate(cfg.rates):
@@ -1034,7 +1016,7 @@ def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         pred = predicted_variance(stats.mean, lam, tau, top.n, cfg.rho)
         ratio = (stats.variance / pred.sigma_ss_sq
                  if (not pred.divergent and pred.sigma_ss_sq > 0) else None)
-        point = {
+        points.append({
             "one_minus_alpha": q,
             "alpha": alpha,
             "lambda": lam,
@@ -1047,35 +1029,28 @@ def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
             "mean_level": stats.mean,
             "within": stats.within,
             "base_seed": seed,
-        }
-        points.append(point)
-        var_rows.append([q, alpha, lam, pred.margin, int(pred.divergent),
-                         point["sigma_sq_predicted"], stats.variance, ratio,
-                         stats.mean, stats.within])
-    summary = {
-        "experiment": "variance",
-        "version": __version__,
-        "config_hash": config_hash(cfg.resolved),
-        "n": top.n,
-        "bands": cfg.bands,
-        "eta": top.eta,
-        "replicas": cfg.replicas,
-        "tau": tau,
-        "rho": cfg.rho,
-        "warmup": warmup,
-        "horizon": cfg.horizon,
-        "initial_aggregate": init_cache.aggregate(),
-        "estimator": _VARIANCE_ESTIMATOR_NOTE,
-        "normalization": "aggregate divided by n before statistics; the "
-                         "prediction is evaluated at the empirical mean "
-                         "level, so both sides share the 1/n^2 scale",
-        "points": points,
-    }
+        })
+    summary = _summary(
+        cfg, top,
+        tau=tau,
+        rho=cfg.rho,
+        warmup=warmup,
+        horizon=cfg.horizon,
+        initial_aggregate=init_cache.aggregate(),
+        estimator=_VARIANCE_ESTIMATOR_NOTE,
+        normalization="aggregate divided by n before statistics; the "
+                      "prediction is evaluated at the empirical mean "
+                      "level, so both sides share the 1/n^2 scale",
+        points=points,
+    )
+    # a point's divergent flag, a bool, writes as 1 or 0
     header = ["one_minus_alpha", "alpha", "lambda", "margin", "divergent",
               "sigma_sq_predicted", "sigma_sq_empirical",
               "ratio_emp_over_pred", "mean_level", "within"]
-    files = _emit(cfg, out_dir, summary, var_rows=(header, var_rows),
-                  trace_rows=all_trace_rows if cfg.write_trace else None)
+    files = _emit(cfg, out_dir, summary, [
+        ("trace.csv", TRACE_HEADER,
+         all_trace_rows if cfg.write_trace else None),
+        ("variance.csv", header, [[pt[h] for h in header] for pt in points])])
     return RunResult(out_dir, files, summary)
 
 
@@ -1084,32 +1059,18 @@ TRACE_HEADER = ["replica", "event_index", "time", "cluster", "old_band",
 
 
 def _emit(cfg: ExperimentConfig, out_dir: Path, summary: dict,
-          trace_rows=None, cap_rows=None, decay_rows=None, sweep=None,
-          var_rows=None) -> list[Path]:
+          tables: list) -> list[Path]:
+    """Write <prefix>_config.json, <prefix>_summary.json and one CSV per
+    (suffix, header, rows) table whose rows are not None; returns the paths
+    in that order."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-
-    def target(suffix: str) -> Path:
-        p = out_dir / f"{cfg.prefix}_{suffix}"
-        files.append(p)
-        return p
-
-    _write_json(target("config.json"), cfg.resolved)
-    _write_json(target("summary.json"), summary)
-    if trace_rows is not None:
-        _write_csv(target("trace.csv"), TRACE_HEADER, trace_rows)
-    if cap_rows is not None:
-        _write_csv(target("capacity.csv"),
-                   ["replica", "event_index", "time", "normalized_capacity"],
-                   cap_rows)
-    if decay_rows is not None:
-        _write_csv(target("decay.csv"),
-                   ["time", "mean_aggregate", "mean_normalized", "bracket",
-                    "model_bracket"], decay_rows)
-    if sweep is not None:
-        _write_csv(target("sweep.csv"), sweep[0], sweep[1])
-    if var_rows is not None:
-        _write_csv(target("variance.csv"), var_rows[0], var_rows[1])
+    tables = [t for t in tables if t[2] is not None]
+    files = [out_dir / f"{cfg.prefix}_{suffix}" for suffix in
+             ("config.json", "summary.json", *(t[0] for t in tables))]
+    _write_json(files[0], cfg.resolved)
+    _write_json(files[1], summary)
+    for path, (_, header, rows) in zip(files[2:], tables):
+        _write_csv(path, header, rows)
     return files
 
 

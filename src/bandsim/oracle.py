@@ -285,7 +285,7 @@ def bound_report(top: Topology, act: ActivityState | None,
 
     tol = 1e-9
     ratio_aw = i_a / i_w if i_w > 0 else math.nan
-    upper_ok = i_a <= i_w / r + tol * max(1.0, i_w / r)
+    upper_ok = i_a <= i_w / r * (1.0 + tol)
 
     if top.dim == 1 and n >= 2:
         d_min, d_max = _adjacent_gaps(top)
@@ -305,7 +305,7 @@ def bound_report(top: Topology, act: ActivityState | None,
         ratio_ao = i_a / i_o
         cap_ok = ratio_ao <= cap * (1.0 + tol)
     if i_o is not None and i_o_kind == "oracle":
-        ordering_ok = i_o <= i_a + tol * max(1.0, i_a)
+        ordering_ok = i_o <= i_a * (1.0 + tol)
 
     analytic_lower = None
     if top.dim == 1 and top.eta > 1 and d_ref is not None and d_ref > 0:

@@ -92,10 +92,12 @@ def _build(positions: np.ndarray, p0: float, eta: float,
     n = positions.shape[0]
     if n < 1:
         raise TopologyError("at least one cluster required")
-    if not (p0 > 0):
-        raise TopologyError(f"p0 must be > 0, got {p0}")
-    if not (eta >= 1):
-        raise TopologyError(f"eta must be >= 1, got {eta}")
+    if not np.isfinite(positions).all():
+        raise TopologyError("positions must be finite")
+    if not (0 < p0 < math.inf):
+        raise TopologyError(f"p0 must be finite and > 0, got {p0}")
+    if not (1 <= eta < math.inf):
+        raise TopologyError(f"eta must be finite and >= 1, got {eta}")
     if dist is None:
         dist = _pairwise_distances(positions)
     off_diag = dist[~np.eye(n, dtype=bool)]

@@ -223,13 +223,13 @@ def test_acceptance_05_asymptotic_floor(capsys):
 def _fixed_point(top, state) -> tuple[bool, float]:
     """Best-response certificate of an all-active state, recomputed from the
     weight matrix rather than read from the cache: (no cluster can lower its
-    interference by more than REL_TOL*max(1, level), smallest margin from a
+    interference by more than REL_TOL*level, smallest margin from a
     cluster's band to any other band).
     """
     cols = state.bands[:, None] == np.arange(1, state.r + 1)[None, :]
     powers = weight_matrix(top) @ cols
     level = powers[cols]
-    fixed = level - powers.min(axis=1) <= REL_TOL * np.maximum(1.0, level)
+    fixed = level - powers.min(axis=1) <= REL_TOL * level
     margin = np.where(cols, np.inf, powers).min(axis=1) - level
     return bool(fixed.all()), float(margin.min())
 

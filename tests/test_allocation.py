@@ -10,7 +10,7 @@ from bandsim.interference import (ActivityState, Assignment,
                                   aggregate_interference, all_active,
                                   all_band_one, band_interference,
                                   uniform_random_assignment)
-from bandsim.topology import (make_rectangular_lattice,
+from bandsim.topology import (make_hexagonal_lattice, make_rectangular_lattice,
                               make_uniform_linear_array,
                               topology_from_positions)
 
@@ -274,3 +274,26 @@ def test_simstate_default_activity_all_on():
     assert np.array_equal(state.active_indices(), np.arange(4))
     assert state.n == 4
     assert state.r == 2
+
+
+def _switch_sequence(top, r, scheduler):
+    cache = InterferenceCache(top, all_band_one(top.n, r),
+                              rng=np.random.default_rng(5))
+    _, records = run_to_convergence(cache, scheduler)
+    return [(rec.cluster, rec.old_band, rec.new_band) for rec in records
+            if rec.switched]
+
+
+@pytest.mark.parametrize("scheduler", [RandomPermutationRounds,
+                                       PoissonClock])
+@pytest.mark.parametrize("p0,d", [(2.0 ** -40, 1.0), (2.0 ** 40, 1.0),
+                                  (1.0, 2.0 ** 17), (1.0, 2.0 ** -10),
+                                  (2.0 ** -30, 2.0 ** 10)])
+def test_switch_sequence_does_not_depend_on_units(scheduler, p0, d):
+    # at eta = 2, scaling p0 or d by a power of two scales every band power
+    # exactly, so every comparison of the switching rule must come out alike
+    for make, r in ((lambda s, q: make_uniform_linear_array(40, s, q), 2),
+                    (lambda s, q: make_hexagonal_lattice(6, 6, s, q), 4)):
+        unit = _switch_sequence(make(1.0, 1.0), r, scheduler(0.01))
+        assert unit
+        assert _switch_sequence(make(d, p0), r, scheduler(0.01)) == unit

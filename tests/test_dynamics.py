@@ -36,6 +36,13 @@ def test_config_validation():
     assert cfg.tau(100) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("horizon", [float("inf"), float("nan")])
+def test_dynamics_config_rejects_non_finite_horizon(horizon):
+    # an infinite horizon would never end the event loop
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        DynamicsConfig(delta_t=0.1, horizon=horizon)
+
+
 def test_lambda_from_alpha():
     # n^2 (1 - alpha) / (2 tau)
     assert lambda_from_alpha(0.9, 100, 1.0) == pytest.approx(500.0)
@@ -184,7 +191,7 @@ def _per_flip_reference(top, cfg, r, seed, initial):
         old = int(cache.bands[i])
         best = int(np.argmin(powers))
         new = old if (powers[old - 1] - powers[best]
-                      <= REL_TOL * max(1.0, powers[old - 1])) else best + 1
+                      <= REL_TOL * powers[old - 1]) else best + 1
         cache.set_band(i, new)
         rows.append((t, i, old, new, idx.size, aggregate_interference(
             top, cache.assignment(), cache.activity())))

@@ -185,6 +185,52 @@ def test_parse_variance_warns_on_strained_rates():
                    if "0.01," not in w)
 
 
+def test_parse_sweep_rejects_boolean_lattice_sizes():
+    errs = _errors(_tiny_doc(experiment="sweep",
+                             topology={"kind": "rect", "d": 1.0},
+                             sweep={"sizes": [[True, 2], [2, 2]]}))
+    assert errs == ["sweep.sizes[0]: expected [rows, cols] with "
+                    "rows*cols >= 2, got [True, 2]"]
+
+
+_POISSON = {"kind": "poisson", "delta_t": 0.05}
+# one valid document per group of numeric fields
+_NUMERIC_BASES = {
+    "converge": _tiny_doc(),
+    "random_linear": _tiny_doc(topology={"kind": "random_linear", "n": 6,
+                                         "d": 1.0, "min_sep": 0.5}),
+    "rect": _tiny_doc(topology={"kind": "rect", "rows": 2, "cols": 3,
+                                "d": 1.0}),
+    "relaxation": _tiny_doc(experiment="relaxation", horizon=4.0,
+                            scheduler=_POISSON),
+    "variance": _tiny_doc(experiment="variance", horizon=1.0, warmup=0.2,
+                          rates=[0.01], replicas=4, scheduler=_POISSON),
+}
+_NUMERIC_FIELDS = [
+    ("converge", f) for f in (
+        "eta", "p0", "bands", "replicas", "base_seed", "rho",
+        "scheduler.delta_t", "topology.d", "topology.n",
+        "link.signal_power", "link.noise_power")
+] + [("random_linear", "topology.min_sep"), ("rect", "topology.rows"),
+     ("rect", "topology.cols"), ("relaxation", "alpha"),
+     ("relaxation", "horizon"), ("variance", "horizon"),
+     ("variance", "warmup")]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("base,field", _NUMERIC_FIELDS)
+def test_non_finite_numbers_are_rejected(tmp_path, base, field, value):
+    doc = json.loads(json.dumps(_NUMERIC_BASES[base]))
+    section, _, key = field.rpartition(".")
+    (doc.setdefault(section, {}) if section else doc)[key] = value
+    line = (f"{section or 'config'}.{key}: expected a finite number, "
+            f"got {value!r}")
+    assert line in _errors(doc)
+    report = validate_config(_write_config(tmp_path, doc))
+    assert report["valid"] is False
+    assert line in report["errors"]
+
+
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -318,6 +364,15 @@ def test_converge_run_outputs(tmp_path):
     for entry in summary["replicas_detail"]:
         assert entry["final_aggregate"] <= summary["i_w_over_r"] + 1e-9
         assert 0.0 < entry["capacity_fraction"] <= 1.5
+
+
+def test_converge_honours_write_trace_false(tmp_path):
+    doc = _tiny_doc(output={"prefix": "t", "write_trace": False})
+    result = run_experiment(parse_config(doc), out_dir=str(tmp_path))
+    assert sorted(p.name for p in result.files) == [
+        "t_config.json", "t_summary.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "t_config.json", "t_summary.json"]
 
 
 def test_converge_trace_csv_layout(tmp_path):
@@ -532,3 +587,29 @@ def test_cli_run_invalid_config(tmp_path, capsys):
 def test_cli_run_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_non_finite_number(tmp_path, capsys):
+    path = _write_config(tmp_path, _tiny_doc(rho=math.nan))
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert ("config error: config.rho: expected a finite number, got nan"
+            in capsys.readouterr().err.splitlines())
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("saved,line", [
+    ({"positions": [[0.0], [1.0], [1.0]], "p0": 1.0, "eta": 2.0},
+     "topology.path: coincident clusters (zero pairwise distance)"),
+    ({"positions": [[0.0], [1.0]], "p0": 1.0, "eta": math.inf},
+     "topology.path: eta must be finite and >= 1, got inf")])
+def test_file_topology_that_fails_to_load_is_a_config_error(
+        tmp_path, capsys, saved, line):
+    top = tmp_path / "top.json"
+    top.write_text(json.dumps(saved), encoding="utf-8")
+    path = _write_config(tmp_path, _tiny_doc(
+        topology={"kind": "file", "path": str(top)}))
+    report = validate_config(path)
+    assert report["valid"] is False
+    assert report["errors"] == [line]
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {line}" in capsys.readouterr().err.splitlines()

@@ -194,6 +194,15 @@ def test_cache_own_band_vector():
     assert np.allclose(own, expected)
 
 
+def test_cache_activity_carries_alpha():
+    active = np.array([True, False, True, True])
+    cache = InterferenceCache(make_uniform_linear_array(4, 1.0),
+                              all_band_one(4, 2), ActivityState(active, 0.9))
+    act = cache.activity()
+    assert act.alpha == 0.9
+    assert np.array_equal(act.active, active)
+
+
 def test_cache_set_band_validates():
     top = make_uniform_linear_array(3, 1.0)
     cache = InterferenceCache(top, all_band_one(3, 2))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -61,6 +62,14 @@ def test_topology_validation_errors():
     # coincident clusters give a zero pairwise distance
     with pytest.raises(TopologyError, match="coincident"):
         topology_from_positions([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("positions,p0,eta", [
+    ([[0.0], [math.inf]], 1.0, 2.0), ([[0.0], [math.nan]], 1.0, 2.0),
+    ([[0.0], [1.0]], math.inf, 2.0), ([[0.0], [1.0]], 1.0, math.inf)])
+def test_topology_rejects_non_finite_values(positions, p0, eta):
+    with pytest.raises(TopologyError, match="finite"):
+        topology_from_positions(positions, p0, eta)
 
 
 def test_ula_bad_args():
