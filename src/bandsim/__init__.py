@@ -27,10 +27,10 @@ from .interference import (ActivityState, Assignment, InterferenceCache,
                            cluster_interference, worst_case_interference)
 from .metrics import CapacityReport, capacity_comparison, db_gap, \
     shannon_capacity
-from .oracle import (BoundReport, alternating_assignment,
+from .oracle import (BoundReport, Reference, alternating_assignment,
                      asymptotic_lower_bound, bound_report,
                      brute_force_optimal, canonical_relabel,
-                     lattice_reuse_assignment, riemann_zeta)
+                     lattice_reuse_assignment, reference, riemann_zeta)
 from .topology import (Topology, make_hexagonal_lattice,
                        make_random_linear_array, make_rectangular_lattice,
                        make_uniform_linear_array, topology_from_json,
@@ -48,7 +48,7 @@ __all__ = [
     "best_band", "apply_update", "run_to_convergence",
     "BoundReport", "alternating_assignment", "lattice_reuse_assignment",
     "canonical_relabel", "brute_force_optimal", "riemann_zeta",
-    "asymptotic_lower_bound", "bound_report",
+    "asymptotic_lower_bound", "Reference", "reference", "bound_report",
     "DynamicsConfig", "DynamicsPrediction", "SimTrace", "SteadyStateStats",
     "markov_toggle_all", "lambda_from_alpha", "stability_margin",
     "simulate_time_varying", "run_ensemble", "sample_on_grid",

@@ -50,16 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        for line in exc.errors:
-            print(f"config error: {line}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    for line in cfg.warnings:
-        print(f"warning: {line}", file=sys.stderr)
-    try:
+        for line in cfg.warnings:
+            print(f"warning: {line}", file=sys.stderr)
         result = run_experiment(cfg, out_dir=args.out)
     except ConfigError as exc:
         for line in exc.errors:

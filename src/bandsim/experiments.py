@@ -30,14 +30,12 @@ from .dynamics import (DEFAULT_RHO, FIT_FLOOR, DynamicsConfig,
                        ensemble_mean_trace, fit_exponential_decay,
                        lambda_from_alpha, predicted_variance, run_ensemble,
                        stability_margin, steady_state_stats)
-from .interference import (Assignment, InterferenceCache,
-                           aggregate_interference, all_band_one,
+from .interference import (Assignment, InterferenceCache, all_band_one,
                            uniform_random_assignment,
                            worst_case_interference)
 from .metrics import capacity_fraction, db_gap, link_powers, \
     shannon_capacity
-from .oracle import alternating_assignment, bound_report, \
-    lattice_reuse_assignment
+from .oracle import Reference, bound_report, reference
 from .topology import (Topology, TopologyError, load_topology,
                        make_hexagonal_lattice, make_random_linear_array,
                        make_rectangular_lattice, make_uniform_linear_array)
@@ -543,6 +541,8 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config: invalid JSON at line {exc.lineno} "
                            f"column {exc.colno}: {exc.msg}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config: not UTF-8 ({exc.reason})"]) from exc
     return parse_config(doc)
 
 
@@ -550,6 +550,10 @@ def validate_config(path) -> dict:
     """Structural + semantic validation without running; returns a report."""
     try:
         cfg = load_config(path)
+        if cfg.topology_kind == "random_linear":
+            # placement is random: only building the arrays shows it fits
+            for size in cfg.sweep_sizes or [None]:
+                _build_topology(cfg, size)
         n_hint = _size_hint(cfg)
         tau = (n_hint * cfg.delta_t
                if n_hint is not None and cfg.delta_t is not None else None)
@@ -686,8 +690,11 @@ def _build_topology(cfg: ExperimentConfig, size=None) -> tuple[Topology, tuple |
     if kind == "random_linear":
         n = size if size is not None else p["n"]
         rng = np.random.default_rng(np.random.SeedSequence(cfg.base_seed))
-        return make_random_linear_array(n, p["d"], p["min_sep"], rng,
-                                        cfg.p0, cfg.eta), None
+        try:
+            return make_random_linear_array(n, p["d"], p["min_sep"], rng,
+                                            cfg.p0, cfg.eta), None
+        except TopologyError as exc:
+            raise ConfigError([f"topology: {exc}"]) from exc
     if kind in ("rect", "hex"):
         rows, cols = size if size is not None else (p["rows"], p["cols"])
         maker = make_rectangular_lattice if kind == "rect" \
@@ -698,50 +705,29 @@ def _build_topology(cfg: ExperimentConfig, size=None) -> tuple[Topology, tuple |
     raise ValueError(f"unhandled topology kind {kind}")
 
 
-@dataclass
-class _Reference:
-    """One topology and the levels its converged replicas are scored
-    against; asg, kind, aggregate and capacity are None without a
-    reference assignment."""
-
-    top: Topology
-    asg: Assignment | None
-    kind: str | None
-    s: float
-    n0: float
-    i_w: float
-    aggregate: float | None = None
-    capacity: float | None = None
-
-
-def _reference(cfg: ExperimentConfig, size=None) -> _Reference:
-    """Build the topology (at `size` in a sweep) and its reference levels:
-    1:r reuse on a lattice with 2 or 4 bands, else alternating in 1-D."""
+def _reference(cfg: ExperimentConfig, size=None) -> tuple[Reference, tuple]:
+    """Build the topology (at `size` in a sweep) and its Reference, plus its
+    link levels: the powers s, n0 and the reference assignment's capacity
+    (None without one)."""
     top, lattice_dims = _build_topology(cfg, size)
-    asg, kind = None, None
-    if lattice_dims is not None and cfg.bands in (2, 4):
-        asg = lattice_reuse_assignment(*lattice_dims, cfg.bands)
-        kind = f"reuse_1_{cfg.bands}"
-    elif top.dim == 1:
-        asg, kind = alternating_assignment(top.n, cfg.bands), "alternating"
+    ref = reference(top, None, cfg.bands, cfg.topology_params.get("d"),
+                    lattice=lattice_dims)
     s, n0 = link_powers(top, cfg.signal_power, cfg.noise_power)
-    ref = _Reference(top, asg, kind, s, n0, worst_case_interference(top))
-    if asg is not None:
-        _, ref.capacity = shannon_capacity(top, asg, None, s, n0)
-        ref.aggregate = aggregate_interference(top, asg, None)
-    return ref
+    if ref.asg is None:
+        return ref, (s, n0, None)
+    return ref, (s, n0, shannon_capacity(top, ref.asg, None, s, n0)[1])
 
 
-def _score(cfg: ExperimentConfig, ref: _Reference, final: Assignment):
+def _score(ref: Reference, link: tuple, final: Assignment):
     """Bound report of one converged assignment, plus its capacity and dB
     gap against the reference ({} without a reference)."""
-    brep = bound_report(ref.top, None, final, cfg.bands,
-                        d_ref=cfg.topology_params.get("d"), reference=ref.asg)
+    brep = bound_report(ref, final)
     if ref.asg is None:
         return brep, {}
-    _, cap_norm = shannon_capacity(ref.top, final, None, ref.s, ref.n0)
+    s, n0, ref_capacity = link
+    _, cap_norm = shannon_capacity(ref.top, final, None, s, n0)
     return brep, {
-        "capacity_fraction": capacity_fraction(cap_norm, ref.capacity),
+        "capacity_fraction": capacity_fraction(cap_norm, ref_capacity),
         "capacity_normalized": cap_norm,
         "db_gap_vs_reference": (db_gap(brep.i_a, ref.aggregate)
                                 if brep.i_a > 0 and ref.aggregate > 0
@@ -780,8 +766,8 @@ def _converge_one(cfg: ExperimentConfig, top: Topology, seed: int):
 
 
 def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
-    ref = _reference(cfg)
-    top, s, n0 = ref.top, ref.s, ref.n0
+    ref, link = _reference(cfg)
+    top, (s, n0, ref_capacity) = ref.top, link
     trace_rows = []
     cap_rows = []
     detail = []
@@ -803,7 +789,7 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
                     cap_cache.set_band(rec.cluster, rec.new_band)
                     cap = _normalized_capacity(cap_cache, s, n0)
                 cap_rows.append((k, e, rec.time, cap))
-        brep, scores = _score(cfg, ref, final)
+        brep, scores = _score(ref, link, final)
         reports.append(brep)
         detail.append({
             "replica": k,
@@ -827,7 +813,7 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         reference=(None if ref.asg is None else
                    {"kind": ref.kind, "aggregate": ref.aggregate,
                     "normalized_aggregate": ref.aggregate / top.n,
-                    "normalized_capacity": ref.capacity}),
+                    "normalized_capacity": ref_capacity}),
         final_aggregate={"mean": float(np.mean(finals)),
                          "min": float(np.min(finals)),
                          "max": float(np.max(finals))},
@@ -857,13 +843,14 @@ def _summary(cfg: ExperimentConfig, top: Topology | None, **fields) -> dict:
 
 
 def _bounds_block(reports) -> dict:
+    ref = reports[0].ref
     return {
         "upper_ok_all": all(r.upper_bound_ok for r in reports),
         "max_ratio_aw": max(r.ratio_aw for r in reports),
-        "i_o_kind": reports[0].i_o_kind,
-        "analytic_ratio_cap": reports[0].analytic_ratio_cap,
-        "gap_convention": reports[0].gap_convention,
-        "analytic_lower_per_cluster": reports[0].analytic_lower,
+        "i_o_kind": ref.i_o_kind,
+        "analytic_ratio_cap": ref.ratio_cap,
+        "gap_convention": ref.gap_convention,
+        "analytic_lower_per_cluster": ref.limit,
         "ratio_cap_ok_all": all(r.ratio_cap_ok for r in reports
                                 if r.ratio_cap_ok is not None),
     }
@@ -873,18 +860,18 @@ def _check_bounds(reports, cfg: ExperimentConfig):
     for k, r in enumerate(reports):
         if not r.upper_bound_ok:
             record = {"failure": "upper_bound_violation", "replica": k,
-                      "i_a": r.i_a, "i_w_over_r": r.i_w / r.r,
+                      "i_a": r.i_a, "i_w_over_r": r.ref.i_w / r.ref.r,
                       "config_hash": config_hash(cfg.resolved)}
             raise BoundViolationError(
                 f"replica {k}: converged aggregate {r.i_a} exceeds "
-                f"i_w/r = {r.i_w / r.r}", record)
+                f"i_w/r = {r.ref.i_w / r.ref.r}", record)
 
 
 def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     per_size = []
     all_reports = []
     for si, size in enumerate(cfg.sweep_sizes):
-        ref = _reference(cfg, size)
+        ref, link = _reference(cfg, size)
         n = ref.top.n
         finals = []
         fractions = []
@@ -893,7 +880,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         for k in range(cfg.replicas):
             seed = cfg.base_seed + si * cfg.replicas + k
             _, _, final, _ = _converge_one(cfg, ref.top, seed)
-            brep, scores = _score(cfg, ref, final)
+            brep, scores = _score(ref, link, final)
             reports.append(brep)
             finals.append(brep.i_a)
             if scores:
@@ -914,7 +901,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
             "ia_max_norm": float(np.max(finals)) / n,
             "ref_norm": (ref.aggregate / n if ref.aggregate is not None
                          else None),
-            "lower_norm": reports[0].analytic_lower,
+            "lower_norm": ref.limit,
             "db_gap_mean": float(np.mean(gaps)) if gaps else None,
             "capacity_fraction_mean": (float(np.mean(fractions))
                                        if fractions else None),

@@ -2,8 +2,9 @@
 
 Exhaustive search over r^N assignments (small N), structured reference
 assignments (alternating along an array, 1:r reuse on lattices), the
-zeta-function asymptotics of the optimal per-cluster interference, and a
-report that checks a converged run against all of them.
+zeta-function asymptotics of the optimal per-cluster interference, all
+built once per topology as a `Reference`, and a per-replica report that
+checks a converged assignment against that reference.
 
 The 1:r reuse value is a near-optimal reference, never labeled optimal.
 """
@@ -11,10 +12,11 @@ The 1:r reuse value is a near-optimal reference, never labeled optimal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
+from .allocation import REL_TOL
 from .interference import (ActivityState, Assignment, aggregate_interference,
                            weight_matrix, worst_case_interference)
 from .topology import Topology
@@ -27,6 +29,8 @@ __all__ = [
     "brute_force_optimal",
     "riemann_zeta",
     "asymptotic_lower_bound",
+    "Reference",
+    "reference",
     "BoundReport",
     "bound_report",
 ]
@@ -216,106 +220,111 @@ def asymptotic_lower_bound(r: int, eta: float, p0: float = 1.0,
     return 2.0 * riemann_zeta(eta) * p0 / (r ** eta * d ** eta)
 
 
-@dataclass
-class BoundReport:
-    """Converged aggregate against worst case, optimum/reference, and caps.
+@dataclass(frozen=True)
+class Reference:
+    """What every converged replica of one topology is scored against.
 
-    i_o_kind is "oracle" (exhaustive optimum) or "reference" (structured
-    near-optimal assignment); ordering i_o <= i_a is only checked for the
-    oracle.  For 1-D arrays the ratio cap uses min/max adjacent gaps
-    (gap_convention field); 2-D topologies fall back to the configuration-
-    independent cap r^(eta-1).
+    asg, kind and aggregate describe the structured reference assignment
+    (None without one).  i_o is the exhaustive optimum (i_o_kind "oracle")
+    when r^n_active is within the oracle cap, else the reference aggregate
+    ("reference"), else None.  ratio_cap bounds i_a / i_o; limit is the
+    N -> infinity per-cluster aggregate of the alternating pattern (1-D).
     """
 
-    n: int
-    n_active: int
+    top: Topology
+    act: ActivityState | None
     r: int
-    eta: float
-    i_a: float
+    n_active: int
+    asg: Assignment | None
+    kind: str | None
+    aggregate: float | None
     i_w: float
     i_o: float | None
     i_o_kind: str | None
+    ratio_cap: float
+    gap_convention: str
+    limit: float | None
+
+
+def reference(top: Topology, act: ActivityState | None, r: int,
+              d_ref: float | None = None,
+              lattice: tuple[int, int] | None = None,
+              oracle_cap: int = 2 ** 20) -> Reference:
+    """The bounds and references of one topology with r bands.
+
+    The reference assignment is 1:r reuse on a `lattice` of (rows, cols)
+    when r is 2 or 4, alternating on a 1-D array, else none.  The ratio cap
+    is r^(eta-1), on a 1-D array scaled by its min/max adjacent gaps
+    against d_ref (default: the mean adjacent gap), which is also the
+    spacing of the N -> infinity limit.
+    """
+    n = top.n
+    active = act.active if act is not None else np.ones(n, dtype=bool)
+    n_active = int(active.sum())
+    asg, kind, aggregate, i_o, i_o_kind = None, None, None, None, None
+    if lattice is not None and r in (2, 4):
+        asg, kind = lattice_reuse_assignment(*lattice, r), f"reuse_1_{r}"
+    elif top.dim == 1:
+        asg, kind = alternating_assignment(n, r), "alternating"
+    if asg is not None:
+        aggregate = aggregate_interference(top, asg, act)
+    if n_active == 0 or r ** n_active <= oracle_cap:
+        _, i_o = brute_force_optimal(top, act, r, max_states=oracle_cap)
+        i_o_kind = "oracle"
+    elif aggregate is not None:
+        i_o, i_o_kind = aggregate, "reference"
+    cap = r ** (top.eta - 1.0)
+    gap_convention = "none (2-D: configuration-independent cap)"
+    if top.dim == 1 and n >= 2:
+        xs = np.sort(top.positions[:, 0])
+        gaps = np.diff(xs)
+        if d_ref is None:
+            d_ref = float(xs[-1] - xs[0]) / (n - 1)
+        cap /= (float(gaps.min()) / min(float(gaps.max()), d_ref)) ** top.eta
+        gap_convention = "adjacent"
+    limit = None
+    if top.dim == 1 and top.eta > 1 and d_ref is not None and d_ref > 0:
+        limit = asymptotic_lower_bound(r, top.eta, top.p0, d_ref)
+    return Reference(
+        top=top, act=act, r=r, n_active=n_active, asg=asg, kind=kind,
+        aggregate=aggregate, i_w=worst_case_interference(top, act),
+        i_o=i_o, i_o_kind=i_o_kind, ratio_cap=cap,
+        gap_convention=gap_convention, limit=limit)
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """One converged aggregate i_a checked against its topology's `ref`;
+    ratio_ao, ratio_cap_ok and ordering_ok are None where i_o allows no
+    check (ordering is checked only against the exhaustive oracle)."""
+
+    ref: Reference
+    i_a: float
     ratio_aw: float
     ratio_ao: float | None
-    analytic_lower: float | None
-    analytic_ratio_cap: float
-    gap_convention: str
     upper_bound_ok: bool
     ratio_cap_ok: bool | None
     ordering_ok: bool | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The per-replica values (everything but `ref`)."""
+        return {k: v for k, v in vars(self).items() if k != "ref"}
 
 
-def _adjacent_gaps(top: Topology) -> tuple[float, float]:
-    xs = np.sort(top.positions[:, 0])
-    gaps = np.diff(xs)
-    return float(gaps.min()), float(gaps.max())
-
-
-def bound_report(top: Topology, act: ActivityState | None,
-                 converged: Assignment, r: int, d_ref: float | None = None,
-                 reference: Assignment | None = None,
-                 oracle_cap: int = 2 ** 20) -> BoundReport:
-    """Evaluate a converged assignment against bounds and references.
-
-    i_o comes from the exhaustive oracle when r^n_active <= oracle_cap;
-    otherwise from `reference` if given, else (1-D topologies only) from the
-    alternating assignment.  Violations are reported via the *_ok flags,
-    never raised.
-    """
-    n = top.n
-    active = act.active if act is not None else np.ones(n, dtype=bool)
-    n_active = int(active.sum())
-    i_a = aggregate_interference(top, converged, act)
-    i_w = worst_case_interference(top, act)
-
-    i_o: float | None = None
-    i_o_kind: str | None = None
-    if n_active == 0 or r ** n_active <= oracle_cap:
-        _, i_o = brute_force_optimal(top, act, r, max_states=oracle_cap)
-        i_o_kind = "oracle"
-    elif reference is not None:
-        i_o = aggregate_interference(top, reference, act)
-        i_o_kind = "reference"
-    elif top.dim == 1:
-        i_o = aggregate_interference(top, alternating_assignment(n, r), act)
-        i_o_kind = "reference"
-
-    tol = 1e-9
-    ratio_aw = i_a / i_w if i_w > 0 else math.nan
-    upper_ok = i_a <= i_w / r * (1.0 + tol)
-
-    if top.dim == 1 and n >= 2:
-        d_min, d_max = _adjacent_gaps(top)
-        if d_ref is None:
-            d_ref = float(top.positions[:, 0].max()
-                          - top.positions[:, 0].min()) / (n - 1)
-        cap = r ** (top.eta - 1.0) / (d_min / min(d_max, d_ref)) ** top.eta
-        gap_convention = "adjacent"
-    else:
-        cap = r ** (top.eta - 1.0)
-        gap_convention = "none (2-D: configuration-independent cap)"
-
-    ratio_ao: float | None = None
-    cap_ok: bool | None = None
-    ordering_ok: bool | None = None
-    if i_o is not None and i_o > 0:
-        ratio_ao = i_a / i_o
-        cap_ok = ratio_ao <= cap * (1.0 + tol)
-    if i_o is not None and i_o_kind == "oracle":
-        ordering_ok = i_o <= i_a * (1.0 + tol)
-
-    analytic_lower = None
-    if top.dim == 1 and top.eta > 1 and d_ref is not None and d_ref > 0:
-        analytic_lower = asymptotic_lower_bound(r, top.eta, top.p0, d_ref)
-
+def bound_report(ref: Reference, converged: Assignment) -> BoundReport:
+    """Check a converged assignment against its topology's bounds and
+    references.  Violations are reported via the *_ok flags, never raised;
+    every comparison allows REL_TOL relative slack."""
+    i_a = aggregate_interference(ref.top, converged, ref.act)
+    ratio_ao, cap_ok, ordering_ok = None, None, None
+    if ref.i_o is not None and ref.i_o > 0:
+        ratio_ao = i_a / ref.i_o
+        cap_ok = ratio_ao <= ref.ratio_cap * (1.0 + REL_TOL)
+    if ref.i_o_kind == "oracle":
+        ordering_ok = ref.i_o <= i_a * (1.0 + REL_TOL)
     return BoundReport(
-        n=n, n_active=n_active, r=r, eta=top.eta,
-        i_a=i_a, i_w=i_w, i_o=i_o, i_o_kind=i_o_kind,
-        ratio_aw=ratio_aw, ratio_ao=ratio_ao,
-        analytic_lower=analytic_lower, analytic_ratio_cap=cap,
-        gap_convention=gap_convention,
-        upper_bound_ok=bool(upper_ok), ratio_cap_ok=cap_ok,
-        ordering_ok=ordering_ok)
+        ref=ref, i_a=i_a,
+        ratio_aw=i_a / ref.i_w if ref.i_w > 0 else math.nan,
+        ratio_ao=ratio_ao,
+        upper_bound_ok=bool(i_a <= ref.i_w / ref.r * (1.0 + REL_TOL)),
+        ratio_cap_ok=cap_ok, ordering_ok=ordering_ok)

@@ -220,6 +220,12 @@ def topology_from_json(text: str) -> Topology:
     width = len(positions[0])
     if any(len(p) != width for p in positions):
         raise TopologyError("all positions must have the same dimension")
+    # JSON numbers load as int or float; true and false are not numbers
+    if any(type(v) not in (int, float) for p in positions for v in p):
+        raise TopologyError("positions must hold numbers")
+    for key in ("p0", "eta"):
+        if type(doc[key]) not in (int, float):
+            raise TopologyError(f"'{key}' must be a number, got {doc[key]!r}")
     return topology_from_positions(positions, doc["p0"], doc["eta"])
 
 
@@ -230,5 +236,8 @@ def save_topology(top: Topology, path) -> None:
 
 
 def load_topology(path) -> Topology:
-    with open(path, encoding="utf-8") as fh:
-        return topology_from_json(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return topology_from_json(fh.read())
+    except UnicodeDecodeError as exc:
+        raise TopologyError(f"not UTF-8 ({exc.reason})") from exc

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bandsim import oracle
 from bandsim.cli import main
 from bandsim.experiments import (OUTPUT_DIR_ENV, PRESET_NAMES, TRACE_HEADER,
                                  ConfigError, config_hash, dumps_canonical,
@@ -601,11 +602,20 @@ def test_cli_run_rejects_non_finite_number(tmp_path, capsys):
     ({"positions": [[0.0], [1.0], [1.0]], "p0": 1.0, "eta": 2.0},
      "topology.path: coincident clusters (zero pairwise distance)"),
     ({"positions": [[0.0], [1.0]], "p0": 1.0, "eta": math.inf},
-     "topology.path: eta must be finite and >= 1, got inf")])
+     "topology.path: eta must be finite and >= 1, got inf"),
+    ({"positions": [[0.0], [1.0]], "p0": "x", "eta": 2.0},
+     "topology.path: 'p0' must be a number, got 'x'"),
+    ({"positions": [[0.0], [1.0]], "p0": 1.0, "eta": True},
+     "topology.path: 'eta' must be a number, got True"),
+    ({"positions": [[0.0], ["1"]], "p0": 1.0, "eta": 2.0},
+     "topology.path: positions must hold numbers"),
+    (b'\xff\xfe{"positions": [[0.0], [1.0]]}',
+     "topology.path: not UTF-8 (invalid start byte)")])
 def test_file_topology_that_fails_to_load_is_a_config_error(
         tmp_path, capsys, saved, line):
     top = tmp_path / "top.json"
-    top.write_text(json.dumps(saved), encoding="utf-8")
+    top.write_bytes(saved if isinstance(saved, bytes)
+                    else json.dumps(saved).encode("utf-8"))
     path = _write_config(tmp_path, _tiny_doc(
         topology={"kind": "file", "path": str(top)}))
     report = validate_config(path)
@@ -613,3 +623,47 @@ def test_file_topology_that_fails_to_load_is_a_config_error(
     assert report["errors"] == [line]
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
     assert f"config error: {line}" in capsys.readouterr().err.splitlines()
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'\xff\xfe{')
+    line = "config: not UTF-8 (invalid start byte)"
+    report = validate_config(path)
+    assert report["valid"] is False
+    assert report["errors"] == [line]
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {line}" in capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "out").exists()
+
+
+def test_random_array_without_a_placement_is_a_config_error(tmp_path,
+                                                            capsys):
+    # min_sep <= d passes parsing, but no random draw of 60 clusters fits
+    path = _write_config(tmp_path, _tiny_doc(topology={
+        "kind": "random_linear", "n": 60, "d": 1.0, "min_sep": 0.99}))
+    line = ("topology: no feasible placement found in 10000 attempts "
+            "(n=60, d=1.0, min_sep=0.99)")
+    report = validate_config(path)
+    assert report["valid"] is False
+    assert report["errors"] == [line]
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {line}" in capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_runs_the_oracle_once_per_size(tmp_path, monkeypatch):
+    # the optimum depends only on the instance, not on the replica
+    sizes = []
+    exhaustive = oracle.brute_force_optimal
+
+    def counted(top, act, r, **kw):
+        sizes.append(top.n)
+        return exhaustive(top, act, r, **kw)
+
+    monkeypatch.setattr(oracle, "brute_force_optimal", counted)
+    doc = _tiny_doc(experiment="sweep", topology={"kind": "ula", "d": 1.0},
+                    sweep={"sizes": [4, 6]}, replicas=3)
+    result = run_experiment(parse_config(doc), out_dir=str(tmp_path))
+    assert sizes == [4, 6]
+    assert result.summary["bounds"]["i_o_kind"] == "oracle"

@@ -12,7 +12,7 @@ from bandsim.oracle import (BoundReport, OracleCapacityError,
                             alternating_assignment, asymptotic_lower_bound,
                             bound_report, brute_force_optimal,
                             canonical_relabel, lattice_reuse_assignment,
-                            riemann_zeta)
+                            reference, riemann_zeta)
 from bandsim.topology import (make_hexagonal_lattice,
                               make_rectangular_lattice,
                               make_uniform_linear_array,
@@ -246,16 +246,18 @@ def test_bound_report_oracle_branch():
     state = InterferenceCache(top, all_band_one(8, 2),
                               rng=np.random.default_rng(4))
     state, _ = run_to_convergence(state)
-    rep = bound_report(top, None, state.assignment(), 2, d_ref=1.0)
-    assert rep.i_o_kind == "oracle"
-    assert rep.n == 8 and rep.n_active == 8 and rep.r == 2
+    ref = reference(top, None, 2, d_ref=1.0)
+    rep = bound_report(ref, state.assignment())
+    assert rep.ref is ref
+    assert ref.i_o_kind == "oracle"
+    assert ref.top.n == 8 and ref.n_active == 8 and ref.r == 2
     assert rep.upper_bound_ok
     assert rep.ordering_ok
     assert rep.ratio_cap_ok
-    assert rep.ratio_aw == pytest.approx(rep.i_a / rep.i_w)
+    assert rep.ratio_aw == pytest.approx(rep.i_a / ref.i_w)
     assert rep.ratio_ao >= 1.0
-    assert rep.gap_convention == "adjacent"
-    assert rep.analytic_lower == pytest.approx(np.pi ** 2 / 12.0, abs=1e-12)
+    assert ref.gap_convention == "adjacent"
+    assert ref.limit == pytest.approx(np.pi ** 2 / 12.0, abs=1e-12)
     d = rep.to_dict()
     assert d["i_a"] == rep.i_a and d["upper_bound_ok"] is True
 
@@ -266,9 +268,9 @@ def test_bound_report_reference_branch():
     state = InterferenceCache(top, all_band_one(40, 2),
                               rng=np.random.default_rng(4))
     state, _ = run_to_convergence(state)
-    rep = bound_report(top, None, state.assignment(), 2, d_ref=1.0)
-    assert rep.i_o_kind == "reference"
-    assert rep.i_o == pytest.approx(aggregate_interference(
+    rep = bound_report(reference(top, None, 2, d_ref=1.0), state.assignment())
+    assert rep.ref.i_o_kind == "reference"
+    assert rep.ref.i_o == pytest.approx(aggregate_interference(
         top, alternating_assignment(40, 2)))
     assert rep.ordering_ok is None
     assert rep.upper_bound_ok
@@ -279,13 +281,16 @@ def test_bound_report_supplied_reference():
     state = InterferenceCache(top, all_band_one(25, 2),
                               rng=np.random.default_rng(4))
     state, _ = run_to_convergence(state)
-    ref = lattice_reuse_assignment(5, 5, 2)
-    rep = bound_report(top, None, state.assignment(), 2, d_ref=1.0,
-                       reference=ref, oracle_cap=2 ** 10)
-    assert rep.i_o_kind == "reference"
-    assert rep.gap_convention.startswith("none")
-    assert rep.analytic_ratio_cap == pytest.approx(2.0)
-    assert rep.analytic_lower is None
+    ref = reference(top, None, 2, d_ref=1.0, lattice=(5, 5),
+                    oracle_cap=2 ** 10)
+    rep = bound_report(ref, state.assignment())
+    assert ref.kind == "reuse_1_2"
+    assert ref.aggregate == aggregate_interference(
+        top, lattice_reuse_assignment(5, 5, 2))
+    assert rep.ref.i_o_kind == "reference"
+    assert rep.ref.gap_convention.startswith("none")
+    assert rep.ref.ratio_cap == pytest.approx(2.0)
+    assert rep.ref.limit is None
 
 
 def test_bound_report_worst_case_upper_bound():
@@ -299,14 +304,15 @@ def test_bound_report_worst_case_upper_bound():
             top, uniform_random_assignment(n, r, rng),
             rng=np.random.default_rng(int(rng.integers(1 << 30))))
         state, _ = run_to_convergence(state)
-        rep = bound_report(top, None, state.assignment(), r, d_ref=1.0)
+        rep = bound_report(reference(top, None, r, d_ref=1.0),
+                           state.assignment())
         assert rep.upper_bound_ok
-        assert rep.i_a <= rep.i_w / r + 1e-9
+        assert rep.i_a <= rep.ref.i_w / r + 1e-9
 
 
 def test_bound_report_is_pure_reporting():
     # a deliberately bad assignment flips flags instead of raising
     top = make_uniform_linear_array(6, 1.0)
-    rep = bound_report(top, None, all_band_one(6, 2), 2, d_ref=1.0)
+    rep = bound_report(reference(top, None, 2, d_ref=1.0), all_band_one(6, 2))
     assert not rep.upper_bound_ok
     assert isinstance(rep, BoundReport)
