@@ -5,8 +5,10 @@
     bandsim preset <name> [--write PATH]
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure
-(non-convergence or a violated bound), 3 I/O failure.  The output directory
-resolves as --out, then $BANDSIM_OUTPUT_DIR, then the config's output.dir.
+(non-convergence, a violated bound, or a decay fit or variance estimate
+that the run's random event times leave without data), 3 I/O failure.
+The output directory resolves as --out, then $BANDSIM_OUTPUT_DIR, then the
+config's output.dir.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import sys
 
 from .allocation import ConvergenceError, SchedulingError
+from .dynamics import FitError, StatisticsError
 from .experiments import (OUTPUT_DIR_ENV, PRESET_NAMES, BoundViolationError,
                           ConfigError, dumps_canonical, load_config, preset,
                           run_experiment, validate_config)
@@ -61,7 +64,8 @@ def _cmd_run(args) -> int:
         print(dumps_canonical(exc.record), file=sys.stderr)
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (ConvergenceError, SchedulingError) as exc:
+    except (ConvergenceError, SchedulingError, FitError,
+            StatisticsError) as exc:
         print(dumps_canonical({"failure": type(exc).__name__,
                                "message": str(exc)}), file=sys.stderr)
         print(f"runtime failure: {exc}", file=sys.stderr)

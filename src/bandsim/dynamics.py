@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 DEFAULT_RHO = 3.0
+# Switching rate 1 - alpha above which the near-equilibrium variance
+# prediction is strained.
+NEAR_EQUILIBRIUM_RATE = 0.1
 # Fraction of the initial gap below which the decay fit stops trusting the
 # ensemble mean (noise floor).
 FIT_FLOOR = 0.05
@@ -166,10 +169,11 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
     cluster switched off keeps its band and resumes with it.  Deterministic
     per seed.
     """
-    if (1.0 - cfg.alpha) > 0.1:
+    if (1.0 - cfg.alpha) > NEAR_EQUILIBRIUM_RATE:
         warnings.warn(
-            f"alpha={cfg.alpha}: expected toggles per slot exceed 10% of the "
-            "network; the near-equilibrium variance prediction is strained",
+            f"alpha={cfg.alpha}: expected toggles per slot exceed "
+            f"{NEAR_EQUILIBRIUM_RATE:.0%} of the network; the "
+            "near-equilibrium variance prediction is strained",
             RuntimeWarning, stacklevel=2)
     sched_rng, act_rng = replica_streams(seed)
     asg = initial if initial is not None else all_band_one(top.n, r)

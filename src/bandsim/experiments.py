@@ -26,15 +26,16 @@ import numpy as np
 from . import __version__
 from .allocation import (PoissonClock, RandomPermutationRounds,
                          run_to_convergence)
-from .dynamics import (DEFAULT_RHO, FIT_FLOOR, DynamicsConfig,
-                       ensemble_mean_trace, fit_exponential_decay,
-                       lambda_from_alpha, predicted_variance, run_ensemble,
-                       stability_margin, steady_state_stats)
+from .dynamics import (DEFAULT_RHO, FIT_FLOOR, NEAR_EQUILIBRIUM_RATE,
+                       DynamicsConfig, ensemble_mean_trace,
+                       fit_exponential_decay, lambda_from_alpha,
+                       predicted_variance, run_ensemble, stability_margin,
+                       steady_state_stats)
 from .interference import (Assignment, InterferenceCache, all_band_one,
                            uniform_random_assignment,
                            worst_case_interference)
-from .metrics import capacity_fraction, db_gap, link_powers, \
-    shannon_capacity
+from .metrics import (capacity_fraction, db_gap, link_capacity, link_powers,
+                      shannon_capacity)
 from .oracle import Reference, bound_report, reference
 from .topology import (Topology, TopologyError, load_topology,
                        make_hexagonal_lattice, make_random_linear_array,
@@ -468,8 +469,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 ctx.warn("rates", f"switching rate {q}: stability margin "
                          f"{stability_margin(1.0 - q, rho):.4g} >= 1, "
                          "predicted variance divergent")
-            elif q > 0.1:
-                ctx.warn("rates", f"switching rate {q} > 0.1 strains the "
+            elif q > NEAR_EQUILIBRIUM_RATE:
+                ctx.warn("rates", f"switching rate {q} > "
+                         f"{NEAR_EQUILIBRIUM_RATE} strains the "
                          "near-equilibrium assumption")
 
     resolved = {
@@ -575,26 +577,14 @@ def validate_config(path) -> dict:
                 "lambda": lambda_from_alpha(a, n_hint, tau),
                 "stability_margin": stability_margin(a, cfg.rho),
             })
-    warnings = list(cfg.warnings)
-    if cfg.rates is None:
-        # variance configs already carry per-rate warnings from the parser
-        for point in derived.get("points", []):
-            if point["stability_margin"] >= 1.0:
-                warnings.append(
-                    f"derived: alpha={point['alpha']}: stability margin "
-                    f"{point['stability_margin']:.4g} >= 1 "
-                    "(predicted variance divergent)")
-    return {"valid": True, "errors": [], "warnings": warnings,
+    return {"valid": True, "errors": [], "warnings": cfg.warnings,
             "derived": derived}
 
 
 def _size_hint(cfg: ExperimentConfig) -> int | None:
     p = cfg.topology_params
     if cfg.topology_kind == "file":
-        try:
-            return _load_file_topology(p["path"]).n
-        except OSError:
-            return None
+        return _load_file_topology(p["path"]).n
     if "n" in p:
         return p["n"]
     rows, cols = p.get("rows"), p.get("cols")
@@ -741,14 +731,6 @@ def _make_scheduler(cfg: ExperimentConfig):
     return RandomPermutationRounds(cfg.delta_t)
 
 
-def _normalized_capacity(cache: InterferenceCache, s: float, n0: float) -> float:
-    active = cache.active
-    if not active.any():
-        return 0.0
-    own = cache.own_band_interference()[active]
-    return float(np.mean(np.log2(1.0 + s / (n0 + own))))
-
-
 def _initial_assignment(cfg: ExperimentConfig, n: int, rng) -> Assignment:
     if cfg.initial_assignment == "uniform_random":
         return uniform_random_assignment(n, cfg.bands, rng)
@@ -781,13 +763,16 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
                 trace_rows.append((k, e, rec.time, rec.cluster, rec.old_band,
                                    rec.new_band, rec.aggregate_after, top.n))
         if cfg.write_capacity_series:
+            # every cluster is active, so the mean runs over all of them
             cap_cache = InterferenceCache(top, initial)
-            cap = _normalized_capacity(cap_cache, s, n0)
+            cap = float(np.mean(link_capacity(
+                cap_cache.own_band_interference(), s, n0)))
             cap_rows.append((k, 0, 0.0, cap))
             for e, rec in enumerate(records, 1):
                 if rec.switched:
                     cap_cache.set_band(rec.cluster, rec.new_band)
-                    cap = _normalized_capacity(cap_cache, s, n0)
+                    cap = float(np.mean(link_capacity(
+                        cap_cache.own_band_interference(), s, n0)))
                 cap_rows.append((k, e, rec.time, cap))
         brep, scores = _score(ref, link, final)
         reports.append(brep)
@@ -819,7 +804,8 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
                          "max": float(np.max(finals))},
         update_counts={"max": int(np.max(updates)),
                        "le_50n": bool(np.max(updates) <= 50 * top.n)},
-        bounds=_bounds_block(reports),
+        bounds={**_bounds_block(reports), **_reference_bounds(ref),
+                "limit_per_cluster": ref.limit},
         link={"signal_power": s, "noise_power": n0},
         replicas_detail=detail,
     )
@@ -843,16 +829,21 @@ def _summary(cfg: ExperimentConfig, top: Topology | None, **fields) -> dict:
 
 
 def _bounds_block(reports) -> dict:
-    ref = reports[0].ref
+    """The replica-level bound checks of a run."""
     return {
         "upper_ok_all": all(r.upper_bound_ok for r in reports),
         "max_ratio_aw": max(r.ratio_aw for r in reports),
+        "ratio_cap_ok_all": all(r.ratio_cap_ok for r in reports
+                                if r.ratio_cap_ok is not None),
+    }
+
+
+def _reference_bounds(ref: Reference) -> dict:
+    """The bounds one topology's replicas are scored against."""
+    return {
         "i_o_kind": ref.i_o_kind,
         "analytic_ratio_cap": ref.ratio_cap,
         "gap_convention": ref.gap_convention,
-        "analytic_lower_per_cluster": ref.limit,
-        "ratio_cap_ok_all": all(r.ratio_cap_ok for r in reports
-                                if r.ratio_cap_ok is not None),
     }
 
 
@@ -901,11 +892,12 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
             "ia_max_norm": float(np.max(finals)) / n,
             "ref_norm": (ref.aggregate / n if ref.aggregate is not None
                          else None),
-            "lower_norm": ref.limit,
+            "limit_norm": ref.limit,
             "db_gap_mean": float(np.mean(gaps)) if gaps else None,
             "capacity_fraction_mean": (float(np.mean(fractions))
                                        if fractions else None),
             "reference_kind": ref.kind,
+            **_reference_bounds(ref),
             "finals": finals,
         })
     summary = _summary(
@@ -916,7 +908,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         sizes=per_size,
     )
     header = ["n", "rows", "cols", "i_w_norm", "upper_norm", "ia_mean_norm",
-              "ia_min_norm", "ia_max_norm", "ref_norm", "lower_norm",
+              "ia_min_norm", "ia_max_norm", "ref_norm", "limit_norm",
               "db_gap_mean", "capacity_fraction_mean", "reference_kind"]
     csv_rows = [[row[h] for h in header] for row in per_size]
     files = _emit(cfg, out_dir, summary, [("sweep.csv", header, csv_rows)])

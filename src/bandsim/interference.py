@@ -78,9 +78,6 @@ class ActivityState:
     def n(self) -> int:
         return self.active.size
 
-    def copy(self) -> "ActivityState":
-        return ActivityState(self.active.copy(), self.alpha)
-
 
 def all_band_one(n: int, r: int) -> Assignment:
     return Assignment(np.ones(n, dtype=np.int64), r)
@@ -120,10 +117,7 @@ def band_interference(top: Topology, asg: Assignment, act: ActivityState | None,
     active = act.active if act is not None else np.ones(top.n, dtype=bool)
     mask = active & (asg.bands == k)
     mask[i] = False
-    if not mask.any():
-        return 0.0
-    d = top.dist[i][mask]
-    return float(np.sum(top.p0 / d ** top.eta))
+    return float(weight_matrix(top)[i][mask].sum())
 
 
 def cluster_interference(top: Topology, asg: Assignment,
@@ -149,13 +143,7 @@ def aggregate_interference(top: Topology, asg: Assignment,
 
 def worst_case_interference(top: Topology, act: ActivityState | None = None) -> float:
     """Aggregate with every active cluster forced co-band."""
-    if act is not None and act.n != top.n:
-        raise ValueError(f"activity length {act.n} != topology size {top.n}")
-    active = act.active if act is not None else np.ones(top.n, dtype=bool)
-    w = weight_matrix(top)
-    co = active[:, None] & active[None, :]
-    np.fill_diagonal(co, False)
-    return float(w[co].sum())
+    return aggregate_interference(top, all_band_one(top.n, 1), act)
 
 
 class InterferenceCache:

@@ -18,6 +18,7 @@ from .topology import Topology
 __all__ = [
     "CapacityReport",
     "link_powers",
+    "link_capacity",
     "shannon_capacity",
     "capacity_comparison",
     "capacity_fraction",
@@ -68,6 +69,12 @@ def link_powers(top: Topology, signal_power: float | None = None,
     return signal_power, noise_power
 
 
+def link_capacity(interference: np.ndarray, signal_power: float,
+                  noise_power: float) -> np.ndarray:
+    """log2(1 + S/(N0 + I)) per entry of the interference array I."""
+    return np.log2(1.0 + signal_power / (noise_power + interference))
+
+
 def shannon_capacity(top: Topology, asg: Assignment,
                      act: ActivityState | None = None,
                      signal_power: float | None = None,
@@ -81,8 +88,8 @@ def shannon_capacity(top: Topology, asg: Assignment,
     if asg.n != top.n or (act is not None and act.n != top.n):
         raise ValueError("length mismatch with topology")
     active = act.active if act is not None else np.ones(top.n, dtype=bool)
-    interference = _per_cluster_interference(top, asg, active)
-    caps = np.log2(1.0 + signal_power / (noise_power + interference))
+    caps = link_capacity(_per_cluster_interference(top, asg, active),
+                         signal_power, noise_power)
     caps[~active] = np.nan
     if active.any():
         normalized = float(caps[active].mean())

@@ -22,6 +22,7 @@ from .interference import (ActivityState, Assignment, aggregate_interference,
 from .topology import Topology
 
 __all__ = [
+    "ORACLE_CAP",
     "OracleCapacityError",
     "alternating_assignment",
     "lattice_reuse_assignment",
@@ -35,7 +36,8 @@ __all__ = [
     "bound_report",
 ]
 
-BRUTE_FORCE_GUARD = 10 ** 7
+# Largest search space r^n_active the exhaustive oracle takes on.
+ORACLE_CAP = 2 ** 20
 # Codes within this relative distance of the oracle's running minimum are
 # re-scored exactly; rounding in the blocked sums is far below it.
 _TIE_REL = 1e-9
@@ -46,7 +48,7 @@ _EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600,
 
 
 class OracleCapacityError(ValueError):
-    """Search space exceeds the exhaustive-search guard."""
+    """Search space exceeds the exhaustive-search cap."""
 
 
 def alternating_assignment(n: int, r: int) -> Assignment:
@@ -88,12 +90,12 @@ def canonical_relabel(asg: Assignment) -> Assignment:
 
 
 def brute_force_optimal(top: Topology, act: ActivityState | None, r: int,
-                        max_states: int = BRUTE_FORCE_GUARD
+                        max_states: int = ORACLE_CAP
                         ) -> tuple[Assignment, float]:
     """Globally minimal aggregate over all r^n_active assignments.
 
     Inactive clusters are pinned to band 1 (they contribute nothing).
-    Returns the lexicographically smallest minimizer.  Guarded by
+    Returns the lexicographically smallest minimizer.  Capped at
     max_states; raises OracleCapacityError beyond it, before any work.
 
     The search is exact but visits only k^(m-1) of the r^m assignments of
@@ -108,7 +110,7 @@ def brute_force_optimal(top: Topology, act: ActivityState | None, r: int,
       agg = A_H[h] + A_L[l] + sum_b onehot_H(b) @ (2 W_HL) @ onehot_L(b)^T.
       A_H and A_L are pair sums within each part.  Head codes go in blocks
       of about 2^16 (head, tail) pairs, each block costing k matrix
-      products, so memory stays a few MB up to the guard.  Row-major order
+      products, so memory stays a few MB up to the cap.  Row-major order
       over (head, tail) is lexicographic order.
     - Tie re-scoring.  Every code within 1e-9 relative of the running
       minimum is kept and re-scored by one pairwise sum over all active
@@ -123,7 +125,7 @@ def brute_force_optimal(top: Topology, act: ActivityState | None, r: int,
     m = idx.size
     if r ** m > max_states:
         raise OracleCapacityError(
-            f"{r}^{m} assignments exceed the guard of {max_states}")
+            f"{r}^{m} assignments exceed the cap of {max_states}")
     base = np.ones(top.n, dtype=np.int64)
     if m == 0:
         return Assignment(base, r), 0.0
@@ -179,18 +181,18 @@ def _pair_sums(digits: np.ndarray, w: np.ndarray) -> np.ndarray:
     return sums
 
 
-def riemann_zeta(eta: float, terms: int = _ZETA_TERMS) -> float:
+def riemann_zeta(eta: float) -> float:
     """zeta(eta) by Euler-Maclaurin summation.
 
-    The first `terms` terms are summed directly.  The rest is the tail
-    integral minus half the last term, plus the Bernoulli corrections
-    B_2..B_14.  At the default 12 terms the relative error is below 1e-15
-    for eta in [1.001, 10]; diverges for eta <= 1.
+    The first _ZETA_TERMS (12) terms are summed directly.  The rest is the
+    tail integral minus half the last term, plus the Bernoulli corrections
+    B_2..B_14.  The relative error is below 1e-15 for eta in [1.001, 10];
+    diverges for eta <= 1.
     """
     if eta <= 1:
         raise ValueError(f"zeta({eta}) diverges (need eta > 1)")
-    m = float(terms)
-    parts = [j ** -eta for j in range(1, terms + 1)]
+    m = float(_ZETA_TERMS)
+    parts = [j ** -eta for j in range(1, _ZETA_TERMS + 1)]
     parts += [m ** (1.0 - eta) / (eta - 1.0), -0.5 * m ** -eta]
     # B_2k/(2k)! * eta(eta+1)...(eta+2k-2) * m^(-eta-2k+1), k = 1..7
     rising = eta
@@ -249,7 +251,7 @@ class Reference:
 def reference(top: Topology, act: ActivityState | None, r: int,
               d_ref: float | None = None,
               lattice: tuple[int, int] | None = None,
-              oracle_cap: int = 2 ** 20) -> Reference:
+              oracle_cap: int = ORACLE_CAP) -> Reference:
     """The bounds and references of one topology with r bands.
 
     The reference assignment is 1:r reuse on a `lattice` of (rows, cols)

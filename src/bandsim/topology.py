@@ -151,8 +151,6 @@ def make_random_linear_array(n: int, d: float, min_sep: float,
         raise TopologyError(
             f"infeasible packing: {n} clusters with min_sep={min_sep} "
             f"do not fit in [0, {span}]")
-    if n == 2:
-        return topology_from_positions([[0.0], [span]], p0, eta)
     for _ in range(MAX_PLACEMENT_RETRIES):
         interior = np.sort(rng.uniform(0.0, span, size=n - 2))
         xs = np.concatenate(([0.0], interior, [span]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bandsim.allocation import (REL_TOL, ConvergenceError, PoissonClock,
                                 RandomPermutationRounds, SchedulingError,
@@ -145,6 +146,66 @@ def test_converged_state_is_nash():
             cur = band_interference(top, asg, act, i, int(asg.bands[i]))
             for k in range(1, r + 1):
                 assert band_interference(top, asg, act, i, k) >= cur - 1e-9
+
+
+def _is_fixed_point(top, bands, active, r) -> bool:
+    """Best-response certificate recomputed from the positions, not read
+    from a cache: no active cluster could lower its interference by more
+    than REL_TOL times its current level."""
+    diff = top.positions[:, None, :] - top.positions[None, :, :]
+    with np.errstate(divide="ignore"):
+        w = top.p0 / np.sqrt((diff * diff).sum(axis=-1)) ** top.eta
+    np.fill_diagonal(w, 0.0)
+    on_band = (bands[:, None] == np.arange(1, r + 1)[None, :]) \
+        & active[:, None]
+    powers = w @ on_band
+    level = powers[np.arange(bands.size), bands - 1]
+    fixed = level - powers.min(axis=1) <= REL_TOL * level
+    return bool(fixed[active].all())
+
+
+@st.composite
+def _instances(draw):
+    """(topology, r, activity) on a random line or a rect/hex lattice."""
+    kind = draw(st.sampled_from(["line", "rect", "hex"]))
+    eta = draw(st.sampled_from([2.0, 2.5, 4.0]))
+    if kind == "line":
+        gaps = draw(st.lists(st.floats(0.1, 5.0), min_size=1, max_size=24))
+        top = topology_from_positions(
+            [[x] for x in np.concatenate(([0.0], np.cumsum(gaps)))],
+            eta=eta)
+    else:
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+        make = make_rectangular_lattice if kind == "rect" \
+            else make_hexagonal_lattice
+        top = make(rows, cols, draw(st.floats(0.5, 3.0)), eta=eta)
+    r = draw(st.integers(2, 4))
+    active = np.array(draw(st.lists(st.booleans(), min_size=top.n,
+                                    max_size=top.n)))
+    return top, r, active
+
+
+@settings(max_examples=150, deadline=None)
+@given(_instances(), st.integers(0, 2 ** 32 - 1))
+def test_permutation_rounds_stop_on_a_fixed_point(instance, seed):
+    top, r, active = instance
+    rng = np.random.default_rng(seed)
+    cache = InterferenceCache(top, uniform_random_assignment(top.n, r, rng),
+                              ActivityState(active), rng=rng)
+    cache, _ = run_to_convergence(cache, RandomPermutationRounds())
+    assert _is_fixed_point(top, cache.bands, cache.active, r)
+
+
+@pytest.mark.xfail(strict=True, reason="the Poisson stop after 2*n_active "
+                   "quiet events does not certify a fixed point")
+def test_poisson_clock_stops_on_a_fixed_point():
+    # seed 18 is the first ula100/r2 seed whose Poisson run stops early
+    top = make_uniform_linear_array(100, 1.0)
+    rng = np.random.default_rng(18)
+    cache = InterferenceCache(top, uniform_random_assignment(100, 2, rng),
+                              rng=rng)
+    cache, _ = run_to_convergence(cache, PoissonClock(0.01))
+    assert _is_fixed_point(top, cache.bands, cache.active, 2)
 
 
 def test_permutation_round_visits_each_active_once():

@@ -666,4 +666,56 @@ def test_sweep_runs_the_oracle_once_per_size(tmp_path, monkeypatch):
                     sweep={"sizes": [4, 6]}, replicas=3)
     result = run_experiment(parse_config(doc), out_dir=str(tmp_path))
     assert sizes == [4, 6]
-    assert result.summary["bounds"]["i_o_kind"] == "oracle"
+    assert [row["i_o_kind"] for row in result.summary["sizes"]] == [
+        "oracle", "oracle"]
+
+
+def test_sweep_reports_each_sizes_own_bounds(tmp_path):
+    # 2^21 assignments at n=21 exceed the oracle cap of 2^20
+    doc = _tiny_doc(experiment="sweep", topology={"kind": "ula", "d": 1.0},
+                    sweep={"sizes": [4, 21]}, replicas=2)
+    result = run_experiment(parse_config(doc), out_dir=str(tmp_path))
+    rows = result.summary["sizes"]
+    assert [row["i_o_kind"] for row in rows] == ["oracle", "reference"]
+    assert [row["reference_kind"] for row in rows] == ["alternating"] * 2
+    for row in rows:
+        assert row["analytic_ratio_cap"] == pytest.approx(2.0)
+        assert row["gap_convention"] == "adjacent"
+    assert sorted(result.summary["bounds"]) == [
+        "max_ratio_aw", "ratio_cap_ok_all", "upper_ok_all"]
+    header = result.files[-1].read_text().splitlines()[0]
+    assert "limit_norm" in header.split(",")
+
+
+@pytest.mark.parametrize("over,failure,line", [
+    # no event falls inside the horizon, so nothing relaxes
+    ({"experiment": "relaxation", "horizon": 0.005}, "FitError",
+     "runtime failure: need i_w > i_a, got i_w=25.137418115394304, "
+     "i_a=25.137418115394304"),
+    # the last event comes before the warmup ends
+    ({"experiment": "variance", "horizon": 1.0, "warmup": 0.995,
+      "rates": [0.01], "replicas": 2}, "StatisticsError",
+     "runtime failure: warmup 0.995 leaves no samples before t_end "
+     "0.9948708443051436")], ids=["relaxation", "variance"])
+def test_cli_run_reports_dynamics_failures(tmp_path, capsys, over, failure,
+                                           line):
+    path = _write_config(tmp_path, _tiny_doc(
+        topology={"kind": "ula", "n": 10, "d": 1.0},
+        scheduler={"kind": "poisson", "delta_t": 0.01}, **over))
+    assert validate_config(path)["valid"] is True
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f'"failure": "{failure}"' in err
+    assert err.splitlines()[-1] == line
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_validate_missing_topology_file(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    path = _write_config(tmp_path, _tiny_doc(
+        topology={"kind": "file", "path": str(missing)}))
+    line = f"i/o error: [Errno 2] No such file or directory: '{missing}'"
+    assert main(["validate", path]) == 3
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == [line]

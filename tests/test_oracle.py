@@ -114,6 +114,13 @@ def test_brute_force_guard():
         brute_force_optimal(top, None, 2)
 
 
+def test_brute_force_default_cap_refuses_2_to_the_21_states():
+    top = make_uniform_linear_array(21, 1.0)
+    with pytest.raises(OracleCapacityError,
+                       match=r"2\^21 assignments exceed the cap of 1048576"):
+        brute_force_optimal(top, None, 2)
+
+
 def _enumerated_optimum(top, active, r):
     """Reference oracle: score every assignment of the active clusters in
     lexicographic order and keep the first minimum.
