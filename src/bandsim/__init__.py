@@ -15,7 +15,7 @@ from .allocation import (PoissonClock, RandomPermutationRounds,
 from .dynamics import (DynamicsConfig, DynamicsPrediction, SimTrace,
                        SteadyStateStats, ensemble_mean_trace,
                        fit_exponential_decay, lambda_from_alpha,
-                       markov_toggle_all, predicted_variance, run_ensemble,
+                       predicted_variance, run_ensemble,
                        sample_on_grid, simulate_time_varying,
                        stability_margin, steady_state_stats)
 from .experiments import (ConfigError, ExperimentConfig, RunResult,
@@ -28,7 +28,7 @@ from .interference import (ActivityState, Assignment, InterferenceCache,
 from .metrics import CapacityReport, capacity_comparison, db_gap, \
     shannon_capacity
 from .oracle import (BoundReport, Reference, alternating_assignment,
-                     asymptotic_lower_bound, bound_report,
+                     alternating_limit, bound_report,
                      brute_force_optimal, canonical_relabel,
                      lattice_reuse_assignment, reference, riemann_zeta)
 from .topology import (Topology, make_hexagonal_lattice,
@@ -48,9 +48,9 @@ __all__ = [
     "best_band", "apply_update", "run_to_convergence",
     "BoundReport", "alternating_assignment", "lattice_reuse_assignment",
     "canonical_relabel", "brute_force_optimal", "riemann_zeta",
-    "asymptotic_lower_bound", "Reference", "reference", "bound_report",
+    "alternating_limit", "Reference", "reference", "bound_report",
     "DynamicsConfig", "DynamicsPrediction", "SimTrace", "SteadyStateStats",
-    "markov_toggle_all", "lambda_from_alpha", "stability_margin",
+    "lambda_from_alpha", "stability_margin",
     "simulate_time_varying", "run_ensemble", "sample_on_grid",
     "ensemble_mean_trace", "fit_exponential_decay", "predicted_variance",
     "steady_state_stats",

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import apply_update
-from .interference import (ActivityState, Assignment, InterferenceCache,
-                           all_active, all_band_one)
+from .interference import Assignment, InterferenceCache, all_band_one
 from .topology import Topology
 
 __all__ = [
@@ -36,7 +35,7 @@ __all__ = [
     "StatisticsError",
     "SteadyStateStats",
     "replica_streams",
-    "markov_toggle_all",
+    "time_scale",
     "lambda_from_alpha",
     "stability_margin",
     "simulate_time_varying",
@@ -65,6 +64,11 @@ class StatisticsError(RuntimeError):
     """Not enough post-warmup samples for a variance estimate."""
 
 
+def time_scale(n: int, delta_t: float) -> float:
+    """tau = N*delta_t, the mean time between two updates of one cluster."""
+    return n * delta_t
+
+
 @dataclass
 class DynamicsConfig:
     """Event-simulation parameters for one time-varying run."""
@@ -86,7 +90,7 @@ class DynamicsConfig:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
 
     def tau(self, n: int) -> float:
-        return n * self.delta_t
+        return time_scale(n, self.delta_t)
 
 
 @dataclass
@@ -111,7 +115,7 @@ class SimTrace:
 
     @property
     def tau(self) -> float:
-        return self.n * self.delta_t
+        return time_scale(self.n, self.delta_t)
 
     @property
     def events(self) -> int:
@@ -138,12 +142,6 @@ def replica_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator
     sched_seq, act_seq = np.random.SeedSequence(seed).spawn(2)
     return (np.random.Generator(np.random.PCG64(sched_seq)),
             np.random.Generator(np.random.PCG64(act_seq)))
-
-
-def markov_toggle_all(act: ActivityState, rng: np.random.Generator) -> ActivityState:
-    """One step of the symmetric two-state chain for every cluster."""
-    flips = rng.random(act.n) < (1.0 - act.alpha)
-    return ActivityState(act.active ^ flips, act.alpha)
 
 
 def lambda_from_alpha(alpha: float, n: int, tau: float) -> float:
@@ -179,8 +177,7 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
     asg = initial if initial is not None else all_band_one(top.n, r)
     if asg.r != r:
         raise ValueError(f"initial assignment has r={asg.r}, expected {r}")
-    cache = InterferenceCache(top, asg, all_active(top.n, cfg.alpha),
-                              rng=sched_rng)
+    cache = InterferenceCache(top, asg, rng=sched_rng)
     n = top.n
     one_minus_alpha = 1.0 - cfg.alpha
 

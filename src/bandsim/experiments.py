@@ -30,7 +30,7 @@ from .dynamics import (DEFAULT_RHO, FIT_FLOOR, NEAR_EQUILIBRIUM_RATE,
                        DynamicsConfig, ensemble_mean_trace,
                        fit_exponential_decay, lambda_from_alpha,
                        predicted_variance, run_ensemble, stability_margin,
-                       steady_state_stats)
+                       steady_state_stats, time_scale)
 from .interference import (Assignment, InterferenceCache, all_band_one,
                            uniform_random_assignment,
                            worst_case_interference)
@@ -66,10 +66,16 @@ _TOPOLOGY_KEYS = {"ula": ("d", "n"), "random_linear": ("d", "min_sep", "n"),
 TOPOLOGY_KINDS = tuple(_TOPOLOGY_KEYS)
 # size keys and their minimum; a sweep supplies them instead of the config
 _SIZE_MIN = {"n": 2, "rows": 1, "cols": 1}
-# top-level keys that only some experiments accept
-_ACCEPTED_BY = {"alpha": ("relaxation",), "horizon": ("relaxation", "variance"),
+# settings that only some experiments read, by (dotted) path: any other
+# experiment rejects them, and its config echo holds null there
+_ACCEPTED_BY = {"rho": ("relaxation", "variance"),
+                "link": ("converge", "sweep"),
+                "initial_assignment": ("converge", "sweep", "variance"),
+                "horizon": ("relaxation", "variance"),
                 "warmup": ("variance",), "sweep": ("sweep",),
-                "rates": ("variance",)}
+                "rates": ("variance",),
+                "output.write_trace": ("converge", "relaxation", "variance"),
+                "output.write_capacity_series": ("converge",)}
 SCHEDULER_KINDS = ("permutation", "poisson")
 INITIAL_MODES = ("all_band_one", "uniform_random")
 
@@ -205,7 +211,6 @@ class ExperimentConfig:
     initial_assignment: str
     scheduler_kind: str
     delta_t: float
-    alpha: float
     horizon: float | None
     warmup: float | None
     replicas: int
@@ -242,8 +247,7 @@ def _expect_keys(ctx: _Ctx, sec: dict, path: str, allowed: set[str]):
 
 
 def _get_num(ctx: _Ctx, sec: dict, path: str, key: str, *, required=False,
-             default=None, integer=False, minimum=None, maximum=None,
-             strict_min=None):
+             default=None, integer=False, minimum=None, strict_min=None):
     if key not in sec or sec[key] is None:
         if required:
             ctx.err(f"{path}.{key}", "required")
@@ -264,9 +268,6 @@ def _get_num(ctx: _Ctx, sec: dict, path: str, key: str, *, required=False,
         return None
     if strict_min is not None and v <= strict_min:
         ctx.err(f"{path}.{key}", f"must be > {strict_min}, got {v}")
-        return None
-    if maximum is not None and v > maximum:
-        ctx.err(f"{path}.{key}", f"must be <= {maximum}, got {v}")
         return None
     return int(v) if integer else float(v)
 
@@ -294,6 +295,17 @@ def _get_bool(ctx: _Ctx, sec: dict, path: str, key: str, default: bool) -> bool:
     return v
 
 
+def _unaccepted(experiment: str, doc: dict):
+    """(path, section, key) of each _ACCEPTED_BY setting that `experiment`
+    does not accept; section is the object of doc that holds the key, or
+    {} where doc has none."""
+    for path, accepted_by in _ACCEPTED_BY.items():
+        if experiment not in accepted_by:
+            section, _, key = path.rpartition(".")
+            sec = doc.get(section) if section else doc
+            yield path, sec if isinstance(sec, dict) else {}, key
+
+
 def _section(ctx: _Ctx, doc: dict, key: str, allowed: set[str]) -> dict:
     """Optional object `key` of doc, its keys checked; {} when absent."""
     sec = doc.get(key) or {}
@@ -316,7 +328,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     _expect_keys(ctx, doc, "config", {
         "experiment", "topology", "bands", "eta", "p0", "initial_assignment",
-        "scheduler", "alpha", "horizon", "warmup", "replicas", "base_seed",
+        "scheduler", "horizon", "warmup", "replicas", "base_seed",
         "rho", "link", "sweep", "rates", "output"})
 
     experiment = _get_choice(ctx, doc, "config", "experiment", EXPERIMENTS,
@@ -400,10 +412,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     # per-experiment sections -------------------------------------------
     if experiment is not None:
-        for key, accepted_by in _ACCEPTED_BY.items():
-            if experiment not in accepted_by and doc.get(key) is not None:
-                ctx.err(key, f"not allowed for experiment '{experiment}'")
-    alpha = 1.0
+        for path, sec, key in _unaccepted(experiment, doc):
+            if sec.get(key) is not None:
+                ctx.err(path, f"not allowed for experiment '{experiment}'")
     horizon = None
     warmup = None
     sweep_sizes = None
@@ -415,14 +426,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         else:
             _expect_keys(ctx, sweep, "sweep", {"sizes"})
             sweep_sizes = _parse_sizes(ctx, sweep.get("sizes"), kind)
-    elif experiment == "relaxation":
-        alpha = _get_num(ctx, doc, "config", "alpha", default=1.0,
-                         minimum=0.0, maximum=1.0)
-        if alpha is not None and alpha != 1.0:
-            ctx.err("alpha", "relaxation fitting requires alpha = 1")
-        if initial == "uniform_random":
-            ctx.err("initial_assignment",
-                    "relaxation starts from the worst case (all_band_one)")
     if experiment in ("relaxation", "variance"):
         horizon = _get_num(ctx, doc, "config", "horizon", required=True,
                            strict_min=0.0)
@@ -454,6 +457,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(prefix, str) or not prefix:
         ctx.err("output.prefix", "expected a non-empty string")
         prefix = "run"
+    elif any(c in prefix for c in "/\\\0"):
+        ctx.err("output.prefix",
+                "must be a file name, without '/', '\\' or NUL")
     write_trace = _get_bool(ctx, out, "output", "write_trace",
                             experiment == "converge")
     write_capacity = _get_bool(ctx, out, "output", "write_capacity_series",
@@ -482,25 +488,25 @@ def parse_config(doc: dict) -> ExperimentConfig:
         "p0": p0,
         "initial_assignment": initial,
         "scheduler": {"kind": scheduler_kind, "delta_t": delta_t},
-        # null where the schema has no alpha key, so the echo stays loadable
-        "alpha": alpha if experiment == "relaxation" else None,
         "horizon": horizon,
         "warmup": warmup,
         "replicas": replicas,
         "base_seed": base_seed,
         "rho": rho,
         "link": {"signal_power": signal_power, "noise_power": noise_power},
-        "sweep": {"sizes": sweep_sizes} if sweep_sizes is not None else None,
+        "sweep": {"sizes": sweep_sizes},
         "rates": rates,
         "output": {"dir": out_dir, "prefix": prefix,
                    "write_trace": write_trace,
                    "write_capacity_series": write_capacity},
     }
+    for _, sec, key in _unaccepted(experiment, resolved):
+        sec[key] = None
     return ExperimentConfig(
         experiment=experiment, topology_kind=kind, topology_params=topo_params,
         bands=bands, eta=eta, p0=p0, initial_assignment=initial,
-        scheduler_kind=scheduler_kind, delta_t=delta_t, alpha=alpha,
-        horizon=horizon, warmup=warmup, replicas=replicas,
+        scheduler_kind=scheduler_kind, delta_t=delta_t, horizon=horizon,
+        warmup=warmup, replicas=replicas,
         base_seed=base_seed, rho=rho, signal_power=signal_power,
         noise_power=noise_power, sweep_sizes=sweep_sizes, rates=rates,
         out_dir=out_dir, prefix=prefix, write_trace=write_trace,
@@ -557,8 +563,7 @@ def validate_config(path) -> dict:
             for size in cfg.sweep_sizes or [None]:
                 _build_topology(cfg, size)
         n_hint = _size_hint(cfg)
-        tau = (n_hint * cfg.delta_t
-               if n_hint is not None and cfg.delta_t is not None else None)
+        tau = time_scale(n_hint, cfg.delta_t) if n_hint is not None else None
         warmup = (_variance_warmup(cfg, tau)
                   if tau is not None and cfg.experiment == "variance"
                   else None)
@@ -569,8 +574,7 @@ def validate_config(path) -> dict:
     if tau is not None:
         derived["n"] = n_hint
         derived["tau"] = tau
-        alphas = ([1.0 - q for q in cfg.rates] if cfg.rates
-                  else [cfg.alpha])
+        alphas = [1.0 - q for q in cfg.rates] if cfg.rates else [1.0]
         for a in alphas:
             derived["points"].append({
                 "alpha": a,
@@ -607,8 +611,8 @@ def _load_file_topology(path: str) -> Topology:
 def preset(name: str) -> dict:
     """Built-in experiment configs, one per standard output series.
 
-    Each preset writes under its own name and seeds at 20260815 plus its
-    place in PRESET_NAMES.
+    Each preset writes under its own name, seeds at 20260815 plus its
+    place in PRESET_NAMES and holds only the settings its experiment reads.
     """
     if name not in PRESET_NAMES:
         raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
@@ -644,7 +648,6 @@ def preset(name: str) -> dict:
         doc["sweep"] = {"sizes": [10, 20, 40, 60, 80, 100] if name == "fig3"
                         else [[k, k] for k in range(4, 11)]}
     elif experiment == "relaxation":
-        doc["alpha"] = 1.0
         doc["horizon"] = 8.0
         doc["replicas"] = 500
     else:
@@ -652,6 +655,8 @@ def preset(name: str) -> dict:
         doc["warmup"] = 0.2
         doc["replicas"] = 200
         doc["rates"] = [0.001, 0.005, 0.01, 0.05, 0.1, 0.2, 0.375]
+    for _, sec, key in _unaccepted(experiment, doc):
+        sec.pop(key, None)
     return doc
 
 
@@ -928,7 +933,7 @@ def _trace_rows_from_sim(traces) -> list:
 def _run_relaxation(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     top, _ = _build_topology(cfg)
     dyn = DynamicsConfig(delta_t=cfg.delta_t, horizon=cfg.horizon,
-                         alpha=1.0, replicas=cfg.replicas)
+                         replicas=cfg.replicas)
     traces = run_ensemble(top, dyn, cfg.bands, cfg.base_seed)
     i_w = worst_case_interference(top)
     i_a = float(np.mean([tr.aggregates[-1] for tr in traces]))
@@ -972,7 +977,7 @@ def _variance_warmup(cfg: ExperimentConfig, tau: float) -> float:
 
 def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     top, _ = _build_topology(cfg)
-    tau = top.n * cfg.delta_t
+    tau = time_scale(top.n, cfg.delta_t)
     warmup = _variance_warmup(cfg, tau)
     init_rng = np.random.default_rng(
         np.random.SeedSequence((cfg.base_seed, 1)))

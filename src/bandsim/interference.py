@@ -61,17 +61,14 @@ class Assignment:
 
 @dataclass
 class ActivityState:
-    """Per-cluster on/off indicators plus the Markov persistence alpha."""
+    """Per-cluster on/off indicators."""
 
     active: np.ndarray
-    alpha: float = 1.0
 
     def __post_init__(self):
         active = np.asarray(self.active, dtype=bool).copy()
         if active.ndim != 1:
             raise ValueError("active must be a 1-D boolean vector")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         self.active = active
 
     @property
@@ -87,8 +84,8 @@ def uniform_random_assignment(n: int, r: int, rng: np.random.Generator) -> Assig
     return Assignment(rng.integers(1, r + 1, size=n), r)
 
 
-def all_active(n: int, alpha: float = 1.0) -> ActivityState:
-    return ActivityState(np.ones(n, dtype=bool), alpha)
+def all_active(n: int) -> ActivityState:
+    return ActivityState(np.ones(n, dtype=bool))
 
 
 def weight_matrix(top: Topology) -> np.ndarray:
@@ -149,7 +146,7 @@ def worst_case_interference(top: Topology, act: ActivityState | None = None) -> 
 class InterferenceCache:
     """Mutable state of one replica: bands, activity, per-cluster per-band
     interference sums with O(N) event updates, the scheduling stream rng,
-    the clock time, the update counter epoch and the persistence alpha.
+    the clock time and the update counter epoch.
 
     _band_power[j, k] is the power cluster j would receive on band k+1 from
     the currently active transmitters (excluding j itself, whose weight to
@@ -172,7 +169,6 @@ class InterferenceCache:
         self.r = asg.r
         self.bands = asg.bands.copy()
         self.active = act.active.copy()
-        self.alpha = act.alpha
         self.rng = rng if rng is not None else np.random.default_rng()
         self.epoch = 0
         self.time = 0.0
@@ -266,4 +262,4 @@ class InterferenceCache:
         return Assignment(self.bands.copy(), self.r)
 
     def activity(self) -> ActivityState:
-        return ActivityState(self.active.copy(), self.alpha)
+        return ActivityState(self.active.copy())

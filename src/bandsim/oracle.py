@@ -29,7 +29,7 @@ __all__ = [
     "canonical_relabel",
     "brute_force_optimal",
     "riemann_zeta",
-    "asymptotic_lower_bound",
+    "alternating_limit",
     "Reference",
     "reference",
     "BoundReport",
@@ -204,16 +204,16 @@ def riemann_zeta(eta: float) -> float:
     return math.fsum(parts)
 
 
-def asymptotic_lower_bound(r: int, eta: float, p0: float = 1.0,
-                           d: float = 1.0) -> float:
+def alternating_limit(r: int, eta: float, p0: float = 1.0,
+                      d: float = 1.0) -> float:
     """N -> infinity limit of the per-cluster aggregate of the alternating
     1:r pattern on a uniform linear array with spacing d:
     2*zeta(eta)*p0 / (r*d)^eta.
 
     Finite arrays approach it from below, since end clusters have co-band
-    neighbours on one side only, so at finite N it is no lower bound: at
-    N=100, r=2, eta=2, d=p0=1 the alternating pattern gives 0.7676 per
-    cluster against this value's 0.8225.
+    neighbours on one side only: at N=100, r=2, eta=2, d=p0=1 the
+    alternating pattern gives 0.7676 per cluster against this value's
+    0.8225.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -286,7 +286,7 @@ def reference(top: Topology, act: ActivityState | None, r: int,
         gap_convention = "adjacent"
     limit = None
     if top.dim == 1 and top.eta > 1 and d_ref is not None and d_ref > 0:
-        limit = asymptotic_lower_bound(r, top.eta, top.p0, d_ref)
+        limit = alternating_limit(r, top.eta, top.p0, d_ref)
     return Reference(
         top=top, act=act, r=r, n_active=n_active, asg=asg, kind=kind,
         aggregate=aggregate, i_w=worst_case_interference(top, act),

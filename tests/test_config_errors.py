@@ -41,7 +41,7 @@ CASES = {
         {"experiment": "converge",
          "topology": {"kind": "ula", "n": 1.5, "d": 0, "x": 1},
          "bands": 0, "base_seed": -1, "eta": 0.5, "p0": 0,
-         "replicas": 0, "rho": 0,
+         "replicas": 0,
          "scheduler": {"kind": "round_robin", "delta_t": 0, "y": 2},
          "link": {"signal_power": 0, "noise_power": "x", "z": 3},
          "output": {"dir": "", "prefix": "", "write_trace": 1,
@@ -51,7 +51,6 @@ CASES = {
          'config.eta: must be >= 1.0, got 0.5',
          'config.p0: must be > 0.0, got 0',
          'config.replicas: must be >= 1, got 0',
-         'config.rho: must be > 0.0, got 0',
          "link.noise_power: expected a number, got 'x'",
          'link.signal_power: must be > 0.0, got 0',
          'link.z: unknown key',
@@ -71,13 +70,13 @@ CASES = {
         {"experiment": "converge", "topology": {"kind": "ula"},
          "bands": 2, "base_seed": 1, "scheduler": {},
          "link": [1], "output": [2],
-         "alpha": 0.5, "horizon": 1.0, "warmup": 0.1,
+         "rho": 3.0, "horizon": 1.0, "warmup": 0.1,
          "sweep": {"sizes": [4]}, "rates": [0.1]},
-        ["alpha: not allowed for experiment 'converge'",
-         "horizon: not allowed for experiment 'converge'",
+        ["horizon: not allowed for experiment 'converge'",
          'link: expected an object',
          'output: expected an object',
          "rates: not allowed for experiment 'converge'",
+         "rho: not allowed for experiment 'converge'",
          'scheduler.delta_t: required',
          'scheduler.kind: required',
          "sweep: not allowed for experiment 'converge'",
@@ -129,12 +128,15 @@ CASES = {
         {"experiment": "sweep",
          "topology": {"kind": "ula", "n": 4, "d": 1.0},
          "bands": 2, "base_seed": 1, "scheduler": P,
-         "alpha": 1.0, "horizon": 1.0, "warmup": 0.1,
+         "rho": 3.0, "horizon": 1.0, "warmup": 0.1,
          "rates": [0.1],
+         "output": {"write_trace": True, "write_capacity_series": True},
          "sweep": {"sizes": [1, 2.5, "3", True, 8], "step": 1}},
-        ["alpha: not allowed for experiment 'sweep'",
-         "horizon: not allowed for experiment 'sweep'",
+        ["horizon: not allowed for experiment 'sweep'",
+         "output.write_capacity_series: not allowed for experiment 'sweep'",
+         "output.write_trace: not allowed for experiment 'sweep'",
          "rates: not allowed for experiment 'sweep'",
+         "rho: not allowed for experiment 'sweep'",
          'sweep.sizes[0]: expected an integer >= 2, got 1',
          'sweep.sizes[1]: expected an integer >= 2, got 2.5',
          "sweep.sizes[2]: expected an integer >= 2, got '3'",
@@ -188,13 +190,16 @@ CASES = {
          "topology": {"kind": "ula", "n": 6, "d": 1.0},
          "bands": 2, "base_seed": 1,
          "scheduler": {"kind": "permutation", "delta_t": 1.0},
-         "initial_assignment": "uniform_random",
-         "alpha": 0.9, "warmup": 0.1, "sweep": {"sizes": [4]},
-         "rates": [0.1]},
-        ['alpha: relaxation fitting requires alpha = 1',
-         'config.horizon: required',
-         'initial_assignment: relaxation starts from the worst case '
-         '(all_band_one)',
+         "initial_assignment": "uniform_random", "rho": 0,
+         "link": {"signal_power": 1.0},
+         "output": {"write_capacity_series": False},
+         "warmup": 0.1, "sweep": {"sizes": [4]}, "rates": [0.1]},
+        ['config.horizon: required',
+         'config.rho: must be > 0.0, got 0',
+         "initial_assignment: not allowed for experiment 'relaxation'",
+         "link: not allowed for experiment 'relaxation'",
+         "output.write_capacity_series: not allowed for experiment "
+         "'relaxation'",
          "rates: not allowed for experiment 'relaxation'",
          "scheduler.kind: dynamics experiments need 'poisson'",
          "sweep: not allowed for experiment 'relaxation'",
@@ -203,19 +208,22 @@ CASES = {
         {"experiment": "relaxation",
          "topology": {"kind": "ula", "n": 6, "d": 1.0},
          "bands": 2, "base_seed": 1, "scheduler": P,
-         "alpha": 1.5, "horizon": 0},
-        ['config.alpha: must be <= 1.0, got 1.5',
+         "alpha": 1.0, "horizon": 0},
+        ['config.alpha: unknown key',
          'config.horizon: must be > 0.0, got 0']),
     "variance": (
         {"experiment": "variance",
          "topology": {"kind": "ula", "n": 6, "d": 1.0},
          "bands": 2, "base_seed": 1, "replicas": 1,
          "scheduler": {"kind": "permutation", "delta_t": 1.0},
-         "alpha": 0.9, "sweep": {"sizes": [4]}, "warmup": -1,
+         "link": {}, "sweep": {"sizes": [4]}, "warmup": -1,
+         "output": {"write_trace": False, "write_capacity_series": True},
          "rates": [0.5, 1.5, True, "x", -0.1]},
-        ["alpha: not allowed for experiment 'variance'",
-         'config.horizon: required',
+        ['config.horizon: required',
          'config.warmup: must be >= 0.0, got -1',
+         "link: not allowed for experiment 'variance'",
+         "output.write_capacity_series: not allowed for experiment "
+         "'variance'",
          'rates[1]: must be a number in [0, 1], got 1.5',
          'rates[2]: must be a number in [0, 1], got True',
          "rates[3]: must be a number in [0, 1], got 'x'",
@@ -223,6 +231,12 @@ CASES = {
          'replicas: variance estimation needs >= 2 replicas',
          "scheduler.kind: dynamics experiments need 'poisson'",
          "sweep: not allowed for experiment 'variance'"]),
+    "prefix_path": (
+        {"experiment": "converge",
+         "topology": {"kind": "ula", "n": 4, "d": 1.0},
+         "bands": 2, "base_seed": 1, "scheduler": P,
+         "output": {"prefix": "../escaped"}},
+        ["output.prefix: must be a file name, without '/', '\\' or NUL"]),
     "variance_no_rates": (
         {"experiment": "variance",
          "topology": {"kind": "ula", "n": 6, "d": 1.0},

@@ -4,15 +4,13 @@ import pytest
 from bandsim.allocation import REL_TOL, PoissonClock, run_to_convergence
 from bandsim.dynamics import (DynamicsConfig, FitError, SimTrace,
                               StatisticsError, ensemble_mean_trace,
-                              fit_exponential_decay,
-                              lambda_from_alpha, markov_toggle_all,
+                              fit_exponential_decay, lambda_from_alpha,
                               predicted_variance, replica_streams,
                               run_ensemble, sample_on_grid,
                               simulate_time_varying, stability_margin,
                               steady_state_stats)
-from bandsim.interference import (ActivityState, InterferenceCache,
-                                  aggregate_interference, all_band_one,
-                                  uniform_random_assignment)
+from bandsim.interference import (InterferenceCache, aggregate_interference,
+                                  all_band_one, uniform_random_assignment)
 from bandsim.topology import make_uniform_linear_array
 
 
@@ -82,24 +80,6 @@ def test_predicted_variance_divergent():
         predicted_variance(1.0, -1.0, 1.0, 100)
     with pytest.raises(ValueError):
         predicted_variance(1.0, 1.0, 0.0, 100)
-
-
-def test_markov_toggle_extremes():
-    act = ActivityState(np.array([True, False, True, True]), alpha=1.0)
-    out = markov_toggle_all(act, np.random.default_rng(0))
-    assert np.array_equal(out.active, act.active)
-    act0 = ActivityState(np.array([True, False, True, True]), alpha=0.0)
-    out0 = markov_toggle_all(act0, np.random.default_rng(0))
-    assert np.array_equal(out0.active, ~act0.active)
-    assert out0.alpha == 0.0
-
-
-def test_markov_toggle_flip_rate():
-    rng = np.random.default_rng(31)
-    act = ActivityState(np.ones(20000, dtype=bool), alpha=0.7)
-    out = markov_toggle_all(act, rng)
-    flipped = np.mean(out.active != act.active)
-    assert flipped == pytest.approx(0.3, abs=0.02)
 
 
 def test_replica_streams_deterministic_and_independent():

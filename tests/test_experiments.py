@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -7,11 +8,11 @@ import pytest
 
 from bandsim import oracle
 from bandsim.cli import main
-from bandsim.experiments import (OUTPUT_DIR_ENV, PRESET_NAMES, TRACE_HEADER,
-                                 ConfigError, config_hash, dumps_canonical,
-                                 load_config, parse_config, preset,
-                                 resolve_out_dir, run_experiment,
-                                 validate_config, _jsonable)
+from bandsim.experiments import (EXPERIMENTS, OUTPUT_DIR_ENV, PRESET_NAMES,
+                                 TRACE_HEADER, ConfigError, config_hash,
+                                 dumps_canonical, load_config, parse_config,
+                                 preset, resolve_out_dir, run_experiment,
+                                 validate_config, _emit, _jsonable)
 from bandsim.interference import worst_case_interference
 from bandsim.topology import make_uniform_linear_array
 
@@ -46,7 +47,7 @@ def test_parse_minimal_converge_defaults():
     assert cfg.initial_assignment == "all_band_one"
     assert cfg.replicas == 1
     assert cfg.rho == 3.0
-    assert cfg.alpha == 1.0
+    assert cfg.resolved["rho"] is None  # converge does not read rho
     assert cfg.out_dir == "results"
     assert cfg.prefix == "converge"
     assert cfg.write_trace is True
@@ -64,8 +65,8 @@ def test_parse_rejects_unknown_keys():
 
 
 def test_parse_forbids_irrelevant_sections():
-    errs = _errors(_tiny_doc(alpha=0.9))
-    assert errs == ["alpha: not allowed for experiment 'converge'"]
+    errs = _errors(_tiny_doc(rho=3.0))
+    assert errs == ["rho: not allowed for experiment 'converge'"]
     errs = _errors(_tiny_doc(rates=[0.1]))
     assert "rates: not allowed for experiment 'converge'" in errs
 
@@ -138,20 +139,18 @@ def test_parse_relaxation_rules():
     doc = _tiny_doc(experiment="relaxation", horizon=4.0,
                     scheduler={"kind": "poisson", "delta_t": 0.05})
     cfg = parse_config(doc)
-    assert cfg.horizon == 4.0 and cfg.alpha == 1.0
+    assert cfg.horizon == 4.0
     errs = _errors(_tiny_doc(experiment="relaxation", horizon=4.0))
     assert any("dynamics experiments need 'poisson'" in e for e in errs)
     errs = _errors(_tiny_doc(experiment="relaxation",
                              scheduler={"kind": "poisson", "delta_t": 0.05}))
     assert "config.horizon: required" in errs
-    errs = _errors(_tiny_doc(experiment="relaxation", horizon=4.0,
-                             alpha=0.9,
-                             scheduler={"kind": "poisson", "delta_t": 0.05}))
-    assert any("requires alpha = 1" in e for e in errs)
+    # relaxation always starts from the worst case (all_band_one)
     errs = _errors(_tiny_doc(experiment="relaxation", horizon=4.0,
                              initial_assignment="uniform_random",
                              scheduler={"kind": "poisson", "delta_t": 0.05}))
-    assert any("worst case" in e for e in errs)
+    assert errs == ["initial_assignment: not allowed for experiment "
+                    "'relaxation'"]
 
 
 def test_parse_variance_rules():
@@ -213,7 +212,7 @@ _NUMERIC_FIELDS = [
         "scheduler.delta_t", "topology.d", "topology.n",
         "link.signal_power", "link.noise_power")
 ] + [("random_linear", "topology.min_sep"), ("rect", "topology.rows"),
-     ("rect", "topology.cols"), ("relaxation", "alpha"),
+     ("rect", "topology.cols"), ("relaxation", "rho"),
      ("relaxation", "horizon"), ("variance", "horizon"),
      ("variance", "warmup")]
 
@@ -230,6 +229,72 @@ def test_non_finite_numbers_are_rejected(tmp_path, base, field, value):
     report = validate_config(_write_config(tmp_path, doc))
     assert report["valid"] is False
     assert line in report["errors"]
+
+
+# one valid document of each experiment
+_VALID = {
+    "converge": _tiny_doc(),
+    "sweep": _tiny_doc(experiment="sweep", topology={"kind": "ula", "d": 1.0},
+                       sweep={"sizes": [4]}),
+    "relaxation": _NUMERIC_BASES["relaxation"],
+    "variance": _NUMERIC_BASES["variance"],
+}
+# a valid value of each setting that only some experiments read
+_SETTINGS = {"rho": 3.0, "link": {"signal_power": 1.0},
+             "initial_assignment": "all_band_one",
+             "output.write_trace": True, "output.write_capacity_series": True}
+# the (experiment, setting) pairs where the experiment does not read it
+_UNREAD = [("converge", "rho"), ("sweep", "rho"),
+           ("relaxation", "link"), ("variance", "link"),
+           ("relaxation", "initial_assignment"),
+           ("sweep", "output.write_trace"),
+           ("sweep", "output.write_capacity_series"),
+           ("relaxation", "output.write_capacity_series"),
+           ("variance", "output.write_capacity_series")]
+
+
+def _with_setting(experiment, path):
+    doc = json.loads(json.dumps(_VALID[experiment]))
+    section, _, key = path.rpartition(".")
+    (doc.setdefault(section, {}) if section else doc)[key] = _SETTINGS[path]
+    return doc
+
+
+@pytest.mark.parametrize("experiment,path", _UNREAD)
+def test_setting_an_experiment_does_not_read_is_rejected(experiment, path):
+    assert _errors(_with_setting(experiment, path)) == [
+        f"{path}: not allowed for experiment '{experiment}'"]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_settings_an_experiment_reads_are_accepted(experiment):
+    for path in _SETTINGS:
+        if (experiment, path) not in _UNREAD:
+            parse_config(_with_setting(experiment, path))
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_alpha_is_no_config_key(experiment):
+    # the persistence alpha of a variance run comes from its rates
+    doc = dict(_VALID[experiment], alpha=1.0)
+    assert _errors(doc) == ["config.alpha: unknown key"]
+
+
+_PREFIX_ERROR = "output.prefix: must be a file name, without '/', '\\' or NUL"
+
+
+@pytest.mark.parametrize("prefix", ["../escaped", "a/b", "a\\b", "a\0b"],
+                         ids=["parent", "slash", "backslash", "nul"])
+def test_prefix_must_name_a_file_in_the_output_dir(tmp_path, capsys, prefix):
+    doc = _tiny_doc(output={"prefix": prefix})
+    assert _errors(doc) == [_PREFIX_ERROR]
+    path = _write_config(tmp_path, doc)
+    report = validate_config(path)
+    assert report["valid"] is False and report["errors"] == [_PREFIX_ERROR]
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert (f"config error: {_PREFIX_ERROR}"
+            in capsys.readouterr().err.splitlines())
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_load_config_bad_json(tmp_path):
@@ -387,6 +452,33 @@ def test_converge_trace_csv_layout(tmp_path):
     first = [line.split(",") for line in lines[1:]]
     assert {row[0] for row in first} == {"0", "1"}
     assert all(len(row) == len(TRACE_HEADER) for row in first)
+
+
+def _workload_configs():
+    """The benchmark's four workload documents, at base seed 1."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {w: workloads.build_config(w, 1) for w in workloads.WORKLOADS}
+
+
+_ECHOED = {**{name: preset(name) for name in PRESET_NAMES},
+           **_workload_configs()}
+
+
+@pytest.mark.parametrize("name", sorted(_ECHOED))
+def test_config_echo_reloads_to_the_same_config(tmp_path, name):
+    cfg = parse_config(_ECHOED[name])
+    echo = _emit(cfg, tmp_path, {}, [])[0]
+    doc = json.loads(echo.read_text(encoding="utf-8"))
+    assert parse_config(doc).resolved == cfg.resolved
+    # the echo holds null for each setting the experiment does not read
+    for experiment, path in _UNREAD:
+        if experiment == cfg.experiment:
+            section, _, key = path.rpartition(".")
+            assert (doc[section] if section else doc)[key] is None
 
 
 def test_converge_config_json_round_trips(tmp_path):

@@ -41,13 +41,8 @@ def test_assignment_copy_is_independent():
 def test_activity_validation():
     act = ActivityState(np.array([True, False]))
     assert act.n == 2
-    assert act.alpha == 1.0
     with pytest.raises(ValueError):
         ActivityState(np.array([[True]]))
-    with pytest.raises(ValueError):
-        ActivityState(np.array([True]), alpha=1.5)
-    with pytest.raises(ValueError):
-        ActivityState(np.array([True]), alpha=-0.1)
 
 
 def test_weight_matrix_values():
@@ -192,15 +187,6 @@ def test_cache_own_band_vector():
     own = cache.own_band_interference()
     expected = [cluster_interference(top, asg, None, i) for i in range(4)]
     assert np.allclose(own, expected)
-
-
-def test_cache_activity_carries_alpha():
-    active = np.array([True, False, True, True])
-    cache = InterferenceCache(make_uniform_linear_array(4, 1.0),
-                              all_band_one(4, 2), ActivityState(active, 0.9))
-    act = cache.activity()
-    assert act.alpha == 0.9
-    assert np.array_equal(act.active, active)
 
 
 def test_cache_set_band_validates():

@@ -9,7 +9,7 @@ from bandsim.interference import (ActivityState, Assignment, InterferenceCache,
                                   aggregate_interference, all_band_one,
                                   uniform_random_assignment, weight_matrix)
 from bandsim.oracle import (BoundReport, OracleCapacityError,
-                            alternating_assignment, asymptotic_lower_bound,
+                            alternating_assignment, alternating_limit,
                             bound_report, brute_force_optimal,
                             canonical_relabel, lattice_reuse_assignment,
                             reference, riemann_zeta)
@@ -221,30 +221,30 @@ def test_brute_force_never_above_converged_runs():
             assert opt <= state.aggregate() + 1e-12
 
 
-def test_asymptotic_lower_bound_values():
+def test_alternating_limit_values():
     # r=2, eta=2, p0=1, d=1: 2*zeta(2)/4 = pi^2/12
-    assert asymptotic_lower_bound(2, 2.0) == pytest.approx(
+    assert alternating_limit(2, 2.0) == pytest.approx(
         np.pi ** 2 / 12.0, abs=1e-12)
-    assert asymptotic_lower_bound(2, 3.0) == pytest.approx(
+    assert alternating_limit(2, 3.0) == pytest.approx(
         0.30051422578989856, rel=1e-12)
     # scaling in p0 and d
-    assert asymptotic_lower_bound(2, 2.0, p0=3.0, d=2.0) == pytest.approx(
+    assert alternating_limit(2, 2.0, p0=3.0, d=2.0) == pytest.approx(
         3.0 / 4.0 * np.pi ** 2 / 12.0)
     with pytest.raises(ValueError):
-        asymptotic_lower_bound(0, 2.0)
+        alternating_limit(0, 2.0)
     with pytest.raises(ValueError):
-        asymptotic_lower_bound(2, 2.0, d=0.0)
+        alternating_limit(2, 2.0, d=0.0)
 
 
 def test_normalized_optimum_approaches_asymptote():
     # N-normalized exhaustive optima approach 2*zeta(eta)/r^eta from below
-    floor = asymptotic_lower_bound(2, 2.0)
+    limit = alternating_limit(2, 2.0)
     values = []
     for n in (6, 8, 10, 12):
         top = make_uniform_linear_array(n, 1.0)
         _, opt = brute_force_optimal(top, None, 2)
         values.append(opt / n)
-        assert opt / n < floor
+        assert opt / n < limit
     assert values == sorted(values)
 
 
