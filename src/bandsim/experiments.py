@@ -15,6 +15,7 @@ files (sorted keys, floats at 17 significant digits, LF endings).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -185,9 +186,29 @@ def _csv_cell(v) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    """Write header and rows, each cell as _csv_cell writes it.
+
+    A run of consecutive rows whose cells are all plain int or float, with
+    the same type at each position, is formatted by one %-operation; '%d'
+    and '%.17g' are str(int) and _format_float for those types.  Any other
+    row, and any run whose text shows a non-finite float, goes through
+    _csv_cell.
+    """
+    parts = [",".join(header)]
+    runs = itertools.groupby(rows, lambda row: tuple(map(type, row)))
+    for types, run in runs:
+        run = list(run)
+        text = None
+        if all(t is int or t is float for t in types):
+            fmt = ",".join("%d" if t is int else "%.17g" for t in types)
+            text = "\n".join([fmt] * len(run)) % tuple(
+                itertools.chain.from_iterable(run))
+            if "n" in text:  # only 'nan' and 'inf' hold the letter
+                text = None
+        if text is None:
+            text = "\n".join(",".join(_csv_cell(c) for c in row) for row in run)
+        parts.append(text)
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 def config_hash(resolved: dict) -> str:
@@ -453,6 +474,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(out_dir, str) or not out_dir:
         ctx.err("output.dir", "expected a non-empty string")
         out_dir = "results"
+    elif "\0" in out_dir:
+        ctx.err("output.dir", "must be a path without NUL")
     prefix = out.get("prefix", experiment or "run")
     if not isinstance(prefix, str) or not prefix:
         ctx.err("output.prefix", "expected a non-empty string")
@@ -574,8 +597,10 @@ def validate_config(path) -> dict:
     if tau is not None:
         derived["n"] = n_hint
         derived["tau"] = tau
-        alphas = [1.0 - q for q in cfg.rates] if cfg.rates else [1.0]
-        for a in alphas:
+    if tau is not None and cfg.experiment in _ACCEPTED_BY["rho"]:
+        # one churn operating point per switching rate; a relaxation run
+        # has the single point without churn, alpha = 1
+        for a in [1.0 - q for q in cfg.rates] if cfg.rates else [1.0]:
             derived["points"].append({
                 "alpha": a,
                 "lambda": lambda_from_alpha(a, n_hint, tau),
@@ -752,6 +777,27 @@ def _converge_one(cfg: ExperimentConfig, top: Topology, seed: int):
     return records, initial, cache.assignment(), a0
 
 
+def _capacity_rows(k: int, top: Topology, initial: Assignment, records,
+                   s: float, n0: float):
+    """Capacity series rows (replica k, event index, time, mean capacity),
+    one at the start and one per event.  The switches are replayed from
+    `initial` and the capacity of each distinct state is computed in one
+    batch."""
+    cache = InterferenceCache(top, initial)
+    levels = [cache.own_band_interference()]
+    state = [0]  # per row, the index in levels of the state after it
+    for rec in records:
+        if rec.switched:
+            cache.set_band(rec.cluster, rec.new_band)
+            levels.append(cache.own_band_interference())
+        state.append(len(levels) - 1)
+    # every cluster is active, so the mean runs over all of them
+    caps = link_capacity(np.array(levels), s, n0).mean(axis=1)
+    times = [0.0] + [rec.time for rec in records]
+    return zip(itertools.repeat(k), itertools.count(), times,
+               caps[state].tolist())
+
+
 def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     ref, link = _reference(cfg)
     top, (s, n0, ref_capacity) = ref.top, link
@@ -768,17 +814,7 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
                 trace_rows.append((k, e, rec.time, rec.cluster, rec.old_band,
                                    rec.new_band, rec.aggregate_after, top.n))
         if cfg.write_capacity_series:
-            # every cluster is active, so the mean runs over all of them
-            cap_cache = InterferenceCache(top, initial)
-            cap = float(np.mean(link_capacity(
-                cap_cache.own_band_interference(), s, n0)))
-            cap_rows.append((k, 0, 0.0, cap))
-            for e, rec in enumerate(records, 1):
-                if rec.switched:
-                    cap_cache.set_band(rec.cluster, rec.new_band)
-                    cap = float(np.mean(link_capacity(
-                        cap_cache.own_band_interference(), s, n0)))
-                cap_rows.append((k, e, rec.time, cap))
+            cap_rows.extend(_capacity_rows(k, top, initial, records, s, n0))
         brep, scores = _score(ref, link, final)
         reports.append(brep)
         detail.append({
@@ -923,10 +959,12 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
 def _trace_rows_from_sim(traces) -> list:
     rows = []
     for k, tr in enumerate(traces):
-        for e in range(tr.times.size):
-            rows.append((k, e, float(tr.times[e]), int(tr.clusters[e]),
-                         int(tr.old_bands[e]), int(tr.new_bands[e]),
-                         float(tr.aggregates[e]), int(tr.active_counts[e])))
+        # active_counts is a float array holding whole numbers
+        rows.extend(zip(itertools.repeat(k), itertools.count(),
+                        tr.times.tolist(), tr.clusters.tolist(),
+                        tr.old_bands.tolist(), tr.new_bands.tolist(),
+                        tr.aggregates.tolist(),
+                        tr.active_counts.astype(np.int64).tolist()))
     return rows
 
 

@@ -237,6 +237,12 @@ CASES = {
          "bands": 2, "base_seed": 1, "scheduler": P,
          "output": {"prefix": "../escaped"}},
         ["output.prefix: must be a file name, without '/', '\\' or NUL"]),
+    "dir_nul": (
+        {"experiment": "converge",
+         "topology": {"kind": "ula", "n": 4, "d": 1.0},
+         "bands": 2, "base_seed": 1, "scheduler": P,
+         "output": {"dir": "out\0put"}},
+        ["output.dir: must be a path without NUL"]),
     "variance_no_rates": (
         {"experiment": "variance",
          "topology": {"kind": "ula", "n": 6, "d": 1.0},

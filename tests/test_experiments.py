@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bandsim import oracle
 from bandsim.cli import main
@@ -12,8 +13,11 @@ from bandsim.experiments import (EXPERIMENTS, OUTPUT_DIR_ENV, PRESET_NAMES,
                                  TRACE_HEADER, ConfigError, config_hash,
                                  dumps_canonical, load_config, parse_config,
                                  preset, resolve_out_dir, run_experiment,
-                                 validate_config, _emit, _jsonable)
-from bandsim.interference import worst_case_interference
+                                 validate_config, _build_topology,
+                                 _converge_one, _csv_cell, _emit, _jsonable,
+                                 _write_csv)
+from bandsim.interference import InterferenceCache, worst_case_interference
+from bandsim.metrics import link_capacity, link_powers
 from bandsim.topology import make_uniform_linear_array
 
 
@@ -297,6 +301,21 @@ def test_prefix_must_name_a_file_in_the_output_dir(tmp_path, capsys, prefix):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def test_output_dir_with_nul_is_a_config_error(tmp_path, capsys,
+                                                monkeypatch):
+    error = "output.dir: must be a path without NUL"
+    doc = _tiny_doc(output={"dir": "out\0put"})
+    assert _errors(doc) == [error]
+    path = _write_config(tmp_path, doc)
+    report = validate_config(path)
+    assert report["valid"] is False and report["errors"] == [error]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    assert main(["run", path]) == 1
+    assert f"config error: {error}" in capsys.readouterr().err.splitlines()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -352,6 +371,22 @@ def test_validate_config_default_warmup_for_dynamics(tmp_path):
     assert report["derived"]["warmup_default"] is None
 
 
+# the churn alphas validate reports; converge and sweep runs have no churn
+# and do not read rho
+_CHURN_ALPHAS = {"fig2a": [], "fig2c": [], "fig3": [], "fig4a": [],
+                 "fig5": [1.0],
+                 "fig6": [1.0 - q for q in preset("fig6")["rates"]]}
+
+
+@pytest.mark.parametrize("name", sorted(_CHURN_ALPHAS))
+def test_validate_reports_churn_points_only_where_rho_is_read(tmp_path, name):
+    path = _write_config(tmp_path, preset(name))
+    derived = validate_config(path)["derived"]
+    assert [p["alpha"] for p in derived["points"]] == _CHURN_ALPHAS[name]
+    if name.startswith("fig2"):
+        assert derived["n"] == 100 and derived["tau"] == pytest.approx(1.0)
+
+
 def test_validate_config_invalid(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_tiny_doc(bands=0)), encoding="utf-8")
@@ -399,6 +434,78 @@ def test_dumps_canonical_rejects_non_finite():
 def test_jsonable_scrubs_non_finite():
     doc = {"x": float("nan"), "y": [np.float64(2.0), np.inf, -np.inf]}
     assert _jsonable(doc) == {"x": None, "y": [2.0, None, None]}
+
+
+@pytest.mark.parametrize("value,text", [
+    (7, "7"), (-0, "0"), (10 ** 30, "1" + "0" * 30),
+    (0.1, "0.10000000000000001"), (-0.0, "-0"), (2.0, "2"),
+    (5e-324, "4.9406564584124654e-324"), (1e308, "1e+308"),
+    (-1e308, "-1e+308"), (math.nan, ""),
+    (True, "1"), (False, "0"), (np.bool_(True), "1"), (None, ""),
+    ("hex", "hex"), (np.int64(-3), "-3"), (np.float64(0.5), "0.5"),
+    (np.float64("nan"), "")])
+def test_csv_cell_rules(value, text):
+    assert _csv_cell(value) == text
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, np.float64("inf")])
+def test_csv_cell_rejects_infinity(value):
+    with pytest.raises(ValueError):
+        _csv_cell(value)
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                   1e308, -1e308, 1.7976931348623157e308, math.nan,
+                   math.inf, -math.inf]
+_CELLS = {
+    "int": st.integers(),
+    "float": st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(_SPECIAL_FLOATS)),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "str": st.text(st.characters(exclude_categories=["Cs"]), max_size=4),
+    "np_int64": st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    "np_float64": st.floats().map(np.float64),
+}
+# int and float are listed twice so that runs the writer formats in one
+# operation are common
+_CELL_KINDS = ["int", "float", *_CELLS]
+
+
+@st.composite
+def _csv_rows(draw):
+    """Rows in runs of one cell type per position; types mix freely."""
+    rows = []
+    shapes = draw(st.lists(st.lists(st.sampled_from(_CELL_KINDS),
+                                    max_size=5), max_size=5))
+    for shape in shapes:
+        for _ in range(draw(st.integers(1, 4))):
+            rows.append(tuple(draw(_CELLS[kind]) for kind in shape))
+    return rows
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_csv_rows())
+def test_write_csv_matches_a_per_cell_join(tmp_path, rows):
+    path = tmp_path / "t.csv"
+    try:
+        expected = "h1,h2\n" + "".join(
+            ",".join(_csv_cell(c) for c in row) + "\n" for row in rows)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _write_csv(path, ["h1", "h2"], rows)
+        return
+    _write_csv(path, ["h1", "h2"], rows)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_write_csv_non_finite_in_a_uniform_run(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["a", "b"], [(1, 0.5), (2, math.nan), (3, 1.5)])
+    assert path.read_text(encoding="utf-8") == "a,b\n1,0.5\n2,\n3,1.5\n"
+    with pytest.raises(ValueError):
+        _write_csv(path, ["a", "b"], [(1, 0.5), (2, -math.inf)])
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +559,59 @@ def test_converge_trace_csv_layout(tmp_path):
     first = [line.split(",") for line in lines[1:]]
     assert {row[0] for row in first} == {"0", "1"}
     assert all(len(row) == len(TRACE_HEADER) for row in first)
+
+
+def _capacity_series_per_switch(cfg):
+    """capacity.csv text of a converge run, one capacity computed after
+    each switch."""
+    top, _ = _build_topology(cfg)
+    s, n0 = link_powers(top, cfg.signal_power, cfg.noise_power)
+    rows = []
+    for k in range(cfg.replicas):
+        records, initial, _, _ = _converge_one(cfg, top, cfg.base_seed + k)
+        cache = InterferenceCache(top, initial)
+        cap = float(np.mean(link_capacity(
+            cache.own_band_interference(), s, n0)))
+        rows.append((k, 0, 0.0, cap))
+        for e, rec in enumerate(records, 1):
+            if rec.switched:
+                cache.set_band(rec.cluster, rec.new_band)
+                cap = float(np.mean(link_capacity(
+                    cache.own_band_interference(), s, n0)))
+            rows.append((k, e, rec.time, cap))
+    return "replica,event_index,time,normalized_capacity\n" + "".join(
+        ",".join(_csv_cell(c) for c in row) + "\n" for row in rows)
+
+
+@st.composite
+def _small_converge_docs(draw):
+    kind = draw(st.sampled_from(["ula", "rect", "hex"]))
+    if kind == "ula":
+        topology = {"kind": kind, "n": draw(st.integers(2, 10)), "d": 1.0}
+    else:
+        topology = {"kind": kind, "rows": draw(st.integers(1, 3)),
+                    "cols": draw(st.integers(2, 3)), "d": 1.0}
+    return _tiny_doc(
+        topology=topology, bands=draw(st.integers(2, 3)),
+        eta=draw(st.sampled_from([2.0, 3.0, 4.0])),
+        base_seed=draw(st.integers(0, 2 ** 32 - 1)), replicas=2,
+        initial_assignment=draw(st.sampled_from(
+            ["all_band_one", "uniform_random"])),
+        scheduler={"kind": draw(st.sampled_from(["permutation", "poisson"])),
+                   "delta_t": 0.05},
+        link={"noise_power": draw(st.sampled_from([0.01, 0.1, 1.0]))},
+        output={"prefix": "t", "write_trace": False,
+                "write_capacity_series": True})
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_small_converge_docs())
+def test_capacity_series_matches_a_per_switch_loop(tmp_path, doc):
+    cfg = parse_config(doc)
+    run_experiment(cfg, out_dir=str(tmp_path))
+    text = (tmp_path / "t_capacity.csv").read_text(encoding="utf-8")
+    assert text == _capacity_series_per_switch(cfg)
 
 
 def _workload_configs():
