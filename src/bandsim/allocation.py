@@ -49,9 +49,8 @@ class SchedulingError(RuntimeError):
 
 @dataclass(slots=True)
 class UpdateRecord:
-    """One applied update: who moved where and the potential before/after."""
+    """One event: who moved where and the potential before/after."""
 
-    epoch: int
     time: float
     cluster: int
     old_band: int
@@ -88,9 +87,7 @@ def apply_update(cache: InterferenceCache, i: int) -> UpdateRecord:
     old = int(cache.bands[i])
     new = best_band(cache, i)
     cache.set_band(i, new)
-    cache.epoch += 1
-    return UpdateRecord(cache.epoch, cache.time, i, old, new, before,
-                        cache.aggregate())
+    return UpdateRecord(cache.time, i, old, new, before, cache.aggregate())
 
 
 @dataclass
@@ -150,10 +147,11 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
                        ) -> tuple[InterferenceCache, list[UpdateRecord]]:
     """Run updates under a fixed activity pattern until no cluster moves.
 
-    Permutation scheduling converges when a full round applies zero
-    switches; Poisson scheduling when 2 * n_active consecutive events apply
-    none (each event hits any given cluster with chance 1/n_active, so a full
-    coverage cannot be certified by a single round).  Raises
+    Both schedulers stop on a streak of events that apply no switch:
+    permutation scheduling when a streak of n_active ends on a round
+    boundary, that is, a full round applied none; Poisson scheduling after
+    2 * n_active (each event hits any given cluster with chance 1/n_active,
+    so a full coverage cannot be certified by a single round).  Raises
     ConvergenceError beyond max_updates (default 10*N^(eta+2)).
     """
     if scheduler is None:
@@ -166,9 +164,8 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
         max_updates = default_update_guard(cache.n, cache.topology.eta)
 
     round_based = isinstance(scheduler, RandomPermutationRounds)
-    switches_in_round = 0
+    quiet_needed = n_active if round_based else 2 * n_active
     quiet_streak = 0
-    quiet_needed = 2 * n_active
     while True:
         if len(trace) >= max_updates:
             raise ConvergenceError(
@@ -178,15 +175,8 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
         cache.time += dt
         rec = apply_update(cache, i)
         trace.append(rec)
-        if round_based:
-            if rec.switched:
-                switches_in_round += 1
-            if scheduler.at_round_boundary():
-                if switches_in_round == 0:
-                    break
-                switches_in_round = 0
-        else:
-            quiet_streak = 0 if rec.switched else quiet_streak + 1
-            if quiet_streak >= quiet_needed:
-                break
+        quiet_streak = 0 if rec.switched else quiet_streak + 1
+        if quiet_streak >= quiet_needed and (
+                not round_based or scheduler.at_round_boundary()):
+            break
     return cache, trace

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import apply_update
+from .allocation import UpdateRecord, apply_update
 from .interference import Assignment, InterferenceCache, all_band_one
 from .topology import Topology
 
@@ -35,6 +35,7 @@ __all__ = [
     "StatisticsError",
     "SteadyStateStats",
     "replica_streams",
+    "replica_trace",
     "time_scale",
     "lambda_from_alpha",
     "stability_margin",
@@ -180,13 +181,9 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
     cache = InterferenceCache(top, asg, rng=sched_rng)
     n = top.n
     one_minus_alpha = 1.0 - cfg.alpha
-
-    times = [0.0]
-    aggregates = [cache.aggregate()]
+    a0 = cache.aggregate()
+    records = []
     active_counts = [n]
-    clusters = [-1]
-    old_bands = [0]
-    new_bands = [0]
 
     t = 0.0
     while True:
@@ -199,28 +196,32 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
             cache.toggle_active(
                 np.flatnonzero(act_rng.random(n) < one_minus_alpha))
         i = cache.pick_active()
-        if i >= 0:
-            rec = apply_update(cache, i)
-            clusters.append(rec.cluster)
-            old_bands.append(rec.old_band)
-            new_bands.append(rec.new_band)
-            aggregates.append(rec.aggregate_after)
-        else:
-            cache.epoch += 1
-            clusters.append(-1)
-            old_bands.append(0)
-            new_bands.append(0)
-            aggregates.append(0.0)
-        times.append(t)
+        records.append(apply_update(cache, i) if i >= 0
+                       else UpdateRecord(t, -1, 0, 0, 0.0, 0.0))
         active_counts.append(cache.active_indices().size)
 
-    return SimTrace(times=np.asarray(times), aggregates=np.asarray(aggregates),
-                    active_counts=np.asarray(active_counts, dtype=float),
-                    n=n, delta_t=cfg.delta_t,
-                    clusters=np.asarray(clusters, dtype=np.int64),
-                    old_bands=np.asarray(old_bands, dtype=np.int64),
-                    new_bands=np.asarray(new_bands, dtype=np.int64),
-                    final_bands=cache.bands.copy(), seed=seed)
+    return replica_trace(records, a0, active_counts, n, cfg.delta_t,
+                         final_bands=cache.bands.copy(), seed=seed)
+
+
+def replica_trace(records: list[UpdateRecord], a0: float, active_counts,
+                  n: int, delta_t: float, **fields) -> SimTrace:
+    """SimTrace of one replica's events: a snapshot row at t=0 (aggregate
+    a0, cluster -1, bands 0), then one row per record.  active_counts holds
+    one count per row, the snapshot's first; `fields` go to SimTrace as
+    they are."""
+    return SimTrace(
+        times=np.array([0.0] + [rec.time for rec in records]),
+        aggregates=np.array([a0] + [rec.aggregate_after for rec in records]),
+        active_counts=np.asarray(active_counts, dtype=float),
+        n=n, delta_t=delta_t,
+        clusters=np.array([-1] + [rec.cluster for rec in records],
+                          dtype=np.int64),
+        old_bands=np.array([0] + [rec.old_band for rec in records],
+                           dtype=np.int64),
+        new_bands=np.array([0] + [rec.new_band for rec in records],
+                           dtype=np.int64),
+        **fields)
 
 
 def run_ensemble(top: Topology, cfg: DynamicsConfig, r: int,

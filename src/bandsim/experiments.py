@@ -28,10 +28,10 @@ from . import __version__
 from .allocation import (PoissonClock, RandomPermutationRounds,
                          run_to_convergence)
 from .dynamics import (DEFAULT_RHO, FIT_FLOOR, NEAR_EQUILIBRIUM_RATE,
-                       DynamicsConfig, ensemble_mean_trace,
+                       DynamicsConfig, SimTrace, ensemble_mean_trace,
                        fit_exponential_decay, lambda_from_alpha,
-                       predicted_variance, run_ensemble, stability_margin,
-                       steady_state_stats, time_scale)
+                       predicted_variance, replica_trace, run_ensemble,
+                       stability_margin, steady_state_stats, time_scale)
 from .interference import (Assignment, InterferenceCache, all_band_one,
                            uniform_random_assignment,
                            worst_case_interference)
@@ -208,7 +208,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         if text is None:
             text = "\n".join(",".join(_csv_cell(c) for c in row) for row in run)
         parts.append(text)
-    _write_text(path, "\n".join(parts) + "\n")
+    # part by part: a joined copy of a large trace would double its memory
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for part in parts:
+            fh.write(part)
+            fh.write("\n")
 
 
 def config_hash(resolved: dict) -> str:
@@ -709,7 +713,9 @@ def _build_topology(cfg: ExperimentConfig, size=None) -> tuple[Topology, tuple |
         return make_uniform_linear_array(n, p["d"], cfg.p0, cfg.eta), None
     if kind == "random_linear":
         n = size if size is not None else p["n"]
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.base_seed))
+        # a stream of its own: replica seeds start at base_seed itself
+        rng = np.random.default_rng(
+            np.random.SeedSequence((cfg.base_seed, 2)))
         try:
             return make_random_linear_array(n, p["d"], p["min_sep"], rng,
                                             cfg.p0, cfg.eta), None
@@ -777,25 +783,25 @@ def _converge_one(cfg: ExperimentConfig, top: Topology, seed: int):
     return records, initial, cache.assignment(), a0
 
 
-def _capacity_rows(k: int, top: Topology, initial: Assignment, records,
-                   s: float, n0: float):
+def _capacity_rows(k: int, top: Topology, initial: Assignment,
+                   tr: SimTrace, s: float, n0: float):
     """Capacity series rows (replica k, event index, time, mean capacity),
-    one at the start and one per event.  The switches are replayed from
+    one per row of the trace `tr`.  Its switches are replayed from
     `initial` and the capacity of each distinct state is computed in one
     batch."""
     cache = InterferenceCache(top, initial)
+    switched = tr.new_bands != tr.old_bands
     levels = [cache.own_band_interference()]
-    state = [0]  # per row, the index in levels of the state after it
-    for rec in records:
-        if rec.switched:
-            cache.set_band(rec.cluster, rec.new_band)
-            levels.append(cache.own_band_interference())
-        state.append(len(levels) - 1)
+    for i, band in zip(tr.clusters[switched].tolist(),
+                       tr.new_bands[switched].tolist()):
+        cache.set_band(i, band)
+        levels.append(cache.own_band_interference())
     # every cluster is active, so the mean runs over all of them
-    caps = link_capacity(np.array(levels), s, n0).mean(axis=1)
-    times = [0.0] + [rec.time for rec in records]
-    return zip(itertools.repeat(k), itertools.count(), times,
-               caps[state].tolist())
+    caps = link_capacity(np.array(levels), s, n0).mean(axis=1).tolist()
+    # per row, the index in levels of the state after it
+    state = np.cumsum(switched).tolist()
+    return zip(itertools.repeat(k), itertools.count(), tr.times.tolist(),
+               [caps[j] for j in state])
 
 
 def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
@@ -808,20 +814,19 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     for k in range(cfg.replicas):
         seed = cfg.base_seed + k
         records, initial, final, a0 = _converge_one(cfg, top, seed)
+        tr = replica_trace(records, a0, [top.n] * (len(records) + 1), top.n,
+                           cfg.delta_t, seed=seed)
         if cfg.write_trace:
-            trace_rows.append((k, 0, 0.0, -1, 0, 0, a0, top.n))
-            for e, rec in enumerate(records, 1):
-                trace_rows.append((k, e, rec.time, rec.cluster, rec.old_band,
-                                   rec.new_band, rec.aggregate_after, top.n))
+            trace_rows.extend(_trace_rows(tr, cfg.base_seed))
         if cfg.write_capacity_series:
-            cap_rows.extend(_capacity_rows(k, top, initial, records, s, n0))
+            cap_rows.extend(_capacity_rows(k, top, initial, tr, s, n0))
         brep, scores = _score(ref, link, final)
         reports.append(brep)
         detail.append({
             "replica": k,
             "seed": seed,
-            "updates": len(records),
-            "switches": sum(1 for rec in records if rec.switched),
+            "updates": tr.events,
+            "switches": int(np.count_nonzero(tr.new_bands != tr.old_bands)),
             "final_aggregate": brep.i_a,
             "final_normalized": brep.i_a / top.n,
             "ratio_aw": brep.ratio_aw,
@@ -956,16 +961,14 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     return RunResult(out_dir, files, summary)
 
 
-def _trace_rows_from_sim(traces) -> list:
-    rows = []
-    for k, tr in enumerate(traces):
-        # active_counts is a float array holding whole numbers
-        rows.extend(zip(itertools.repeat(k), itertools.count(),
-                        tr.times.tolist(), tr.clusters.tolist(),
-                        tr.old_bands.tolist(), tr.new_bands.tolist(),
-                        tr.aggregates.tolist(),
-                        tr.active_counts.astype(np.int64).tolist()))
-    return rows
+def _trace_rows(tr: SimTrace, base_seed: int):
+    """trace.csv rows of one replica's trace, whose replica number is its
+    seed less base_seed."""
+    # active_counts is a float array holding whole numbers
+    return zip(itertools.repeat(tr.seed - base_seed), itertools.count(),
+               tr.times.tolist(), tr.clusters.tolist(), tr.old_bands.tolist(),
+               tr.new_bands.tolist(), tr.aggregates.tolist(),
+               tr.active_counts.astype(np.int64).tolist())
 
 
 def _run_relaxation(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
@@ -995,7 +998,8 @@ def _run_relaxation(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     )
     files = _emit(cfg, out_dir, summary, [
         ("trace.csv", TRACE_HEADER,
-         _trace_rows_from_sim(traces) if cfg.write_trace else None),
+         [row for tr in traces for row in _trace_rows(tr, cfg.base_seed)]
+         if cfg.write_trace else None),
         ("decay.csv", ["time", "mean_aggregate", "mean_normalized",
                        "bracket", "model_bracket"], decay_rows)])
     return RunResult(out_dir, files, summary)
@@ -1024,7 +1028,7 @@ def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     init_cache, _ = run_to_convergence(init_cache, PoissonClock(cfg.delta_t))
     init = init_cache.assignment()
     points = []
-    all_trace_rows = []
+    trace_rows = []
     for qi, q in enumerate(cfg.rates):
         alpha = 1.0 - q
         dyn = DynamicsConfig(delta_t=cfg.delta_t, horizon=cfg.horizon,
@@ -1032,7 +1036,8 @@ def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         seed = cfg.base_seed + qi * cfg.replicas
         traces = run_ensemble(top, dyn, cfg.bands, seed, initial=init)
         if cfg.write_trace:
-            all_trace_rows.extend(_trace_rows_from_sim(traces))
+            for tr in traces:
+                trace_rows.extend(_trace_rows(tr, cfg.base_seed))
         stats = steady_state_stats(traces, warmup)
         lam = lambda_from_alpha(alpha, top.n, tau)
         pred = predicted_variance(stats.mean, lam, tau, top.n, cfg.rho)
@@ -1071,7 +1076,7 @@ def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
               "ratio_emp_over_pred", "mean_level", "within"]
     files = _emit(cfg, out_dir, summary, [
         ("trace.csv", TRACE_HEADER,
-         all_trace_rows if cfg.write_trace else None),
+         trace_rows if cfg.write_trace else None),
         ("variance.csv", header, [[pt[h] for h in header] for pt in points])])
     return RunResult(out_dir, files, summary)
 

@@ -145,8 +145,8 @@ def worst_case_interference(top: Topology, act: ActivityState | None = None) -> 
 
 class InterferenceCache:
     """Mutable state of one replica: bands, activity, per-cluster per-band
-    interference sums with O(N) event updates, the scheduling stream rng,
-    the clock time and the update counter epoch.
+    interference sums with O(N) event updates, the scheduling stream rng
+    and the clock time.
 
     _band_power[j, k] is the power cluster j would receive on band k+1 from
     the currently active transmitters (excluding j itself, whose weight to
@@ -170,7 +170,6 @@ class InterferenceCache:
         self.bands = asg.bands.copy()
         self.active = act.active.copy()
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.epoch = 0
         self.time = 0.0
         self.weights = weight_matrix(top)
         self._band_power = np.zeros((top.n, asg.r))

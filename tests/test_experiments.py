@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 import math
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bandsim import oracle
+from bandsim import experiments, oracle
 from bandsim.cli import main
+from bandsim.dynamics import replica_streams
 from bandsim.experiments import (EXPERIMENTS, OUTPUT_DIR_ENV, PRESET_NAMES,
                                  TRACE_HEADER, ConfigError, config_hash,
                                  dumps_canonical, load_config, parse_config,
@@ -18,7 +20,8 @@ from bandsim.experiments import (EXPERIMENTS, OUTPUT_DIR_ENV, PRESET_NAMES,
                                  _write_csv)
 from bandsim.interference import InterferenceCache, worst_case_interference
 from bandsim.metrics import link_capacity, link_powers
-from bandsim.topology import make_uniform_linear_array
+from bandsim.topology import (make_random_linear_array,
+                              make_uniform_linear_array)
 
 
 def _tiny_doc(**over):
@@ -612,6 +615,82 @@ def test_capacity_series_matches_a_per_switch_loop(tmp_path, doc):
     run_experiment(cfg, out_dir=str(tmp_path))
     text = (tmp_path / "t_capacity.csv").read_text(encoding="utf-8")
     assert text == _capacity_series_per_switch(cfg)
+
+
+def _trace_per_record(cfg):
+    """trace.csv text of a converge run, one row written per record."""
+    top, _ = _build_topology(cfg)
+    rows = []
+    for k in range(cfg.replicas):
+        records, _, _, a0 = _converge_one(cfg, top, cfg.base_seed + k)
+        rows.append((k, 0, 0.0, -1, 0, 0, a0, top.n))
+        for e, rec in enumerate(records, 1):
+            rows.append((k, e, rec.time, rec.cluster, rec.old_band,
+                         rec.new_band, rec.aggregate_after, top.n))
+    return ",".join(TRACE_HEADER) + "\n" + "".join(
+        ",".join(_csv_cell(c) for c in row) + "\n" for row in rows)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_small_converge_docs())
+def test_converge_trace_matches_a_per_record_writer(tmp_path, doc):
+    doc["output"].update(write_trace=True, write_capacity_series=False)
+    cfg = parse_config(doc)
+    run_experiment(cfg, out_dir=str(tmp_path))
+    text = (tmp_path / "t_trace.csv").read_text(encoding="utf-8")
+    assert text == _trace_per_record(cfg)
+
+
+def test_variance_trace_numbers_replicas_across_rates(tmp_path):
+    doc = _tiny_doc(experiment="variance", horizon=1.0, warmup=0.2,
+                    rates=[0.001, 0.01, 0.05],
+                    topology={"kind": "ula", "n": 6, "d": 1.0},
+                    scheduler={"kind": "poisson", "delta_t": 0.05},
+                    output={"prefix": "v", "write_trace": True})
+    doc["replicas"] = 3
+    cfg = parse_config(doc)
+    result = run_experiment(cfg, out_dir=str(tmp_path))
+    lines = (tmp_path / "v_trace.csv").read_text().splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    keys = [(int(row[0]), int(row[1])) for row in rows]
+    assert len(set(keys)) == len(keys)
+    assert sorted({rid for rid, _ in keys}) == list(range(9))
+    first_time = {int(row[0]): float(row[2]) for row in rows
+                  if row[1] == "1"}
+    for rid in range(9):
+        point = result.summary["points"][rid // 3]
+        seed = point["base_seed"] + rid % 3
+        assert seed == cfg.base_seed + rid
+        # the replica's first event time is the first gap of its own stream
+        sched, _ = replica_streams(seed)
+        assert first_time[rid] == float(sched.exponential(0.05))
+
+
+def test_random_linear_placement_has_a_stream_of_its_own(tmp_path,
+                                                         monkeypatch):
+    placed = []
+
+    def capture(n, d, min_sep, rng, *args):
+        placed.append(copy.deepcopy(rng))
+        return make_random_linear_array(n, d, min_sep, rng, *args)
+
+    monkeypatch.setattr(experiments, "make_random_linear_array", capture)
+    topology = {"kind": "random_linear", "n": 8, "d": 1.0, "min_sep": 0.2}
+    converge = _tiny_doc(topology=topology, replicas=3,
+                         output={"prefix": "c"})
+    sweep = _tiny_doc(experiment="sweep", replicas=3,
+                      topology={k: v for k, v in topology.items()
+                                if k != "n"},
+                      sweep={"sizes": [6, 8]}, output={"prefix": "s"})
+    for doc, seeds in ((converge, range(7, 10)), (sweep, range(7, 13))):
+        placed.clear()
+        run_experiment(parse_config(doc), out_dir=str(tmp_path))
+        assert placed
+        replica_draws = {np.random.default_rng(np.random.SeedSequence(s))
+                         .random() for s in seeds}
+        for rng in placed:
+            assert rng.random() not in replica_draws
 
 
 def _workload_configs():
