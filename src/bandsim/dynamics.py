@@ -90,13 +90,10 @@ class DynamicsConfig:
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
 
-    def tau(self, n: int) -> float:
-        return time_scale(n, self.delta_t)
-
 
 @dataclass
 class SimTrace:
-    """Aggregate-interference time series of one replica (or ensemble mean).
+    """Aggregate-interference time series of one replica.
 
     Event rows: times[0] = 0 is the initial snapshot (cluster -1, bands 0);
     later rows record (post-event aggregate, active count) per event.  A
@@ -113,10 +110,6 @@ class SimTrace:
     new_bands: np.ndarray | None = None
     final_bands: np.ndarray | None = None
     seed: int | None = None
-
-    @property
-    def tau(self) -> float:
-        return time_scale(self.n, self.delta_t)
 
     @property
     def events(self) -> int:
@@ -213,7 +206,7 @@ def replica_trace(records: list[UpdateRecord], a0: float, active_counts,
     return SimTrace(
         times=np.array([0.0] + [rec.time for rec in records]),
         aggregates=np.array([a0] + [rec.aggregate_after for rec in records]),
-        active_counts=np.asarray(active_counts, dtype=float),
+        active_counts=np.asarray(active_counts, dtype=np.int64),
         n=n, delta_t=delta_t,
         clusters=np.array([-1] + [rec.cluster for rec in records],
                           dtype=np.int64),
@@ -241,27 +234,18 @@ def sample_on_grid(trace: SimTrace, grid: np.ndarray) -> np.ndarray:
     return trace.aggregates[pos]
 
 
-def _active_on_grid(trace: SimTrace, grid: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(trace.times, np.asarray(grid, dtype=float),
-                          side="right") - 1
-    return trace.active_counts[pos]
-
-
-def ensemble_mean_trace(traces: list[SimTrace], grid: np.ndarray) -> SimTrace:
-    """Mean aggregate and active count over replicas on a common time grid."""
+def ensemble_mean_trace(traces: list[SimTrace],
+                        grid: np.ndarray) -> np.ndarray:
+    """Mean aggregate over replicas at the times of a common grid."""
     if not traces:
         raise ValueError("empty ensemble")
-    grid = np.asarray(grid, dtype=float)
-    agg = np.mean([sample_on_grid(tr, grid) for tr in traces], axis=0)
-    act = np.mean([_active_on_grid(tr, grid) for tr in traces], axis=0)
-    first = traces[0]
-    return SimTrace(times=grid, aggregates=agg, active_counts=act,
-                    n=first.n, delta_t=first.delta_t)
+    return np.mean([sample_on_grid(tr, grid) for tr in traces], axis=0)
 
 
-def fit_exponential_decay(ensemble_mean: SimTrace, i_a: float,
-                          i_w: float) -> float:
-    """Relaxation-rate estimate rho_hat from an alpha=1 ensemble mean.
+def fit_exponential_decay(times: np.ndarray, mean: np.ndarray, i_a: float,
+                          i_w: float, tau: float) -> float:
+    """Relaxation-rate estimate rho_hat from an alpha=1 ensemble mean
+    aggregate `mean` sampled at `times`.
 
     Least-squares line through log((mean(t) - i_a)/(i_w - i_a)) on the
     initial stretch where that bracket exceeds FIT_FLOOR; the slope is
@@ -269,16 +253,15 @@ def fit_exponential_decay(ensemble_mean: SimTrace, i_a: float,
     """
     if not (i_w > i_a):
         raise FitError(f"need i_w > i_a, got i_w={i_w}, i_a={i_a}")
-    bracket = (ensemble_mean.aggregates - i_a) / (i_w - i_a)
+    bracket = (mean - i_a) / (i_w - i_a)
     below = np.flatnonzero(bracket <= FIT_FLOOR)
     stop = below[0] if below.size else bracket.size
     if stop < 2:
         raise FitError(
             "degenerate trace: bracket is below the fit floor from the start")
-    t = ensemble_mean.times[:stop]
     y = np.log(bracket[:stop])
-    slope = np.polyfit(t, y, 1)[0]
-    return float(-slope * ensemble_mean.tau)
+    slope = np.polyfit(times[:stop], y, 1)[0]
+    return float(-slope * tau)
 
 
 def predicted_variance(i_a: float, lam: float, tau: float, n: int,

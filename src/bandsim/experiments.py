@@ -185,34 +185,41 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write header and rows, each cell as _csv_cell writes it.
+# rows per block of _write_csv; larger blocks wrote slower, smaller ones
+# no faster (measured on a 200k-row trace table)
+_CSV_BLOCK = 4096
 
-    A run of consecutive rows whose cells are all plain int or float, with
-    the same type at each position, is formatted by one %-operation; '%d'
-    and '%.17g' are str(int) and _format_float for those types.  Any other
-    row, and any run whose text shows a non-finite float, goes through
-    _csv_cell.
+
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Write header and one row per position of the equal-length columns,
+    each cell as _csv_cell writes it, _CSV_BLOCK rows at a time.
+
+    When every column is an int or float numpy array, a block is formatted
+    by one %-operation; '%d' and '%.17g' are str(int) and _format_float for
+    those cells.  Any other table, and any block whose text shows a
+    non-finite float, goes through _csv_cell.
     """
-    parts = [",".join(header)]
-    runs = itertools.groupby(rows, lambda row: tuple(map(type, row)))
-    for types, run in runs:
-        run = list(run)
-        text = None
-        if all(t is int or t is float for t in types):
-            fmt = ",".join("%d" if t is int else "%.17g" for t in types)
-            text = "\n".join([fmt] * len(run)) % tuple(
-                itertools.chain.from_iterable(run))
-            if "n" in text:  # only 'nan' and 'inf' hold the letter
-                text = None
-        if text is None:
-            text = "\n".join(",".join(_csv_cell(c) for c in row) for row in run)
-        parts.append(text)
-    # part by part: a joined copy of a large trace would double its memory
+    kinds = [col.dtype.kind if isinstance(col, np.ndarray) else "O"
+             for col in columns]
+    fmt = None
+    if all(kind in "iuf" for kind in kinds):
+        fmt = ",".join("%.17g" if kind == "f" else "%d" for kind in kinds)
+    size = len(columns[0]) if columns else 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for part in parts:
-            fh.write(part)
-            fh.write("\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, size, _CSV_BLOCK):
+            block = [col[start:start + _CSV_BLOCK] for col in columns]
+            text = None
+            if fmt is not None:
+                block = [col.tolist() for col in block]
+                text = "\n".join([fmt] * len(block[0])) % tuple(
+                    itertools.chain.from_iterable(zip(*block)))
+                if "n" in text:  # only 'nan' and 'inf' hold the letter
+                    text = None
+            if text is None:
+                text = "\n".join(",".join(map(_csv_cell, row))
+                                 for row in zip(*block))
+            fh.write(text + "\n")
 
 
 def config_hash(resolved: dict) -> str:
@@ -585,11 +592,11 @@ def validate_config(path) -> dict:
     """Structural + semantic validation without running; returns a report."""
     try:
         cfg = load_config(path)
-        if cfg.topology_kind == "random_linear":
-            # placement is random: only building the arrays shows it fits
-            for size in cfg.sweep_sizes or [None]:
-                _build_topology(cfg, size)
-        n_hint = _size_hint(cfg)
+        # only building a topology shows that a random placement fits and
+        # that the path-loss weights stay in the float range
+        for size in cfg.sweep_sizes or [None]:
+            top, _ = _build_topology(cfg, size)
+        n_hint = None if cfg.sweep_sizes else top.n
         tau = time_scale(n_hint, cfg.delta_t) if n_hint is not None else None
         warmup = (_variance_warmup(cfg, tau)
                   if tau is not None and cfg.experiment == "variance"
@@ -612,16 +619,6 @@ def validate_config(path) -> dict:
             })
     return {"valid": True, "errors": [], "warnings": cfg.warnings,
             "derived": derived}
-
-
-def _size_hint(cfg: ExperimentConfig) -> int | None:
-    p = cfg.topology_params
-    if cfg.topology_kind == "file":
-        return _load_file_topology(p["path"]).n
-    if "n" in p:
-        return p["n"]
-    rows, cols = p.get("rows"), p.get("cols")
-    return rows * cols if rows and cols else None
 
 
 def _load_file_topology(path: str) -> Topology:
@@ -705,27 +702,28 @@ class RunResult:
 
 
 def _build_topology(cfg: ExperimentConfig, size=None) -> tuple[Topology, tuple | None]:
-    """Topology plus (rows, cols) when a lattice (for the reuse reference)."""
+    """Topology plus (rows, cols) when a lattice (for the reuse reference);
+    a geometry that cannot be built is a ConfigError on topology."""
     p = cfg.topology_params
     kind = cfg.topology_kind
-    if kind == "ula":
-        n = size if size is not None else p["n"]
-        return make_uniform_linear_array(n, p["d"], cfg.p0, cfg.eta), None
-    if kind == "random_linear":
-        n = size if size is not None else p["n"]
-        # a stream of its own: replica seeds start at base_seed itself
-        rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.base_seed, 2)))
-        try:
+    try:
+        if kind == "ula":
+            n = size if size is not None else p["n"]
+            return make_uniform_linear_array(n, p["d"], cfg.p0, cfg.eta), None
+        if kind == "random_linear":
+            n = size if size is not None else p["n"]
+            # a stream of its own: replica seeds start at base_seed itself
+            rng = np.random.default_rng(
+                np.random.SeedSequence((cfg.base_seed, 2)))
             return make_random_linear_array(n, p["d"], p["min_sep"], rng,
                                             cfg.p0, cfg.eta), None
-        except TopologyError as exc:
-            raise ConfigError([f"topology: {exc}"]) from exc
-    if kind in ("rect", "hex"):
-        rows, cols = size if size is not None else (p["rows"], p["cols"])
-        maker = make_rectangular_lattice if kind == "rect" \
-            else make_hexagonal_lattice
-        return maker(rows, cols, p["d"], cfg.p0, cfg.eta), (rows, cols)
+        if kind in ("rect", "hex"):
+            rows, cols = size if size is not None else (p["rows"], p["cols"])
+            maker = make_rectangular_lattice if kind == "rect" \
+                else make_hexagonal_lattice
+            return maker(rows, cols, p["d"], cfg.p0, cfg.eta), (rows, cols)
+    except TopologyError as exc:
+        raise ConfigError([f"topology: {exc}"]) from exc
     if kind == "file":
         return _load_file_topology(p["path"]), None
     raise ValueError(f"unhandled topology kind {kind}")
@@ -783,12 +781,11 @@ def _converge_one(cfg: ExperimentConfig, top: Topology, seed: int):
     return records, initial, cache.assignment(), a0
 
 
-def _capacity_rows(k: int, top: Topology, initial: Assignment,
-                   tr: SimTrace, s: float, n0: float):
-    """Capacity series rows (replica k, event index, time, mean capacity),
-    one per row of the trace `tr`.  Its switches are replayed from
-    `initial` and the capacity of each distinct state is computed in one
-    batch."""
+def _capacity_series(top: Topology, initial: Assignment, tr: SimTrace,
+                     s: float, n0: float) -> np.ndarray:
+    """Mean link capacity after each row of the trace `tr`.  Its switches
+    are replayed from `initial` and the capacity of each distinct state is
+    computed in one batch."""
     cache = InterferenceCache(top, initial)
     switched = tr.new_bands != tr.old_bands
     levels = [cache.own_band_interference()]
@@ -797,18 +794,16 @@ def _capacity_rows(k: int, top: Topology, initial: Assignment,
         cache.set_band(i, band)
         levels.append(cache.own_band_interference())
     # every cluster is active, so the mean runs over all of them
-    caps = link_capacity(np.array(levels), s, n0).mean(axis=1).tolist()
+    caps = link_capacity(np.array(levels), s, n0).mean(axis=1)
     # per row, the index in levels of the state after it
-    state = np.cumsum(switched).tolist()
-    return zip(itertools.repeat(k), itertools.count(), tr.times.tolist(),
-               [caps[j] for j in state])
+    return caps[np.cumsum(switched)]
 
 
 def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     ref, link = _reference(cfg)
     top, (s, n0, ref_capacity) = ref.top, link
-    trace_rows = []
-    cap_rows = []
+    traces = []
+    caps = []
     detail = []
     reports = []
     for k in range(cfg.replicas):
@@ -816,10 +811,9 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         records, initial, final, a0 = _converge_one(cfg, top, seed)
         tr = replica_trace(records, a0, [top.n] * (len(records) + 1), top.n,
                            cfg.delta_t, seed=seed)
-        if cfg.write_trace:
-            trace_rows.extend(_trace_rows(tr, cfg.base_seed))
+        traces.append(tr)
         if cfg.write_capacity_series:
-            cap_rows.extend(_capacity_rows(k, top, initial, tr, s, n0))
+            caps.append(_capacity_series(top, initial, tr, s, n0))
         brep, scores = _score(ref, link, final)
         reports.append(brep)
         detail.append({
@@ -855,11 +849,13 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         link={"signal_power": s, "noise_power": n0},
         replicas_detail=detail,
     )
+    columns = _trace_columns(traces, cfg.base_seed)
     files = _emit(cfg, out_dir, summary, [
-        ("trace.csv", TRACE_HEADER, trace_rows if cfg.write_trace else None),
+        ("trace.csv", TRACE_HEADER, columns if cfg.write_trace else None),
         ("capacity.csv",
          ["replica", "event_index", "time", "normalized_capacity"],
-         cap_rows if cfg.write_capacity_series else None)])
+         [*columns[:3], np.concatenate(caps)]
+         if cfg.write_capacity_series else None)])
     return RunResult(out_dir, files, summary)
 
 
@@ -956,19 +952,20 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     header = ["n", "rows", "cols", "i_w_norm", "upper_norm", "ia_mean_norm",
               "ia_min_norm", "ia_max_norm", "ref_norm", "limit_norm",
               "db_gap_mean", "capacity_fraction_mean", "reference_kind"]
-    csv_rows = [[row[h] for h in header] for row in per_size]
-    files = _emit(cfg, out_dir, summary, [("sweep.csv", header, csv_rows)])
+    files = _emit(cfg, out_dir, summary, [
+        ("sweep.csv", header, [[row[h] for row in per_size] for h in header])])
     return RunResult(out_dir, files, summary)
 
 
-def _trace_rows(tr: SimTrace, base_seed: int):
-    """trace.csv rows of one replica's trace, whose replica number is its
-    seed less base_seed."""
-    # active_counts is a float array holding whole numbers
-    return zip(itertools.repeat(tr.seed - base_seed), itertools.count(),
-               tr.times.tolist(), tr.clusters.tolist(), tr.old_bands.tolist(),
-               tr.new_bands.tolist(), tr.aggregates.tolist(),
-               tr.active_counts.astype(np.int64).tolist())
+def _trace_columns(traces: list[SimTrace], base_seed: int) -> list:
+    """trace.csv columns of the replicas' traces in order; a replica's
+    number is its seed less base_seed."""
+    sizes = [tr.times.size for tr in traces]
+    return [np.repeat([tr.seed - base_seed for tr in traces], sizes),
+            np.concatenate([np.arange(size) for size in sizes]),
+            *(np.concatenate([getattr(tr, name) for tr in traces])
+              for name in ("times", "clusters", "old_bands", "new_bands",
+                           "aggregates", "active_counts"))]
 
 
 def _run_relaxation(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
@@ -979,13 +976,11 @@ def _run_relaxation(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     i_w = worst_case_interference(top)
     i_a = float(np.mean([tr.aggregates[-1] for tr in traces]))
     grid = np.arange(0.0, cfg.horizon, cfg.delta_t)
-    mean_trace = ensemble_mean_trace(traces, grid)
-    rho_hat = fit_exponential_decay(mean_trace, i_a, i_w)
-    tau = dyn.tau(top.n)
-    bracket = (mean_trace.aggregates - i_a) / (i_w - i_a)
+    tau = time_scale(top.n, cfg.delta_t)
+    mean = ensemble_mean_trace(traces, grid)
+    rho_hat = fit_exponential_decay(grid, mean, i_a, i_w, tau)
+    bracket = (mean - i_a) / (i_w - i_a)
     model = np.exp(-cfg.rho * grid / tau)
-    decay_rows = list(zip(grid, mean_trace.aggregates,
-                          mean_trace.aggregates / top.n, bracket, model))
     summary = _summary(
         cfg, top,
         tau=tau,
@@ -998,10 +993,10 @@ def _run_relaxation(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     )
     files = _emit(cfg, out_dir, summary, [
         ("trace.csv", TRACE_HEADER,
-         [row for tr in traces for row in _trace_rows(tr, cfg.base_seed)]
-         if cfg.write_trace else None),
+         _trace_columns(traces, cfg.base_seed) if cfg.write_trace else None),
         ("decay.csv", ["time", "mean_aggregate", "mean_normalized",
-                       "bracket", "model_bracket"], decay_rows)])
+                       "bracket", "model_bracket"],
+         [grid, mean, mean / top.n, bracket, model])])
     return RunResult(out_dir, files, summary)
 
 
@@ -1028,7 +1023,7 @@ def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     init_cache, _ = run_to_convergence(init_cache, PoissonClock(cfg.delta_t))
     init = init_cache.assignment()
     points = []
-    trace_rows = []
+    kept = []
     for qi, q in enumerate(cfg.rates):
         alpha = 1.0 - q
         dyn = DynamicsConfig(delta_t=cfg.delta_t, horizon=cfg.horizon,
@@ -1036,8 +1031,7 @@ def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         seed = cfg.base_seed + qi * cfg.replicas
         traces = run_ensemble(top, dyn, cfg.bands, seed, initial=init)
         if cfg.write_trace:
-            for tr in traces:
-                trace_rows.extend(_trace_rows(tr, cfg.base_seed))
+            kept.extend(traces)
         stats = steady_state_stats(traces, warmup)
         lam = lambda_from_alpha(alpha, top.n, tau)
         pred = predicted_variance(stats.mean, lam, tau, top.n, cfg.rho)
@@ -1076,8 +1070,8 @@ def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
               "ratio_emp_over_pred", "mean_level", "within"]
     files = _emit(cfg, out_dir, summary, [
         ("trace.csv", TRACE_HEADER,
-         trace_rows if cfg.write_trace else None),
-        ("variance.csv", header, [[pt[h] for h in header] for pt in points])])
+         _trace_columns(kept, cfg.base_seed) if cfg.write_trace else None),
+        ("variance.csv", header, [[pt[h] for pt in points] for h in header])])
     return RunResult(out_dir, files, summary)
 
 
@@ -1088,16 +1082,16 @@ TRACE_HEADER = ["replica", "event_index", "time", "cluster", "old_band",
 def _emit(cfg: ExperimentConfig, out_dir: Path, summary: dict,
           tables: list) -> list[Path]:
     """Write <prefix>_config.json, <prefix>_summary.json and one CSV per
-    (suffix, header, rows) table whose rows are not None; returns the paths
-    in that order."""
+    (suffix, header, columns) table whose columns are not None; returns the
+    paths in that order."""
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = [t for t in tables if t[2] is not None]
     files = [out_dir / f"{cfg.prefix}_{suffix}" for suffix in
              ("config.json", "summary.json", *(t[0] for t in tables))]
     _write_json(files[0], cfg.resolved)
     _write_json(files[1], summary)
-    for path, (_, header, rows) in zip(files[2:], tables):
-        _write_csv(path, header, rows)
+    for path, (_, header, columns) in zip(files[2:], tables):
+        _write_csv(path, header, columns)
     return files
 
 

@@ -47,8 +47,9 @@ class Topology:
     eta       : path-loss exponent, >= 1
     min_sep   : smallest pairwise distance (inf for a single cluster)
 
-    The path-loss weight matrix is derived from these on first use and
-    kept with the topology (see ``weights``).
+    The path-loss weight matrix is derived from these when the topology is
+    built, checked to stay in the float range, and kept with it (see
+    ``weights``).
     """
 
     positions: np.ndarray
@@ -106,7 +107,18 @@ def _build(positions: np.ndarray, p0: float, eta: float,
         raise TopologyError("coincident clusters (zero pairwise distance)")
     positions.setflags(write=False)
     dist.setflags(write=False)
-    return Topology(positions, dist, float(p0), float(eta), min_sep)
+    top = Topology(positions, dist, float(p0), float(eta), min_sep)
+    # every aggregate is a partial sum of the weights: a finite total keeps
+    # them all finite, and a positive farthest weight keeps each pair in
+    with np.errstate(over="ignore", divide="ignore"):
+        if off_diag.size and not (p0 / off_diag.max() ** eta > 0):
+            raise TopologyError(
+                f"path-loss weight p0/dist**eta underflows to 0 at the "
+                f"largest distance {float(off_diag.max())}")
+        if not np.isfinite(top.weights.sum()):
+            raise TopologyError(
+                "path-loss weights p0/dist**eta sum beyond the float range")
+    return top
 
 
 def topology_from_positions(positions, p0: float = 1.0, eta: float = 2.0) -> Topology:

@@ -8,7 +8,7 @@ from bandsim.dynamics import (DynamicsConfig, FitError, SimTrace,
                               predicted_variance, replica_streams,
                               run_ensemble, sample_on_grid,
                               simulate_time_varying, stability_margin,
-                              steady_state_stats)
+                              steady_state_stats, time_scale)
 from bandsim.interference import (InterferenceCache, aggregate_interference,
                                   all_band_one, uniform_random_assignment)
 from bandsim.topology import make_uniform_linear_array
@@ -17,7 +17,7 @@ from bandsim.topology import make_uniform_linear_array
 def _flat_trace(level: float, t_end: float = 10.0, n: int = 1) -> SimTrace:
     return SimTrace(times=np.array([0.0, t_end]),
                     aggregates=np.array([level, level]),
-                    active_counts=np.array([float(n), float(n)]),
+                    active_counts=np.array([n, n]),
                     n=n, delta_t=1.0)
 
 
@@ -31,7 +31,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DynamicsConfig(delta_t=0.1, horizon=1.0, replicas=0)
     cfg = DynamicsConfig(delta_t=0.01, horizon=2.0)
-    assert cfg.tau(100) == pytest.approx(1.0)
+    assert time_scale(100, cfg.delta_t) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("horizon", [float("inf"), float("nan")])
@@ -100,7 +100,8 @@ def test_simulate_trace_shape_and_snapshot():
     assert tr.old_bands[0] == 0 and tr.new_bands[0] == 0
     assert tr.active_counts[0] == 10
     assert tr.n == 10
-    assert tr.tau == pytest.approx(0.5)
+    assert time_scale(tr.n, tr.delta_t) == pytest.approx(0.5)
+    assert tr.active_counts.dtype == np.int64
     assert tr.events == tr.times.size - 1
     assert tr.times[-1] <= 2.0
     assert np.all(np.diff(tr.times) > 0)
@@ -241,9 +242,8 @@ def test_ensemble_mean_trace():
     a = _flat_trace(2.0)
     b = _flat_trace(4.0)
     grid = np.arange(0.0, 10.0, 1.0)
-    mean = ensemble_mean_trace([a, b], grid)
-    assert mean.aggregates == pytest.approx(np.full(10, 3.0))
-    assert mean.n == 1 and mean.delta_t == 1.0
+    assert ensemble_mean_trace([a, b], grid) == pytest.approx(
+        np.full(10, 3.0))
     with pytest.raises(ValueError):
         ensemble_mean_trace([], grid)
 
@@ -263,9 +263,9 @@ def test_fit_recovers_exact_exponential():
     # mean(t) = i_a + (i_w - i_a) e^(-rho t / tau), tau = 1
     rho, i_a, i_w = 2.5, 10.0, 100.0
     t = np.linspace(0.0, 5.0, 501)
-    tr = SimTrace(times=t, aggregates=i_a + (i_w - i_a) * np.exp(-rho * t),
-                  active_counts=np.full_like(t, 10.0), n=10, delta_t=0.1)
-    assert fit_exponential_decay(tr, i_a, i_w) == pytest.approx(rho, abs=1e-6)
+    mean = i_a + (i_w - i_a) * np.exp(-rho * t)
+    assert fit_exponential_decay(t, mean, i_a, i_w, 1.0) == pytest.approx(
+        rho, abs=1e-6)
 
 
 def test_fit_uses_only_the_early_bracket():
@@ -275,25 +275,21 @@ def test_fit_uses_only_the_early_bracket():
     agg = i_a + (i_w - i_a) * np.exp(-rho * t)
     floor_zone = (agg - i_a) / (i_w - i_a) <= 0.05
     agg[floor_zone] = i_a + 0.02 * (i_w - i_a)
-    tr = SimTrace(times=t, aggregates=agg,
-                  active_counts=np.full_like(t, 10.0), n=10, delta_t=0.1)
-    assert fit_exponential_decay(tr, i_a, i_w) == pytest.approx(rho, abs=1e-6)
+    assert fit_exponential_decay(t, agg, i_a, i_w, 1.0) == pytest.approx(
+        rho, abs=1e-6)
 
 
 def test_fit_error_cases():
     t = np.linspace(0.0, 1.0, 11)
-    flat = SimTrace(times=t, aggregates=np.full_like(t, 5.0),
-                    active_counts=np.full_like(t, 10.0), n=10, delta_t=0.1)
+    flat = np.full_like(t, 5.0)
     with pytest.raises(FitError):
-        fit_exponential_decay(flat, 5.0, 5.0)
+        fit_exponential_decay(t, flat, 5.0, 5.0, 1.0)
     with pytest.raises(FitError):
         # bracket starts below the floor
-        fit_exponential_decay(flat, 5.0, 500.0)
-    spike = SimTrace(times=t,
-                     aggregates=np.array([100.0] + [0.0] * 10),
-                     active_counts=np.full_like(t, 10.0), n=10, delta_t=0.1)
+        fit_exponential_decay(t, flat, 5.0, 500.0, 1.0)
+    spike = np.array([100.0] + [0.0] * 10)
     with pytest.raises(FitError):
-        fit_exponential_decay(spike, 0.0, 100.0)
+        fit_exponential_decay(t, spike, 0.0, 100.0, 1.0)
 
 
 def test_steady_state_stats_hand_case():

@@ -2,6 +2,7 @@ import copy
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -470,45 +471,72 @@ _CELLS = {
     "np_int64": st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
     "np_float64": st.floats().map(np.float64),
 }
-# int and float are listed twice so that runs the writer formats in one
-# operation are common
-_CELL_KINDS = ["int", "float", *_CELLS]
+_ARRAY_CELLS = {np.int64: st.integers(-2 ** 63, 2 ** 63 - 1),
+                np.float64: _CELLS["float"]}
 
 
 @st.composite
-def _csv_rows(draw):
-    """Rows in runs of one cell type per position; types mix freely."""
-    rows = []
-    shapes = draw(st.lists(st.lists(st.sampled_from(_CELL_KINDS),
-                                    max_size=5), max_size=5))
-    for shape in shapes:
-        for _ in range(draw(st.integers(1, 4))):
-            rows.append(tuple(draw(_CELLS[kind]) for kind in shape))
-    return rows
+def _csv_columns(draw):
+    """Equal-length columns: int64 and float64 arrays (NaN and +-inf
+    among the floats) and lists of mixed cells."""
+    size = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        dtype = draw(st.sampled_from([np.int64, np.float64, list]))
+        if dtype is list:
+            columns.append(draw(st.lists(st.one_of(*_CELLS.values()),
+                                         min_size=size, max_size=size)))
+        else:
+            columns.append(np.array(
+                draw(st.lists(_ARRAY_CELLS[dtype], min_size=size,
+                              max_size=size)), dtype=dtype))
+    return columns
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=_csv_rows())
-def test_write_csv_matches_a_per_cell_join(tmp_path, rows):
+@given(columns=_csv_columns(), block=st.integers(1, 5))
+def test_write_csv_matches_a_per_cell_join(tmp_path, monkeypatch, columns,
+                                           block):
+    # small blocks split the tables, so bulk and per-cell blocks mix
+    monkeypatch.setattr(experiments, "_CSV_BLOCK", block)
     path = tmp_path / "t.csv"
+    header = [f"h{j}" for j in range(len(columns))]
     try:
-        expected = "h1,h2\n" + "".join(
-            ",".join(_csv_cell(c) for c in row) + "\n" for row in rows)
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(_csv_cell(c) for c in row) + "\n"
+            for row in zip(*columns))
     except ValueError:
         with pytest.raises(ValueError):
-            _write_csv(path, ["h1", "h2"], rows)
+            _write_csv(path, header, columns)
         return
-    _write_csv(path, ["h1", "h2"], rows)
+    _write_csv(path, header, columns)
     assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_write_csv_non_finite_in_a_uniform_run(tmp_path):
+    # a NaN leaves its cell empty inside an all-array block
     path = tmp_path / "t.csv"
-    _write_csv(path, ["a", "b"], [(1, 0.5), (2, math.nan), (3, 1.5)])
+    _write_csv(path, ["a", "b"], [np.array([1, 2, 3]),
+                                  np.array([0.5, math.nan, 1.5])])
     assert path.read_text(encoding="utf-8") == "a,b\n1,0.5\n2,\n3,1.5\n"
     with pytest.raises(ValueError):
-        _write_csv(path, ["a", "b"], [(1, 0.5), (2, -math.inf)])
+        _write_csv(path, ["a", "b"], [np.array([1, 2]),
+                                      np.array([0.5, -math.inf])])
+
+
+def test_write_csv_memory_does_not_grow_with_the_table(tmp_path):
+    def peak(size):
+        columns = [np.arange(size), np.linspace(0.0, 1.0, size),
+                   np.full(size, -1), np.linspace(1.0, 2.0, size)]
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200_000) < 1.5 * peak(20_000)
 
 
 # ---------------------------------------------------------------------------
@@ -1050,3 +1078,24 @@ def test_cli_validate_missing_topology_file(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [line]
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("over", [
+    {"topology": {"kind": "ula", "n": 6, "d": 1e-200}},
+    {"topology": {"kind": "ula", "n": 6, "d": 1e200}},
+    {"topology": {"kind": "rect", "rows": 3, "cols": 3, "d": 1.0},
+     "p0": 1e308},
+    {"experiment": "relaxation", "horizon": 1.0,
+     "scheduler": {"kind": "poisson", "delta_t": 0.1},
+     "topology": {"kind": "ula", "n": 6, "d": 1e-200}},
+], ids=["ula_near", "ula_far", "rect_loud", "relaxation_near"])
+def test_weights_beyond_the_float_range_are_a_config_error(tmp_path, capsys,
+                                                           over):
+    # each passes parsing, but some p0/dist**eta overflows or underflows
+    path = _write_config(tmp_path, _tiny_doc(**over))
+    report = validate_config(path)
+    assert report["valid"] is False
+    [line] = report["errors"]
+    assert line.startswith("topology: path-loss weight")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {line}" in capsys.readouterr().err.splitlines()

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,19 @@ def test_topology_validation_errors():
 def test_topology_rejects_non_finite_values(positions, p0, eta):
     with pytest.raises(TopologyError, match="finite"):
         topology_from_positions(positions, p0, eta)
+
+
+@pytest.mark.parametrize("positions,p0,eta,match", [
+    ([[0.0], [1e-200]], 1.0, 2.0, "sum beyond the float range"),
+    ([[0.0], [1.0], [2.0]], 1e308, 2.0, "sum beyond the float range"),
+    ([[0.0], [1e200]], 1.0, 2.0, "underflows to 0"),
+    ([[0.0], [1e3]], 1.0, 200.0, "underflows to 0")])
+def test_topology_rejects_weights_beyond_the_float_range(positions, p0, eta,
+                                                         match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TopologyError, match=match):
+            topology_from_positions(positions, p0, eta)
 
 
 def test_ula_bad_args():

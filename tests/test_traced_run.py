@@ -2,7 +2,8 @@
 
 perfbench/tracer.py reads the `.switched` flag of each `apply_update`
 result, the `(state, records)` pair of `run_to_convergence` and the
-`events`, `aggregates` and `final_bands` of each `SimTrace`.  Each test runs
+`events`, `aggregates` and `final_bands` of each `SimTrace`, and times the
+statistics and the output writer by name.  Each test runs
 `perfbench/child.py --trace` on one workload's smoke config, as the
 benchmark's first run does, and checks the counts against the outputs.
 """
@@ -50,6 +51,7 @@ def test_traced_converge_counts_every_update(tmp_path):
         (out / "converge_lattice_summary.json").read_text())
     updates = sum(d["updates"] for d in summary["replicas_detail"])
     assert layers["allocation.events"] == updates
+    assert layers["experiments.emit_s"] > 0
 
 
 @pytest.mark.parametrize("name,replicas", [("relax_ula", 3),
@@ -57,3 +59,6 @@ def test_traced_converge_counts_every_update(tmp_path):
 def test_traced_dynamics_counts_every_replica(tmp_path, name, replicas):
     layers, _ = _traced_run(name, tmp_path)
     assert layers["dynamics.replicas"] == replicas
+    if name == "relax_ula":
+        # the ensemble mean and the decay fit
+        assert layers["dynamics.stats_s"] > 0
