@@ -121,8 +121,6 @@ class DynamicsPrediction:
     """Steady-state prediction at a given operating level i_a."""
 
     rho: float
-    tau: float
-    lam: float
     margin: float
     sigma_ss_sq: float
 
@@ -147,6 +145,8 @@ def lambda_from_alpha(alpha: float, n: int, tau: float) -> float:
 
 def stability_margin(alpha: float, rho: float) -> float:
     """8*(1-alpha)/rho; below 1 the steady-state variance stays finite."""
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if not (rho > 0):
         raise ValueError(f"rho must be > 0, got {rho}")
     return 8.0 * (1.0 - alpha) / rho
@@ -264,25 +264,18 @@ def fit_exponential_decay(times: np.ndarray, mean: np.ndarray, i_a: float,
     return float(-slope * tau)
 
 
-def predicted_variance(i_a: float, lam: float, tau: float, n: int,
+def predicted_variance(i_a: float, alpha: float,
                        rho: float = DEFAULT_RHO) -> DynamicsPrediction:
     """Steady-state variance of the aggregate around level i_a.
 
-    Finite only while margin = 16*lam*tau/(n^2*rho) < 1; at or beyond the
-    boundary sigma_ss_sq is +inf and the divergent flag is set.
+    With m = stability_margin(alpha, rho), sigma_ss_sq = i_a^2*m/(1 - m)
+    while m < 1; at or beyond the boundary it is +inf and the divergent
+    flag is set.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if not (tau > 0 and rho > 0 and n >= 1):
-        raise ValueError("need tau > 0, rho > 0, n >= 1")
-    drive = 16.0 * lam * tau
-    margin = drive / (n * n * rho)
-    if margin < 1.0:
-        sigma = i_a * i_a * drive / (n * n * rho - drive)
-    else:
-        sigma = math.inf
-    return DynamicsPrediction(rho=rho, tau=tau, lam=lam, margin=margin,
-                              sigma_ss_sq=sigma)
+    margin = stability_margin(alpha, rho)
+    sigma = (i_a * i_a * margin / (1.0 - margin) if margin < 1.0
+             else math.inf)
+    return DynamicsPrediction(rho=rho, margin=margin, sigma_ss_sq=sigma)
 
 
 @dataclass

@@ -759,26 +759,22 @@ def _score(ref: Reference, link: tuple, final: Assignment):
     }
 
 
-def _make_scheduler(cfg: ExperimentConfig):
-    if cfg.scheduler_kind == "poisson":
-        return PoissonClock(cfg.delta_t)
-    return RandomPermutationRounds(cfg.delta_t)
-
-
-def _initial_assignment(cfg: ExperimentConfig, n: int, rng) -> Assignment:
-    if cfg.initial_assignment == "uniform_random":
-        return uniform_random_assignment(n, cfg.bands, rng)
-    return all_band_one(n, cfg.bands)
-
-
-def _converge_one(cfg: ExperimentConfig, top: Topology, seed: int):
-    """One static run to convergence; returns (records, initial, final, a0)."""
+def _converge_one(cfg: ExperimentConfig, top: Topology,
+                  seed: int | tuple[int, int]):
+    """One static run to convergence from the config's initial assignment,
+    drawn, like the scheduler's clock, from SeedSequence(seed); returns
+    (records, initial, converged cache, a0)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    initial = _initial_assignment(cfg, top.n, rng)
+    if cfg.initial_assignment == "uniform_random":
+        initial = uniform_random_assignment(top.n, cfg.bands, rng)
+    else:
+        initial = all_band_one(top.n, cfg.bands)
     cache = InterferenceCache(top, initial, rng=rng)
     a0 = cache.aggregate()
-    cache, records = run_to_convergence(cache, _make_scheduler(cfg))
-    return records, initial, cache.assignment(), a0
+    scheduler = (PoissonClock(cfg.delta_t) if cfg.scheduler_kind == "poisson"
+                 else RandomPermutationRounds(cfg.delta_t))
+    cache, records = run_to_convergence(cache, scheduler)
+    return records, initial, cache, a0
 
 
 def _capacity_series(top: Topology, initial: Assignment, tr: SimTrace,
@@ -808,13 +804,13 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     reports = []
     for k in range(cfg.replicas):
         seed = cfg.base_seed + k
-        records, initial, final, a0 = _converge_one(cfg, top, seed)
+        records, initial, cache, a0 = _converge_one(cfg, top, seed)
         tr = replica_trace(records, a0, [top.n] * (len(records) + 1), top.n,
                            cfg.delta_t, seed=seed)
         traces.append(tr)
         if cfg.write_capacity_series:
             caps.append(_capacity_series(top, initial, tr, s, n0))
-        brep, scores = _score(ref, link, final)
+        brep, scores = _score(ref, link, cache.assignment())
         reports.append(brep)
         detail.append({
             "replica": k,
@@ -912,8 +908,8 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         reports = []
         for k in range(cfg.replicas):
             seed = cfg.base_seed + si * cfg.replicas + k
-            _, _, final, _ = _converge_one(cfg, ref.top, seed)
-            brep, scores = _score(ref, link, final)
+            _, _, cache, _ = _converge_one(cfg, ref.top, seed)
+            brep, scores = _score(ref, link, cache.assignment())
             reports.append(brep)
             finals.append(brep.i_a)
             if scores:
@@ -1016,11 +1012,8 @@ def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     top, _ = _build_topology(cfg)
     tau = time_scale(top.n, cfg.delta_t)
     warmup = _variance_warmup(cfg, tau)
-    init_rng = np.random.default_rng(
-        np.random.SeedSequence((cfg.base_seed, 1)))
-    init_cache = InterferenceCache(
-        top, _initial_assignment(cfg, top.n, init_rng), rng=init_rng)
-    init_cache, _ = run_to_convergence(init_cache, PoissonClock(cfg.delta_t))
+    # parse_config holds a variance run to the Poisson clock
+    _, _, init_cache, _ = _converge_one(cfg, top, (cfg.base_seed, 1))
     init = init_cache.assignment()
     points = []
     kept = []
@@ -1034,7 +1027,7 @@ def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
             kept.extend(traces)
         stats = steady_state_stats(traces, warmup)
         lam = lambda_from_alpha(alpha, top.n, tau)
-        pred = predicted_variance(stats.mean, lam, tau, top.n, cfg.rho)
+        pred = predicted_variance(stats.mean, alpha, cfg.rho)
         ratio = (stats.variance / pred.sigma_ss_sq
                  if (not pred.divergent and pred.sigma_ss_sq > 0) else None)
         points.append({

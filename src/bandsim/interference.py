@@ -25,6 +25,8 @@ __all__ = [
     "all_band_one",
     "uniform_random_assignment",
     "all_active",
+    "activity_mask",
+    "check_assignment",
     "weight_matrix",
     "band_interference",
     "cluster_interference",
@@ -96,22 +98,32 @@ def weight_matrix(top: Topology) -> np.ndarray:
     return top.weights
 
 
-def _check_lengths(top: Topology, asg: Assignment, act: ActivityState | None):
+def activity_mask(top: Topology, act: ActivityState | None) -> np.ndarray:
+    """Boolean on/off mask of act over top's clusters, all active when act
+    is None (do not mutate); raises ValueError unless act has top.n
+    entries."""
+    if act is None:
+        return np.ones(top.n, dtype=bool)
+    if act.n != top.n:
+        raise ValueError(f"activity length {act.n} != topology size {top.n}")
+    return act.active
+
+
+def check_assignment(top: Topology, asg: Assignment) -> None:
+    """Raise ValueError unless asg has one band per cluster of top."""
     if asg.n != top.n:
         raise ValueError(f"assignment length {asg.n} != topology size {top.n}")
-    if act is not None and act.n != top.n:
-        raise ValueError(f"activity length {act.n} != topology size {top.n}")
 
 
 def band_interference(top: Topology, asg: Assignment, act: ActivityState | None,
                       i: int, k: int) -> float:
     """Power cluster i would receive on band k from active co-band others."""
-    _check_lengths(top, asg, act)
+    check_assignment(top, asg)
+    active = activity_mask(top, act)
     if not 0 <= i < top.n:
         raise ValueError(f"cluster index {i} out of range")
     if not 1 <= k <= asg.r:
         raise ValueError(f"band {k} out of range 1..{asg.r}")
-    active = act.active if act is not None else np.ones(top.n, dtype=bool)
     mask = active & (asg.bands == k)
     mask[i] = False
     return float(weight_matrix(top)[i][mask].sum())
@@ -129,8 +141,8 @@ def aggregate_interference(top: Topology, asg: Assignment,
 
     By reciprocity this is twice the sum over unordered active co-band pairs.
     """
-    _check_lengths(top, asg, act)
-    active = act.active if act is not None else np.ones(top.n, dtype=bool)
+    check_assignment(top, asg)
+    active = activity_mask(top, act)
     w = weight_matrix(top)
     co = (asg.bands[:, None] == asg.bands[None, :]) \
         & active[:, None] & active[None, :]
@@ -162,13 +174,11 @@ class InterferenceCache:
     def __init__(self, top: Topology, asg: Assignment,
                  act: ActivityState | None = None,
                  rng: np.random.Generator | None = None):
-        _check_lengths(top, asg, act)
-        if act is None:
-            act = all_active(top.n)
+        check_assignment(top, asg)
+        self.active = activity_mask(top, act).copy()
         self.topology = top
         self.r = asg.r
         self.bands = asg.bands.copy()
-        self.active = act.active.copy()
         self.rng = rng if rng is not None else np.random.default_rng()
         self.time = 0.0
         self.weights = weight_matrix(top)

@@ -12,7 +12,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .interference import ActivityState, Assignment, weight_matrix
+from .interference import (ActivityState, Assignment, activity_mask,
+                           check_assignment, weight_matrix)
 from .topology import Topology
 
 __all__ = [
@@ -85,9 +86,8 @@ def shannon_capacity(top: Topology, asg: Assignment,
     Inactive clusters get NaN and do not count in the mean.
     """
     signal_power, noise_power = link_powers(top, signal_power, noise_power)
-    if asg.n != top.n or (act is not None and act.n != top.n):
-        raise ValueError("length mismatch with topology")
-    active = act.active if act is not None else np.ones(top.n, dtype=bool)
+    check_assignment(top, asg)
+    active = activity_mask(top, act)
     caps = link_capacity(_per_cluster_interference(top, asg, active),
                          signal_power, noise_power)
     caps[~active] = np.nan

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import REL_TOL
-from .interference import (ActivityState, Assignment, aggregate_interference,
-                           weight_matrix, worst_case_interference)
+from .interference import (ActivityState, Assignment, activity_mask,
+                           aggregate_interference, weight_matrix,
+                           worst_case_interference)
 from .topology import Topology
 
 __all__ = [
@@ -89,14 +90,14 @@ def canonical_relabel(asg: Assignment) -> Assignment:
     return Assignment(out, asg.r)
 
 
-def brute_force_optimal(top: Topology, act: ActivityState | None, r: int,
-                        max_states: int = ORACLE_CAP
+def brute_force_optimal(top: Topology, act: ActivityState | None, r: int
                         ) -> tuple[Assignment, float]:
     """Globally minimal aggregate over all r^n_active assignments.
 
     Inactive clusters are pinned to band 1 (they contribute nothing).
     Returns the lexicographically smallest minimizer.  Capped at
-    max_states; raises OracleCapacityError beyond it, before any work.
+    ORACLE_CAP; raises OracleCapacityError beyond it, and ValueError on an
+    activity mask of the wrong length, both before any work.
 
     The search is exact but visits only k^(m-1) of the r^m assignments of
     the m active clusters, with k = min(r, m):
@@ -120,12 +121,11 @@ def brute_force_optimal(top: Topology, act: ActivityState | None, r: int,
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    active = (act.active if act is not None else np.ones(top.n, dtype=bool))
-    idx = np.flatnonzero(active)
+    idx = np.flatnonzero(activity_mask(top, act))
     m = idx.size
-    if r ** m > max_states:
+    if r ** m > ORACLE_CAP:
         raise OracleCapacityError(
-            f"{r}^{m} assignments exceed the cap of {max_states}")
+            f"{r}^{m} assignments exceed the cap of {ORACLE_CAP}")
     base = np.ones(top.n, dtype=np.int64)
     if m == 0:
         return Assignment(base, r), 0.0
@@ -250,8 +250,7 @@ class Reference:
 
 def reference(top: Topology, act: ActivityState | None, r: int,
               d_ref: float | None = None,
-              lattice: tuple[int, int] | None = None,
-              oracle_cap: int = ORACLE_CAP) -> Reference:
+              lattice: tuple[int, int] | None = None) -> Reference:
     """The bounds and references of one topology with r bands.
 
     The reference assignment is 1:r reuse on a `lattice` of (rows, cols)
@@ -261,20 +260,20 @@ def reference(top: Topology, act: ActivityState | None, r: int,
     spacing of the N -> infinity limit.
     """
     n = top.n
-    active = act.active if act is not None else np.ones(n, dtype=bool)
-    n_active = int(active.sum())
-    asg, kind, aggregate, i_o, i_o_kind = None, None, None, None, None
+    n_active = int(activity_mask(top, act).sum())
+    asg, kind, aggregate = None, None, None
     if lattice is not None and r in (2, 4):
         asg, kind = lattice_reuse_assignment(*lattice, r), f"reuse_1_{r}"
     elif top.dim == 1:
         asg, kind = alternating_assignment(n, r), "alternating"
     if asg is not None:
         aggregate = aggregate_interference(top, asg, act)
-    if n_active == 0 or r ** n_active <= oracle_cap:
-        _, i_o = brute_force_optimal(top, act, r, max_states=oracle_cap)
+    try:
+        _, i_o = brute_force_optimal(top, act, r)
         i_o_kind = "oracle"
-    elif aggregate is not None:
-        i_o, i_o_kind = aggregate, "reference"
+    except OracleCapacityError:
+        i_o = aggregate
+        i_o_kind = None if aggregate is None else "reference"
     cap = r ** (top.eta - 1.0)
     gap_convention = "none (2-D: configuration-independent cap)"
     if top.dim == 1 and n >= 2:

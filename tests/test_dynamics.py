@@ -57,11 +57,14 @@ def test_stability_margin():
     assert stability_margin(0.9, 3.0) == pytest.approx(8.0 * 0.1 / 3.0)
     with pytest.raises(ValueError):
         stability_margin(0.9, 0.0)
+    for alpha in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            stability_margin(alpha, 3.0)
 
 
 def test_predicted_variance_finite():
-    # lam=500, tau=1, n=100, rho=3: margin 16*500/(10000*3) = 4/15
-    pred = predicted_variance(2.0, 500.0, 1.0, 100, 3.0)
+    # alpha=0.9 (lam=500 at tau=1, n=100), rho=3: margin 8*0.1/3 = 4/15
+    pred = predicted_variance(2.0, 0.9, 3.0)
     assert pred.margin == pytest.approx(4.0 / 15.0)
     assert not pred.divergent
     # sigma = i_a^2 * margin / (1 - margin)
@@ -70,16 +73,16 @@ def test_predicted_variance_finite():
 
 
 def test_predicted_variance_divergent():
-    # margin >= 1 pins the variance at +inf
-    lam_crit = 3.0 * 100 * 100 / 16.0
-    pred = predicted_variance(1.0, lam_crit, 1.0, 100, 3.0)
+    # margin >= 1 pins the variance at +inf: alpha=0.625 (lam=3*100^2/16
+    # at tau=1, n=100) is the boundary for rho=3
+    pred = predicted_variance(1.0, 0.625, 3.0)
     assert pred.margin == pytest.approx(1.0)
     assert pred.divergent
     assert pred.sigma_ss_sq == np.inf
     with pytest.raises(ValueError):
-        predicted_variance(1.0, -1.0, 1.0, 100)
+        predicted_variance(1.0, -0.1)
     with pytest.raises(ValueError):
-        predicted_variance(1.0, 1.0, 0.0, 100)
+        predicted_variance(1.0, 1.1)
 
 
 def test_replica_streams_deterministic_and_independent():

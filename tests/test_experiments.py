@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bandsim import experiments, oracle
 from bandsim.cli import main
-from bandsim.dynamics import replica_streams
+from bandsim.dynamics import replica_streams, stability_margin
 from bandsim.experiments import (EXPERIMENTS, OUTPUT_DIR_ENV, PRESET_NAMES,
                                  TRACE_HEADER, ConfigError, config_hash,
                                  dumps_canonical, load_config, parse_config,
@@ -845,6 +845,38 @@ def test_variance_run_rejects_late_warmup(tmp_path):
     cfg = parse_config(doc)
     with pytest.raises(ConfigError, match="warmup"):
         run_experiment(cfg, out_dir=str(tmp_path))
+
+
+# rate 0.375 is past the near-equilibrium rate the engine warns about
+@pytest.mark.filterwarnings("ignore:alpha=0.625:RuntimeWarning")
+@pytest.mark.parametrize("n,rho,rate,divergent", [
+    # 8*(1-alpha)/rho is exactly 1 at rate 0.375 and rho 3, whatever n
+    (35, 3.0, 0.375, True), (57, 3.0, 0.375, True), (70, 3.0, 0.375, True),
+    # and a rounding step below 1 at rate 0.1 and rho 0.8
+    (115, 0.8, 0.1, False)])
+def test_run_validate_and_warning_share_one_margin(tmp_path, n, rho, rate,
+                                                   divergent):
+    doc = preset("fig6")
+    doc["topology"]["n"] = n
+    doc.update(rho=rho, rates=[rate], replicas=2, horizon=0.6)
+    path = _write_config(tmp_path, doc)
+    cfg = load_config(path)
+    point = run_experiment(cfg, out_dir=str(tmp_path)).summary["points"][0]
+    [derived] = validate_config(path)["derived"]["points"]
+    assert point["divergent"] is divergent
+    assert (stability_margin(1.0 - rate, rho) >= 1.0) is divergent
+    assert point["margin"] == derived["stability_margin"]
+    assert (derived["stability_margin"] >= 1.0) is divergent
+    assert any("divergent" in w for w in cfg.warnings) is divergent
+    header, row = [line.split(",") for line in
+                   (tmp_path / "fig6_variance.csv").read_text().splitlines()]
+    cells = dict(zip(header, row))
+    assert cells["divergent"] == ("1" if divergent else "0")
+    for name in ("sigma_sq_predicted", "ratio_emp_over_pred"):
+        assert (cells[name] == "") is divergent
+        assert (point[name] is None) is divergent
+    if not divergent:
+        assert point["sigma_sq_predicted"] > 0.0
 
 
 @pytest.mark.parametrize("over", [

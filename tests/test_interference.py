@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bandsim import interference, metrics, oracle
 from bandsim.interference import (ActivityState, Assignment,
-                                  InterferenceCache, aggregate_interference,
-                                  all_active, all_band_one, band_interference,
+                                  InterferenceCache, activity_mask,
+                                  aggregate_interference, all_active,
+                                  all_band_one, band_interference,
                                   cluster_interference,
                                   uniform_random_assignment, weight_matrix,
                                   worst_case_interference)
+from bandsim.metrics import capacity_comparison, shannon_capacity
 from bandsim.topology import (make_rectangular_lattice,
                               make_uniform_linear_array,
                               topology_from_positions)
@@ -110,6 +113,60 @@ def test_inactive_self_contributes_nothing():
     act = ActivityState(np.array([False, False]))
     assert aggregate_interference(top, asg, act) == 0.0
     assert worst_case_interference(top, act) == 0.0
+
+
+def test_activity_mask():
+    top = make_uniform_linear_array(4, 1.0)
+    assert activity_mask(top, None).tolist() == [True] * 4
+    on = np.array([True, False, True, False])
+    assert activity_mask(top, ActivityState(on)).tolist() == on.tolist()
+    with pytest.raises(ValueError, match="activity length 3 != topology "
+                                         "size 4"):
+        activity_mask(top, ActivityState(np.ones(3, dtype=bool)))
+
+
+_MASK_USERS = {
+    "band_interference": lambda top, asg, act:
+        band_interference(top, asg, act, 0, 1),
+    "aggregate_interference": aggregate_interference,
+    "worst_case_interference": lambda top, asg, act:
+        worst_case_interference(top, act),
+    "InterferenceCache": InterferenceCache,
+    "shannon_capacity": shannon_capacity,
+    "capacity_comparison": lambda top, asg, act:
+        capacity_comparison(top, act, asg, asg),
+    "brute_force_optimal": lambda top, asg, act:
+        oracle.brute_force_optimal(top, act, 2),
+    "reference": lambda top, asg, act: oracle.reference(top, act, 2),
+}
+
+
+@pytest.mark.parametrize("top", [make_uniform_linear_array(8, 1.0),
+                                 make_rectangular_lattice(3, 3, 1.0)],
+                         ids=["ula8", "rect3x3"])
+@pytest.mark.parametrize("name", list(_MASK_USERS))
+def test_activity_of_the_wrong_length_is_rejected_before_any_work(
+        monkeypatch, top, name):
+    # the call under test reaches neither the weights nor, from reference,
+    # the oracle
+    work = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            work.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod in (interference, metrics, oracle):
+        monkeypatch.setattr(mod, "weight_matrix", spy(weight_matrix))
+    if name == "reference":
+        monkeypatch.setattr(oracle, "brute_force_optimal",
+                            spy(oracle.brute_force_optimal))
+    act = ActivityState(np.ones(5, dtype=bool))
+    with pytest.raises(ValueError, match="activity length 5 != topology "
+                                         f"size {top.n}"):
+        _MASK_USERS[name](top, all_band_one(top.n, 2), act)
+    assert work == []
 
 
 def test_band_interference_argument_checks():

@@ -109,8 +109,6 @@ def test_brute_force_pins_inactive_to_band_one():
 def test_brute_force_guard():
     top = make_uniform_linear_array(30, 1.0)
     with pytest.raises(OracleCapacityError):
-        brute_force_optimal(top, None, 2, max_states=2 ** 20)
-    with pytest.raises(OracleCapacityError):
         brute_force_optimal(top, None, 2)
 
 
@@ -288,8 +286,7 @@ def test_bound_report_supplied_reference():
     state = InterferenceCache(top, all_band_one(25, 2),
                               rng=np.random.default_rng(4))
     state, _ = run_to_convergence(state)
-    ref = reference(top, None, 2, d_ref=1.0, lattice=(5, 5),
-                    oracle_cap=2 ** 10)
+    ref = reference(top, None, 2, d_ref=1.0, lattice=(5, 5))
     rep = bound_report(ref, state.assignment())
     assert ref.kind == "reuse_1_2"
     assert ref.aggregate == aggregate_interference(

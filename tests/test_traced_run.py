@@ -1,9 +1,11 @@
 """A traced benchmark run still counts what the tracer reads from bandsim.
 
 perfbench/tracer.py reads the `.switched` flag of each `apply_update`
-result, the `(state, records)` pair of `run_to_convergence` and the
-`events`, `aggregates` and `final_bands` of each `SimTrace`, and times the
-statistics and the output writer by name.  Each test runs
+result, the `(state, records)` pair of `run_to_convergence`, the
+`events`, `aggregates` and `final_bands` of each `SimTrace`, the positional
+`(top, act, r)` of each `brute_force_optimal` call and the `ordering_ok` of
+each bound report, and times the statistics and the output writer by
+name.  Each test runs
 `perfbench/child.py --trace` on one workload's smoke config, as the
 benchmark's first run does, and checks the counts against the outputs.
 """
@@ -29,7 +31,7 @@ def _build_config(name: str) -> dict:
     return workloads.build_config(name, 1, smoke=True)
 
 
-def _traced_run(name: str, tmp_path: Path) -> tuple[dict, Path]:
+def _traced_run(name: str, tmp_path: Path) -> tuple[dict, Path, dict]:
     config = tmp_path / "config.json"
     config.write_text(json.dumps(_build_config(name)))
     out = tmp_path / "out"
@@ -42,11 +44,11 @@ def _traced_run(name: str, tmp_path: Path) -> tuple[dict, Path]:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["exit"] == 0, proc.stderr
     assert result["layers"]["allocation.events"] > 0
-    return result["layers"], out
+    return result["layers"], out, result["checks"]
 
 
 def test_traced_converge_counts_every_update(tmp_path):
-    layers, out = _traced_run("converge_lattice", tmp_path)
+    layers, out, _ = _traced_run("converge_lattice", tmp_path)
     summary = json.loads(
         (out / "converge_lattice_summary.json").read_text())
     updates = sum(d["updates"] for d in summary["replicas_detail"])
@@ -57,8 +59,15 @@ def test_traced_converge_counts_every_update(tmp_path):
 @pytest.mark.parametrize("name,replicas", [("relax_ula", 3),
                                            ("churn_ula", 21)])
 def test_traced_dynamics_counts_every_replica(tmp_path, name, replicas):
-    layers, _ = _traced_run(name, tmp_path)
+    layers, _, _ = _traced_run(name, tmp_path)
     assert layers["dynamics.replicas"] == replicas
     if name == "relax_ula":
         # the ensemble mean and the decay fit
         assert layers["dynamics.stats_s"] > 0
+
+
+def test_traced_sweep_counts_every_oracle_call(tmp_path):
+    layers, _, checks = _traced_run("sweep_oracle", tmp_path)
+    # one exhaustive optimum per size: 10, 12 and 14
+    assert layers["oracle.brute_force_calls"] == 3
+    assert checks["oracle_ordering"] is True
