@@ -102,8 +102,9 @@ class PoissonClock:
             raise ValueError(f"delta_t must be > 0, got {self.delta_t}")
 
     def next(self, cache: InterferenceCache) -> tuple[int, float]:
-        """(cluster index, time advance) for the next update event."""
-        dt = float(cache.rng.exponential(self.delta_t))
+        """(cluster index, time advance) for the next update event, from
+        the cache's gap and pick streams."""
+        dt = cache.next_gap(self.delta_t)
         i = cache.pick_active()
         if i < 0:
             raise SchedulingError("no active clusters to schedule")

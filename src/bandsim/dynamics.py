@@ -11,8 +11,13 @@ follows a closed-form prediction gated by the stability margin
 
 Seed discipline: replica k of an ensemble uses base_seed + k; within one
 replica, SeedSequence(seed).spawn(2) yields the scheduling stream and the
-activity stream, so alpha=1 runs are event-for-event identical to the static
-engine driven by the scheduling stream alone.
+activity stream.  The scheduling stream draws the event gaps, and a child
+spawned from it draws one pick uniform per event (see InterferenceCache);
+the activity stream draws one uniform per cluster per event, the flip rows.
+Each kind of draw comes in blocks of interference.DRAW_BLOCK events from a
+stream of its own, so the block size changes no value, and alpha=1 runs are
+event-for-event identical to the static Poisson engine driven by the
+scheduling stream alone.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import interference
 from .allocation import UpdateRecord, apply_update
 from .interference import Assignment, InterferenceCache, all_band_one
 from .topology import Topology
@@ -174,20 +180,21 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
     cache = InterferenceCache(top, asg, rng=sched_rng)
     n = top.n
     one_minus_alpha = 1.0 - cfg.alpha
+    flips = (_flip_sets(act_rng, n, one_minus_alpha)
+             if one_minus_alpha > 0.0 else None)
     a0 = cache.aggregate()
     records = []
     active_counts = [n]
 
     t = 0.0
     while True:
-        dt = float(cache.rng.exponential(cfg.delta_t))
+        dt = cache.next_gap(cfg.delta_t)
         if t + dt > cfg.horizon:
             break
         t += dt
         cache.time = t
-        if one_minus_alpha > 0.0:
-            cache.toggle_active(
-                np.flatnonzero(act_rng.random(n) < one_minus_alpha))
+        if flips is not None:
+            cache.toggle_active(next(flips))
         i = cache.pick_active()
         records.append(apply_update(cache, i) if i >= 0
                        else UpdateRecord(t, -1, 0, 0, 0.0, 0.0))
@@ -195,6 +202,20 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
 
     return replica_trace(records, a0, active_counts, n, cfg.delta_t,
                          final_bands=cache.bands.copy(), seed=seed)
+
+
+def _flip_sets(act_rng: np.random.Generator, n: int, rate: float):
+    """Endless iterator over each event's flip set: the indices of the
+    clusters whose uniform from act_rng falls below rate, one row of n
+    uniforms per event, drawn DRAW_BLOCK rows at a time."""
+    while True:
+        rows = interference.DRAW_BLOCK
+        hit_rows, hit_cols = np.nonzero(act_rng.random((rows, n)) < rate)
+        ends = np.searchsorted(hit_rows, np.arange(1, rows + 1)).tolist()
+        start = 0
+        for end in ends:
+            yield hit_cols[start:end]
+            start = end
 
 
 def replica_trace(records: list[UpdateRecord], a0: float, active_counts,

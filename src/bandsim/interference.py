@@ -32,8 +32,14 @@ __all__ = [
     "cluster_interference",
     "aggregate_interference",
     "worst_case_interference",
+    "DRAW_BLOCK",
     "InterferenceCache",
 ]
+
+# Events covered by one refill of a replica's buffers: DRAW_BLOCK gaps,
+# pick uniforms or churn-flip rows (one uniform per cluster).  Each kind of
+# draw has a stream of its own, so the block size changes no drawn value.
+DRAW_BLOCK = 64
 
 
 @dataclass
@@ -155,10 +161,24 @@ def worst_case_interference(top: Topology, act: ActivityState | None = None) -> 
     return aggregate_interference(top, all_band_one(top.n, 1), act)
 
 
+def _blocks(draw):
+    """Endless iterator over the values of draw(DRAW_BLOCK), one block
+    after another: the values successive scalar draw() calls on the same
+    stream would give, whatever DRAW_BLOCK is."""
+    while True:
+        yield from draw(DRAW_BLOCK).tolist()
+
+
+def _pick_uniforms(rng: np.random.Generator):
+    # spawned at the first pick, so a cache that never picks leaves rng's
+    # seed sequence as it was
+    yield from _blocks(rng.spawn(1)[0].random)
+
+
 class InterferenceCache:
     """Mutable state of one replica: bands, activity, per-cluster per-band
-    interference sums with O(N) event updates, the scheduling stream rng
-    and the clock time.
+    interference sums with O(N) event updates, the scheduling stream rng,
+    the replica's buffered event gaps and picks, and the clock time.
 
     _band_power[j, k] is the power cluster j would receive on band k+1 from
     the currently active transmitters (excluding j itself, whose weight to
@@ -167,8 +187,12 @@ class InterferenceCache:
     set_active and toggle_active.  The aggregate is kept as a running value:
     by reciprocity a switch of active cluster i changes it by
     2*(P[i,new] - P[i,old]).  Activity changes, single (set_active) or
-    batched (toggle_active), and rebuild() re-sum it exactly.  Not
-    thread-safe.
+    batched (toggle_active), and rebuild() re-sum it exactly.
+
+    Poisson events draw in blocks of DRAW_BLOCK, one stream per kind of
+    draw: next_gap reads standard exponentials from rng, so rng serves only
+    gaps once the first block is drawn; pick_active reads uniforms from a
+    child stream spawned from rng at the first pick.  Not thread-safe.
     """
 
     def __init__(self, top: Topology, asg: Assignment,
@@ -180,6 +204,8 @@ class InterferenceCache:
         self.r = asg.r
         self.bands = asg.bands.copy()
         self.rng = rng if rng is not None else np.random.default_rng()
+        self._gaps = _blocks(self.rng.standard_exponential)
+        self._picks = _pick_uniforms(self.rng)
         self.time = 0.0
         self.weights = weight_matrix(top)
         self._band_power = np.zeros((top.n, asg.r))
@@ -201,8 +227,8 @@ class InterferenceCache:
     def _activity_changed(self) -> None:
         """Drop the cached active set and re-sum the aggregate in O(N)."""
         self._active_idx = None
-        self._aggregate = float(np.sum(self.own_band_interference(),
-                                       where=self.active))
+        self._aggregate = float(np.add.reduce(self.own_band_interference(),
+                                              where=self.active))
 
     def band_powers(self, i: int) -> np.ndarray:
         """All r band sums for cluster i (do not mutate)."""
@@ -227,14 +253,21 @@ class InterferenceCache:
             self._active_idx = np.flatnonzero(self.active)
         return self._active_idx
 
+    def next_gap(self, delta_t: float) -> float:
+        """Time to the next Poisson event of mean delta_t: delta_t times the
+        next standard exponential of rng, bitwise rng.exponential(delta_t)."""
+        return delta_t * next(self._gaps)
+
     def pick_active(self) -> int:
-        """Uniformly drawn active cluster, or -1 (and no draw) if none is
-        active."""
+        """Uniformly drawn active cluster active_indices()[floor(u*m)] of
+        the m active ones, for the next uniform u of the pick stream; -1
+        if none is active.  Every call uses one uniform."""
+        u = next(self._picks)
         idx = self.active_indices()
         m = idx.size
         if m == 0:
             return -1
-        return int(idx[self.rng.integers(m)])
+        return int(idx[int(u * m)])
 
     def set_band(self, i: int, band: int) -> None:
         old = int(self.bands[i])

@@ -256,9 +256,10 @@ def test_stop_rule_matches_a_round_counter(instance, seed, make_scheduler):
 @pytest.mark.xfail(strict=True, reason="the Poisson stop after 2*n_active "
                    "quiet events does not certify a fixed point")
 def test_poisson_clock_stops_on_a_fixed_point():
-    # seed 18 is the first ula100/r2 seed whose Poisson run stops early
+    # seed 5 is the first ula100/r2 seed whose Poisson run stops early
+    # (6 of seeds 0-59 do: 5, 10, 32, 33, 36 and 53)
     top = make_uniform_linear_array(100, 1.0)
-    rng = np.random.default_rng(18)
+    rng = np.random.default_rng(5)
     cache = InterferenceCache(top, uniform_random_assignment(100, 2, rng),
                               rng=rng)
     cache, _ = run_to_convergence(cache, PoissonClock(0.01))

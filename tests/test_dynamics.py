@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bandsim import interference
 from bandsim.allocation import REL_TOL, PoissonClock, run_to_convergence
 from bandsim.dynamics import (DynamicsConfig, FitError, SimTrace,
                               StatisticsError, ensemble_mean_trace,
@@ -152,10 +153,13 @@ def test_simulate_alpha_one_matches_static_engine():
 
 
 def _per_flip_reference(top, cfg, r, seed, initial):
-    """The churn loop written out plainly: one set_active per flip, the
-    active set found afresh each event, the best-band rule on numpy, and
-    the aggregate recomputed from scratch."""
+    """The churn loop written out plainly: one scalar gap from the
+    scheduling stream, one scalar pick uniform from its first spawned
+    child and one flip row from the activity stream per event, one
+    set_active per flip, the active set found afresh each event, the
+    best-band rule on numpy, and the aggregate recomputed from scratch."""
     sched_rng, act_rng = replica_streams(seed)
+    pick_rng = sched_rng.spawn(1)[0]
     cache = InterferenceCache(top, initial)
     rows = []
     t = 0.0
@@ -166,11 +170,12 @@ def _per_flip_reference(top, cfg, r, seed, initial):
         t += dt
         for j in np.flatnonzero(act_rng.random(top.n) < 1.0 - cfg.alpha):
             cache.set_active(int(j), not cache.active[j])
+        u = pick_rng.random()
         idx = np.flatnonzero(cache.active)
         if idx.size == 0:
             rows.append((t, -1, 0, 0, 0, 0.0))
             continue
-        i = int(idx[sched_rng.integers(idx.size)])
+        i = int(idx[int(u * idx.size)])
         powers = cache.band_powers(i)
         old = int(cache.bands[i])
         best = int(np.argmin(powers))
@@ -199,6 +204,37 @@ def test_simulate_churn_matches_per_flip_reference(alpha):
         assert np.array_equal(tr.new_bands[1:], news)
         assert np.array_equal(tr.active_counts[1:], counts)
         assert np.allclose(tr.aggregates[1:], aggs, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n,alpha", [(3, 0.5), (20, 0.9), (20, 1.0)])
+def test_draw_block_size_changes_no_value(monkeypatch, n, alpha):
+    top = make_uniform_linear_array(n, 1.0)
+    cfg = DynamicsConfig(delta_t=0.01, horizon=1.5, alpha=alpha)
+
+    def runs():
+        tr = simulate_time_varying(top, cfg, 2, seed=3)
+        sched_rng, _ = replica_streams(3)
+        cache = InterferenceCache(top, all_band_one(n, 2), rng=sched_rng)
+        _, records = run_to_convergence(cache, PoissonClock(0.01))
+        return tr, [(rec.time, rec.cluster, rec.new_band) for rec in records]
+
+    want_tr, want_records = runs()
+    assert want_tr.events > 100
+    for block in (1, 7):
+        monkeypatch.setattr(interference, "DRAW_BLOCK", block)
+        tr, records = runs()
+        assert records == want_records
+        for field in ("times", "aggregates", "active_counts", "clusters",
+                      "old_bands", "new_bands", "final_bands"):
+            assert np.array_equal(getattr(tr, field),
+                                  getattr(want_tr, field)), field
+
+
+def test_pick_index_stays_below_the_active_count():
+    # the largest uniform numpy draws is 1 - 2**-53
+    u = 1.0 - 2.0 ** -53
+    assert all(int(u * m) < m for m in range(1, 100_001))
 
 
 def test_simulate_warns_on_fast_churn():

@@ -1087,7 +1087,7 @@ def test_sweep_reports_each_sizes_own_bounds(tmp_path):
     ({"experiment": "variance", "horizon": 1.0, "warmup": 0.995,
       "rates": [0.01], "replicas": 2}, "StatisticsError",
      "runtime failure: warmup 0.995 leaves no samples before t_end "
-     "0.9948708443051436")], ids=["relaxation", "variance"])
+     "0.9693793577975722")], ids=["relaxation", "variance"])
 def test_cli_run_reports_dynamics_failures(tmp_path, capsys, over, failure,
                                            line):
     path = _write_config(tmp_path, _tiny_doc(

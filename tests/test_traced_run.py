@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from bandsim import experiments
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
@@ -61,9 +63,20 @@ def test_traced_converge_counts_every_update(tmp_path):
 def test_traced_dynamics_counts_every_replica(tmp_path, name, replicas):
     layers, _, _ = _traced_run(name, tmp_path)
     assert layers["dynamics.replicas"] == replicas
+    # the benchmark's event count is the number of apply_update calls, so
+    # the engine must make one per event that finds an active cluster
+    events = layers["allocation.events"]
     if name == "relax_ula":
+        assert events == layers["dynamics.events"] > 0
         # the ensemble mean and the decay fit
         assert layers["dynamics.stats_s"] > 0
+    else:
+        # the variance run also converges its starting state once
+        cfg = experiments.parse_config(_build_config(name))
+        top, _ = experiments._build_topology(cfg)
+        records, *_ = experiments._converge_one(cfg, top, (cfg.base_seed, 1))
+        assert layers["allocation.converge_calls"] == 1
+        assert 0 < events - len(records) <= layers["dynamics.events"]
 
 
 def test_traced_sweep_counts_every_oracle_call(tmp_path):
