@@ -22,7 +22,7 @@ from .experiments import (ConfigError, ExperimentConfig, RunResult,
                           config_hash, dumps_canonical, load_config,
                           parse_config, preset, resolve_out_dir,
                           run_experiment, validate_config)
-from .interference import (ActivityState, Assignment, InterferenceCache,
+from .interference import (Assignment, InterferenceCache,
                            aggregate_interference, band_interference,
                            cluster_interference, worst_case_interference)
 from .metrics import CapacityReport, capacity_comparison, db_gap, \
@@ -41,7 +41,7 @@ __all__ = [
     "Topology", "make_uniform_linear_array", "make_random_linear_array",
     "make_rectangular_lattice", "make_hexagonal_lattice",
     "topology_from_positions", "topology_to_json", "topology_from_json",
-    "Assignment", "ActivityState", "InterferenceCache",
+    "Assignment", "InterferenceCache",
     "band_interference", "cluster_interference", "aggregate_interference",
     "worst_case_interference",
     "UpdateRecord", "PoissonClock", "RandomPermutationRounds",

@@ -318,23 +318,21 @@ class SteadyStateStats:
     samples_per_replica: int
 
 
-def steady_state_stats(traces: list[SimTrace], warmup: float,
-                       grid_dt: float | None = None) -> SteadyStateStats:
+def steady_state_stats(traces: list[SimTrace],
+                       warmup: float) -> SteadyStateStats:
     """Post-warmup ensemble statistics on a regular sampling grid.
 
-    Samples every grid_dt (default: the event scale delta_t) from warmup to
+    Samples every event scale delta_t (of the first trace) from warmup to
     the shortest replica horizon; aggregates are normalized by N before
     pooling.
     """
     if len(traces) < 2:
         raise StatisticsError("need at least 2 replicas")
-    if grid_dt is None:
-        grid_dt = traces[0].delta_t
     t_end = min(float(tr.times[-1]) for tr in traces)
     if not (warmup < t_end):
         raise StatisticsError(
             f"warmup {warmup} leaves no samples before t_end {t_end}")
-    grid = np.arange(warmup, t_end, grid_dt)
+    grid = np.arange(warmup, t_end, traces[0].delta_t)
     if grid.size < 2:
         raise StatisticsError("fewer than 2 post-warmup samples per replica")
     n = traces[0].n

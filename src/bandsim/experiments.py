@@ -54,6 +54,8 @@ __all__ = [
     "validate_config",
     "preset",
     "run_experiment",
+    "resolve_out_dir",
+    "config_hash",
     "dumps_canonical",
 ]
 
@@ -621,15 +623,6 @@ def validate_config(path) -> dict:
             "derived": derived}
 
 
-def _load_file_topology(path: str) -> Topology:
-    """The topology saved at `path`; a file that holds no valid topology is
-    a ConfigError on topology.path."""
-    try:
-        return load_topology(path)
-    except TopologyError as exc:
-        raise ConfigError([f"topology.path: {exc}"]) from exc
-
-
 # ---------------------------------------------------------------------------
 # presets
 
@@ -703,10 +696,13 @@ class RunResult:
 
 def _build_topology(cfg: ExperimentConfig, size=None) -> tuple[Topology, tuple | None]:
     """Topology plus (rows, cols) when a lattice (for the reuse reference);
-    a geometry that cannot be built is a ConfigError on topology."""
+    a geometry that cannot be built is a ConfigError on topology, a file
+    that holds no valid topology one on topology.path."""
     p = cfg.topology_params
     kind = cfg.topology_kind
     try:
+        if kind == "file":
+            return load_topology(p["path"]), None
         if kind == "ula":
             n = size if size is not None else p["n"]
             return make_uniform_linear_array(n, p["d"], cfg.p0, cfg.eta), None
@@ -723,9 +719,8 @@ def _build_topology(cfg: ExperimentConfig, size=None) -> tuple[Topology, tuple |
                 else make_hexagonal_lattice
             return maker(rows, cols, p["d"], cfg.p0, cfg.eta), (rows, cols)
     except TopologyError as exc:
-        raise ConfigError([f"topology: {exc}"]) from exc
-    if kind == "file":
-        return _load_file_topology(p["path"]), None
+        where = "topology.path" if kind == "file" else "topology"
+        raise ConfigError([f"{where}: {exc}"]) from exc
     raise ValueError(f"unhandled topology kind {kind}")
 
 

@@ -21,10 +21,8 @@ from .topology import Topology
 
 __all__ = [
     "Assignment",
-    "ActivityState",
     "all_band_one",
     "uniform_random_assignment",
-    "all_active",
     "activity_mask",
     "check_assignment",
     "weight_matrix",
@@ -67,33 +65,12 @@ class Assignment:
         return Assignment(self.bands.copy(), self.r)
 
 
-@dataclass
-class ActivityState:
-    """Per-cluster on/off indicators."""
-
-    active: np.ndarray
-
-    def __post_init__(self):
-        active = np.asarray(self.active, dtype=bool).copy()
-        if active.ndim != 1:
-            raise ValueError("active must be a 1-D boolean vector")
-        self.active = active
-
-    @property
-    def n(self) -> int:
-        return self.active.size
-
-
 def all_band_one(n: int, r: int) -> Assignment:
     return Assignment(np.ones(n, dtype=np.int64), r)
 
 
 def uniform_random_assignment(n: int, r: int, rng: np.random.Generator) -> Assignment:
     return Assignment(rng.integers(1, r + 1, size=n), r)
-
-
-def all_active(n: int) -> ActivityState:
-    return ActivityState(np.ones(n, dtype=bool))
 
 
 def weight_matrix(top: Topology) -> np.ndarray:
@@ -104,15 +81,19 @@ def weight_matrix(top: Topology) -> np.ndarray:
     return top.weights
 
 
-def activity_mask(top: Topology, act: ActivityState | None) -> np.ndarray:
-    """Boolean on/off mask of act over top's clusters, all active when act
-    is None (do not mutate); raises ValueError unless act has top.n
-    entries."""
+def activity_mask(top: Topology, act: np.ndarray | None) -> np.ndarray:
+    """The per-cluster on/off indicators act cast to bool, all active when
+    act is None.  The result may share memory with act: do not mutate it.
+    Raises ValueError unless act is 1-D with top.n entries."""
     if act is None:
         return np.ones(top.n, dtype=bool)
-    if act.n != top.n:
-        raise ValueError(f"activity length {act.n} != topology size {top.n}")
-    return act.active
+    mask = np.asarray(act, dtype=bool)
+    if mask.ndim != 1:
+        raise ValueError("active must be a 1-D boolean vector")
+    if mask.size != top.n:
+        raise ValueError(
+            f"activity length {mask.size} != topology size {top.n}")
+    return mask
 
 
 def check_assignment(top: Topology, asg: Assignment) -> None:
@@ -121,7 +102,7 @@ def check_assignment(top: Topology, asg: Assignment) -> None:
         raise ValueError(f"assignment length {asg.n} != topology size {top.n}")
 
 
-def band_interference(top: Topology, asg: Assignment, act: ActivityState | None,
+def band_interference(top: Topology, asg: Assignment, act: np.ndarray | None,
                       i: int, k: int) -> float:
     """Power cluster i would receive on band k from active co-band others."""
     check_assignment(top, asg)
@@ -136,13 +117,13 @@ def band_interference(top: Topology, asg: Assignment, act: ActivityState | None,
 
 
 def cluster_interference(top: Topology, asg: Assignment,
-                         act: ActivityState | None, i: int) -> float:
+                         act: np.ndarray | None, i: int) -> float:
     """Interference cluster i experiences on its own band."""
     return band_interference(top, asg, act, i, int(asg.bands[i]))
 
 
 def aggregate_interference(top: Topology, asg: Assignment,
-                           act: ActivityState | None = None) -> float:
+                           act: np.ndarray | None = None) -> float:
     """Sum of cluster_interference over active clusters.
 
     By reciprocity this is twice the sum over unordered active co-band pairs.
@@ -156,7 +137,8 @@ def aggregate_interference(top: Topology, asg: Assignment,
     return float(w[co].sum())
 
 
-def worst_case_interference(top: Topology, act: ActivityState | None = None) -> float:
+def worst_case_interference(top: Topology,
+                            act: np.ndarray | None = None) -> float:
     """Aggregate with every active cluster forced co-band."""
     return aggregate_interference(top, all_band_one(top.n, 1), act)
 
@@ -176,9 +158,11 @@ def _pick_uniforms(rng: np.random.Generator):
 
 
 class InterferenceCache:
-    """Mutable state of one replica: bands, activity, per-cluster per-band
-    interference sums with O(N) event updates, the scheduling stream rng,
-    the replica's buffered event gaps and picks, and the clock time.
+    """Mutable state of one replica: the band vector bands, the activity
+    mask active (a copy of act), per-cluster per-band interference sums with
+    O(N) event updates (read through band_powers and own_band_interference),
+    the scheduling stream rng, the replica's buffered event gaps and picks,
+    and the clock time.
 
     _band_power[j, k] is the power cluster j would receive on band k+1 from
     the currently active transmitters (excluding j itself, whose weight to
@@ -196,7 +180,7 @@ class InterferenceCache:
     """
 
     def __init__(self, top: Topology, asg: Assignment,
-                 act: ActivityState | None = None,
+                 act: np.ndarray | None = None,
                  rng: np.random.Generator | None = None):
         check_assignment(top, asg)
         self.active = activity_mask(top, act).copy()
@@ -233,12 +217,6 @@ class InterferenceCache:
     def band_powers(self, i: int) -> np.ndarray:
         """All r band sums for cluster i (do not mutate)."""
         return self._band_power[i]
-
-    def band_interference(self, i: int, k: int) -> float:
-        return float(self._band_power[i, k - 1])
-
-    def cluster_interference(self, i: int) -> float:
-        return float(self._band_power[i, self.bands[i] - 1])
 
     def own_band_interference(self) -> np.ndarray:
         """Per-cluster interference on each cluster's own band."""
@@ -302,6 +280,3 @@ class InterferenceCache:
 
     def assignment(self) -> Assignment:
         return Assignment(self.bands.copy(), self.r)
-
-    def activity(self) -> ActivityState:
-        return ActivityState(self.active.copy())

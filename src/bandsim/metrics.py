@@ -12,8 +12,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .interference import (ActivityState, Assignment, activity_mask,
-                           check_assignment, weight_matrix)
+from .interference import (Assignment, activity_mask, check_assignment,
+                           weight_matrix)
 from .topology import Topology
 
 __all__ = [
@@ -77,7 +77,7 @@ def link_capacity(interference: np.ndarray, signal_power: float,
 
 
 def shannon_capacity(top: Topology, asg: Assignment,
-                     act: ActivityState | None = None,
+                     act: np.ndarray | None = None,
                      signal_power: float | None = None,
                      noise_power: float | None = None
                      ) -> tuple[np.ndarray, float]:
@@ -98,7 +98,7 @@ def shannon_capacity(top: Topology, asg: Assignment,
     return caps, normalized
 
 
-def capacity_comparison(top: Topology, act: ActivityState | None,
+def capacity_comparison(top: Topology, act: np.ndarray | None,
                         algo_asg: Assignment, reference_asg: Assignment,
                         signal_power: float | None = None,
                         noise_power: float | None = None) -> CapacityReport:

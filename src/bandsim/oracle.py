@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import REL_TOL
-from .interference import (ActivityState, Assignment, activity_mask,
+from .interference import (Assignment, activity_mask,
                            aggregate_interference, weight_matrix,
                            worst_case_interference)
 from .topology import Topology
@@ -90,7 +90,7 @@ def canonical_relabel(asg: Assignment) -> Assignment:
     return Assignment(out, asg.r)
 
 
-def brute_force_optimal(top: Topology, act: ActivityState | None, r: int
+def brute_force_optimal(top: Topology, act: np.ndarray | None, r: int
                         ) -> tuple[Assignment, float]:
     """Globally minimal aggregate over all r^n_active assignments.
 
@@ -231,12 +231,12 @@ class Reference:
     when r^n_active is within the oracle cap, else the reference aggregate
     ("reference"), else None.  ratio_cap bounds i_a / i_o; limit is the
     N -> infinity per-cluster aggregate of the alternating pattern (1-D).
+    act is a copy of the activity mask it was built with (None: all active).
     """
 
     top: Topology
-    act: ActivityState | None
+    act: np.ndarray | None
     r: int
-    n_active: int
     asg: Assignment | None
     kind: str | None
     aggregate: float | None
@@ -248,7 +248,7 @@ class Reference:
     limit: float | None
 
 
-def reference(top: Topology, act: ActivityState | None, r: int,
+def reference(top: Topology, act: np.ndarray | None, r: int,
               d_ref: float | None = None,
               lattice: tuple[int, int] | None = None) -> Reference:
     """The bounds and references of one topology with r bands.
@@ -260,7 +260,8 @@ def reference(top: Topology, act: ActivityState | None, r: int,
     spacing of the N -> infinity limit.
     """
     n = top.n
-    n_active = int(activity_mask(top, act).sum())
+    if act is not None:  # checked before any work, kept apart from the caller
+        act = activity_mask(top, act).copy()
     asg, kind, aggregate = None, None, None
     if lattice is not None and r in (2, 4):
         asg, kind = lattice_reuse_assignment(*lattice, r), f"reuse_1_{r}"
@@ -287,7 +288,7 @@ def reference(top: Topology, act: ActivityState | None, r: int,
     if top.dim == 1 and top.eta > 1 and d_ref is not None and d_ref > 0:
         limit = alternating_limit(r, top.eta, top.p0, d_ref)
     return Reference(
-        top=top, act=act, r=r, n_active=n_active, asg=asg, kind=kind,
+        top=top, act=act, r=r, asg=asg, kind=kind,
         aggregate=aggregate, i_w=worst_case_interference(top, act),
         i_o=i_o, i_o_kind=i_o_kind, ratio_cap=cap,
         gap_convention=gap_convention, limit=limit)

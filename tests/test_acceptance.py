@@ -19,7 +19,7 @@ from bandsim.allocation import (REL_TOL, PoissonClock,
                                 default_update_guard, run_to_convergence)
 from bandsim.dynamics import stability_margin
 from bandsim.experiments import parse_config, preset, run_experiment
-from bandsim.interference import (ActivityState, InterferenceCache,
+from bandsim.interference import (InterferenceCache,
                                   aggregate_interference, all_band_one,
                                   uniform_random_assignment, weight_matrix,
                                   worst_case_interference)
@@ -339,10 +339,10 @@ def test_acceptance_10_cache_consistency(capsys):
     w = weight_matrix(top)
     rng = np.random.default_rng(SUITE_SEED)
     asg = uniform_random_assignment(60, 3, rng)
-    act = ActivityState(rng.random(60) < 0.8)
+    act = rng.random(60) < 0.8
     cache = InterferenceCache(top, asg, act)
     bands = asg.bands.copy()
-    active = act.active.copy()
+    active = act.copy()
     steps = 100_000
     worst = 0.0
     for step in range(steps):
@@ -364,7 +364,7 @@ def test_acceptance_10_cache_consistency(capsys):
         if step % 2000 == 0:
             for j in np.flatnonzero(active)[:3]:
                 row = float((w[j] * co[j]).sum())
-                worst = max(worst, abs(cache.cluster_interference(int(j))
+                worst = max(worst, abs(cache.own_band_interference()[j]
                                        - row) / max(1.0, abs(row)))
     ok = worst <= 1e-12
     _report(capsys, 10, ok,

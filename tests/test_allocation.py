@@ -6,9 +6,8 @@ from bandsim.allocation import (REL_TOL, ConvergenceError, PoissonClock,
                                 RandomPermutationRounds, SchedulingError,
                                 apply_update, best_band,
                                 default_update_guard, run_to_convergence)
-from bandsim.interference import (ActivityState, Assignment,
-                                  InterferenceCache,
-                                  aggregate_interference, all_active,
+from bandsim.interference import (Assignment, InterferenceCache,
+                                  aggregate_interference,
                                   all_band_one, band_interference,
                                   uniform_random_assignment)
 from bandsim.topology import (make_hexagonal_lattice, make_rectangular_lattice,
@@ -18,7 +17,7 @@ from bandsim.topology import (make_hexagonal_lattice, make_rectangular_lattice,
 
 def _state(top, bands, r, active=None, seed=0):
     asg = Assignment(np.asarray(bands), r)
-    act = None if active is None else ActivityState(np.asarray(active, bool))
+    act = None if active is None else np.asarray(active, bool)
     return InterferenceCache(top, asg, act, rng=np.random.default_rng(seed))
 
 
@@ -113,7 +112,7 @@ def test_every_switch_lowers_the_aggregate():
         if not active.any():
             active[0] = True
         state = InterferenceCache(
-            top, asg, ActivityState(active),
+            top, asg, active,
             rng=np.random.default_rng(int(rng.integers(1 << 30))))
         sched = (PoissonClock(0.1) if trial % 2 else RandomPermutationRounds())
         state, records = run_to_convergence(state, sched)
@@ -140,7 +139,7 @@ def test_converged_state_is_nash():
             rng=np.random.default_rng(int(rng.integers(1 << 30))))
         state, _ = run_to_convergence(state)
         asg = state.assignment()
-        act = state.activity()
+        act = state.active.copy()
         for i in range(n):
             cur = band_interference(top, asg, act, i, int(asg.bands[i]))
             for k in range(1, r + 1):
@@ -190,7 +189,7 @@ def test_permutation_rounds_stop_on_a_fixed_point(instance, seed):
     top, r, active = instance
     rng = np.random.default_rng(seed)
     cache = InterferenceCache(top, uniform_random_assignment(top.n, r, rng),
-                              ActivityState(active), rng=rng)
+                              active, rng=rng)
     cache, _ = run_to_convergence(cache, RandomPermutationRounds())
     assert _is_fixed_point(top, cache.bands, cache.active, r)
 
@@ -245,7 +244,7 @@ def test_stop_rule_matches_a_round_counter(instance, seed, make_scheduler):
         rng = np.random.default_rng(seed)
         cache = InterferenceCache(
             top, uniform_random_assignment(top.n, r, rng),
-            ActivityState(active), rng=rng)
+            active, rng=rng)
         runs.append((cache, make_scheduler(0.1)))
     (cache, sched), (ref_cache, ref_sched) = runs
     _, records = run_to_convergence(cache, sched)
@@ -382,7 +381,7 @@ def test_final_aggregate_matches_recompute():
                               rng=np.random.default_rng(1))
     state, _ = run_to_convergence(state)
     assert state.aggregate() == pytest.approx(
-        aggregate_interference(top, state.assignment(), state.activity()),
+        aggregate_interference(top, state.assignment(), state.active.copy()),
         rel=1e-12)
 
 

@@ -15,11 +15,12 @@ from bandsim.interference import (InterferenceCache, aggregate_interference,
 from bandsim.topology import make_uniform_linear_array
 
 
-def _flat_trace(level: float, t_end: float = 10.0, n: int = 1) -> SimTrace:
+def _flat_trace(level: float, t_end: float = 10.0, n: int = 1,
+                delta_t: float = 1.0) -> SimTrace:
     return SimTrace(times=np.array([0.0, t_end]),
                     aggregates=np.array([level, level]),
                     active_counts=np.array([n, n]),
-                    n=n, delta_t=1.0)
+                    n=n, delta_t=delta_t)
 
 
 def test_config_validation():
@@ -183,7 +184,7 @@ def _per_flip_reference(top, cfg, r, seed, initial):
                       <= REL_TOL * powers[old - 1]) else best + 1
         cache.set_band(i, new)
         rows.append((t, i, old, new, idx.size, aggregate_interference(
-            top, cache.assignment(), cache.activity())))
+            top, cache.assignment(), cache.active.copy())))
     return rows
 
 
@@ -356,8 +357,8 @@ def test_steady_state_stats_errors():
     with pytest.raises(StatisticsError):
         steady_state_stats([_flat_trace(1.0), _flat_trace(2.0)], warmup=10.0)
     with pytest.raises(StatisticsError):
-        steady_state_stats([_flat_trace(1.0), _flat_trace(2.0)], warmup=0.0,
-                           grid_dt=20.0)
+        steady_state_stats([_flat_trace(1.0, delta_t=20.0),
+                            _flat_trace(2.0, delta_t=20.0)], warmup=0.0)
 
 
 def test_quiescent_ensemble_has_zero_variance():

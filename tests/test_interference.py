@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandsim import interference, metrics, oracle
-from bandsim.interference import (ActivityState, Assignment,
-                                  InterferenceCache, activity_mask,
-                                  aggregate_interference, all_active,
+from bandsim.interference import (Assignment, InterferenceCache,
+                                  activity_mask, aggregate_interference,
                                   all_band_one, band_interference,
                                   cluster_interference,
                                   uniform_random_assignment, weight_matrix,
@@ -42,10 +41,10 @@ def test_assignment_copy_is_independent():
 
 
 def test_activity_validation():
-    act = ActivityState(np.array([True, False]))
-    assert act.n == 2
-    with pytest.raises(ValueError):
-        ActivityState(np.array([[True]]))
+    top = make_uniform_linear_array(2, 1.0)
+    assert activity_mask(top, [1, 0]).tolist() == [True, False]
+    with pytest.raises(ValueError, match="1-D"):
+        activity_mask(top, np.array([[True, False]]))
 
 
 def test_weight_matrix_values():
@@ -80,9 +79,9 @@ def test_aggregate_is_sum_of_cluster_terms():
     top = make_rectangular_lattice(3, 3, 1.0)
     rng = np.random.default_rng(3)
     asg = uniform_random_assignment(9, 3, rng)
-    act = ActivityState(rng.random(9) < 0.7)
+    act = rng.random(9) < 0.7
     total = sum(cluster_interference(top, asg, act, i)
-                for i in range(9) if act.active[i])
+                for i in range(9) if act[i])
     assert aggregate_interference(top, asg, act) == pytest.approx(total)
 
 
@@ -101,7 +100,7 @@ def test_band_interference_partition():
 def test_inactive_clusters_do_not_interfere():
     top = make_uniform_linear_array(3, 1.0)
     asg = all_band_one(3, 2)
-    act = ActivityState(np.array([True, False, True]))
+    act = np.array([True, False, True])
     # cluster 1 is off: cluster 0 only sees cluster 2 at distance 2
     assert cluster_interference(top, asg, act, 0) == pytest.approx(0.25)
     assert aggregate_interference(top, asg, act) == pytest.approx(0.5)
@@ -110,7 +109,7 @@ def test_inactive_clusters_do_not_interfere():
 def test_inactive_self_contributes_nothing():
     top = make_uniform_linear_array(2, 1.0)
     asg = all_band_one(2, 1)
-    act = ActivityState(np.array([False, False]))
+    act = np.array([False, False])
     assert aggregate_interference(top, asg, act) == 0.0
     assert worst_case_interference(top, act) == 0.0
 
@@ -119,10 +118,10 @@ def test_activity_mask():
     top = make_uniform_linear_array(4, 1.0)
     assert activity_mask(top, None).tolist() == [True] * 4
     on = np.array([True, False, True, False])
-    assert activity_mask(top, ActivityState(on)).tolist() == on.tolist()
+    assert activity_mask(top, on).tolist() == on.tolist()
     with pytest.raises(ValueError, match="activity length 3 != topology "
                                          "size 4"):
-        activity_mask(top, ActivityState(np.ones(3, dtype=bool)))
+        activity_mask(top, np.ones(3, dtype=bool))
 
 
 _MASK_USERS = {
@@ -162,7 +161,7 @@ def test_activity_of_the_wrong_length_is_rejected_before_any_work(
     if name == "reference":
         monkeypatch.setattr(oracle, "brute_force_optimal",
                             spy(oracle.brute_force_optimal))
-    act = ActivityState(np.ones(5, dtype=bool))
+    act = np.ones(5, dtype=bool)
     with pytest.raises(ValueError, match="activity length 5 != topology "
                                          f"size {top.n}"):
         _MASK_USERS[name](top, all_band_one(top.n, 2), act)
@@ -202,7 +201,7 @@ def test_cache_matches_full_recompute_under_mutation():
     top = make_rectangular_lattice(4, 4, 1.0)
     rng = np.random.default_rng(17)
     asg = uniform_random_assignment(16, 3, rng)
-    act = all_active(16)
+    act = np.ones(16, dtype=bool)
     cache = InterferenceCache(top, asg, act)
     for _ in range(300):
         op = rng.integers(0, 2)
@@ -212,15 +211,15 @@ def test_cache_matches_full_recompute_under_mutation():
         else:
             cache.set_active(i, bool(rng.integers(0, 2)))
         ref_asg = cache.assignment()
-        ref_act = ActivityState(cache.active.copy())
+        ref_act = cache.active.copy()
         assert cache.aggregate() == pytest.approx(
             aggregate_interference(top, ref_asg, ref_act), rel=1e-12, abs=1e-12)
         j = int(rng.integers(0, 16))
-        assert cache.cluster_interference(j) == pytest.approx(
+        assert cache.own_band_interference()[j] == pytest.approx(
             cluster_interference(top, ref_asg, ref_act, j),
             rel=1e-12, abs=1e-12)
         k = int(rng.integers(1, 4))
-        assert cache.band_interference(j, k) == pytest.approx(
+        assert cache.band_powers(j)[k - 1] == pytest.approx(
             band_interference(top, ref_asg, ref_act, j, k),
             rel=1e-12, abs=1e-12)
 
@@ -275,19 +274,19 @@ def test_weight_matrix_cached_read_only():
 
 def _assert_matches_recompute(cache, top, tol=1e-12):
     asg = cache.assignment()
-    act = ActivityState(cache.active.copy())
+    act = cache.active.copy()
     ref = aggregate_interference(top, asg, act)
     assert abs(cache.aggregate() - ref) <= tol * max(1.0, abs(ref))
     for j in range(top.n):
         for k in range(1, cache.r + 1):
             ref = band_interference(top, asg, act, j, k)
-            assert abs(cache.band_interference(j, k) - ref) \
+            assert abs(cache.band_powers(j)[k - 1] - ref) \
                 <= tol * max(1.0, abs(ref))
         if cache.active[j]:
             ref = cluster_interference(top, asg, act, j)
-            assert abs(cache.cluster_interference(j) - ref) \
+            assert abs(cache.own_band_interference()[j] - ref) \
                 <= tol * max(1.0, abs(ref))
-    assert np.array_equal(cache.active_indices(), np.flatnonzero(act.active))
+    assert np.array_equal(cache.active_indices(), np.flatnonzero(act))
 
 
 _OPS = st.one_of(
@@ -308,7 +307,7 @@ def test_cache_interleaved_updates_match_recompute(cells, bands, active, ops):
     # under any mix of switches, single toggles and batched flips
     top = topology_from_positions(0.5 * np.array(cells, dtype=float))
     cache = InterferenceCache(top, Assignment(np.array(bands), 3),
-                              ActivityState(np.array(active)))
+                              np.array(active))
     for op in ops:
         if op[0] == "band":
             cache.set_band(op[1], op[2])
@@ -323,7 +322,7 @@ def test_batched_flips_equal_single_toggles():
     top = make_rectangular_lattice(5, 6, 1.0)
     rng = np.random.default_rng(3)
     asg = uniform_random_assignment(30, 3, rng)
-    act = ActivityState(rng.random(30) < 0.7)
+    act = rng.random(30) < 0.7
     batched = InterferenceCache(top, asg, act)
     single = InterferenceCache(top, asg, act)
     for _ in range(50):

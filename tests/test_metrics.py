@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bandsim.interference import ActivityState, Assignment, all_band_one
+from bandsim.interference import Assignment, all_band_one
 from bandsim.metrics import (capacity_comparison, db_gap, shannon_capacity)
 from bandsim.oracle import alternating_assignment
 from bandsim.topology import make_uniform_linear_array, topology_from_positions
@@ -42,12 +42,12 @@ def test_capacity_explicit_powers():
 
 def test_capacity_inactive_nan_and_exclusion():
     top = make_uniform_linear_array(3, 1.0)
-    act = ActivityState(np.array([True, False, True]))
+    act = np.array([True, False, True])
     caps, norm = shannon_capacity(top, all_band_one(3, 2), act)
     assert math.isnan(caps[1])
     assert norm == pytest.approx(np.nanmean(caps))
     # all-off network reports zero
-    off = ActivityState(np.zeros(3, dtype=bool))
+    off = np.zeros(3, dtype=bool)
     caps, norm = shannon_capacity(top, all_band_one(3, 2), off)
     assert norm == 0.0
     assert np.isnan(caps).all()
@@ -92,7 +92,7 @@ def test_comparison_better_reference_below_unity():
 def test_comparison_undefined_when_reference_zero():
     # an all-off network has zero reference capacity
     top = make_uniform_linear_array(3, 1.0)
-    off = ActivityState(np.zeros(3, dtype=bool))
+    off = np.zeros(3, dtype=bool)
     rep = capacity_comparison(top, off, all_band_one(3, 2),
                               alternating_assignment(3, 2))
     assert rep.undefined_fraction

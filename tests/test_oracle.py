@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandsim.allocation import run_to_convergence
-from bandsim.interference import (ActivityState, Assignment, InterferenceCache,
+from bandsim.interference import (Assignment, InterferenceCache,
                                   aggregate_interference, all_band_one,
                                   uniform_random_assignment, weight_matrix)
 from bandsim.oracle import (BoundReport, OracleCapacityError,
@@ -98,7 +98,7 @@ def test_brute_force_matches_exhaustive_python():
 
 def test_brute_force_pins_inactive_to_band_one():
     top = make_uniform_linear_array(4, 1.0)
-    act = ActivityState(np.array([True, False, True, False]))
+    act = np.array([True, False, True, False])
     asg, value = brute_force_optimal(top, act, 2)
     assert asg.bands[1] == 1
     assert asg.bands[3] == 1
@@ -151,7 +151,7 @@ def test_brute_force_matches_enumeration(cells, data, r, eta):
     top = topology_from_positions(0.5 * np.array(cells, dtype=float), eta=eta)
     active = np.array(data.draw(st.lists(st.booleans(), min_size=top.n,
                                          max_size=top.n)))
-    asg, value = brute_force_optimal(top, ActivityState(active), r)
+    asg, value = brute_force_optimal(top, active, r)
     bands, expected = _enumerated_optimum(top, active, r)
     assert list(asg.bands) == list(bands)
     assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -160,12 +160,11 @@ def test_brute_force_matches_enumeration(cells, data, r, eta):
 def test_brute_force_degenerate_sizes():
     top = make_uniform_linear_array(4, 1.0)
     # m = 0: nothing active
-    asg, value = brute_force_optimal(
-        top, ActivityState(np.zeros(4, dtype=bool)), 3)
+    asg, value = brute_force_optimal(top, np.zeros(4, dtype=bool), 3)
     assert list(asg.bands) == [1, 1, 1, 1] and value == 0.0
     # m = 1: the single active cluster sits on band 1 alone
     asg, value = brute_force_optimal(
-        top, ActivityState(np.array([False, False, True, False])), 3)
+        top, np.array([False, False, True, False]), 3)
     assert list(asg.bands) == [1, 1, 1, 1] and value == 0.0
     # more bands than clusters: every cluster gets a band of its own
     asg, value = brute_force_optimal(top, None, 12)
@@ -255,7 +254,7 @@ def test_bound_report_oracle_branch():
     rep = bound_report(ref, state.assignment())
     assert rep.ref is ref
     assert ref.i_o_kind == "oracle"
-    assert ref.top.n == 8 and ref.n_active == 8 and ref.r == 2
+    assert ref.top.n == 8 and ref.r == 2
     assert rep.upper_bound_ok
     assert rep.ordering_ok
     assert rep.ratio_cap_ok
@@ -265,6 +264,15 @@ def test_bound_report_oracle_branch():
     assert ref.limit == pytest.approx(np.pi ** 2 / 12.0, abs=1e-12)
     d = rep.to_dict()
     assert d["i_a"] == rep.i_a and d["upper_bound_ok"] is True
+
+
+def test_reference_keeps_its_own_copy_of_the_mask():
+    top = make_uniform_linear_array(6, 1.0)
+    mask = np.array([True, True, False, True, True, False])
+    ref = reference(top, mask, 2)
+    before = bound_report(ref, all_band_one(6, 2)).to_dict()
+    mask[:] = True
+    assert bound_report(ref, all_band_one(6, 2)).to_dict() == before
 
 
 def test_bound_report_reference_branch():
