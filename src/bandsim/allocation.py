@@ -70,10 +70,10 @@ def best_band(cache: InterferenceCache, i: int) -> int:
     REL_TOL); among strictly better bands the lowest-interference one is
     chosen, ties broken by lowest band index.
     """
-    if not cache.active[i]:
+    if not cache.active.item(i):
         raise ValueError(f"cluster {i} is inactive")
     powers = cache.band_powers(i).tolist()
-    current = int(cache.bands[i])
+    current = cache.bands.item(i)
     cur_val = powers[current - 1]
     low = min(powers)
     if cur_val - low <= REL_TOL * cur_val:
@@ -82,11 +82,13 @@ def best_band(cache: InterferenceCache, i: int) -> int:
 
 
 def apply_update(cache: InterferenceCache, i: int) -> UpdateRecord:
-    """Apply the best-band rule at cluster i and log the potential change."""
+    """Apply the best-band rule at cluster i and log the potential change;
+    the cache is written only when the band changes."""
     before = cache.aggregate()
-    old = int(cache.bands[i])
+    old = cache.bands.item(i)
     new = best_band(cache, i)
-    cache.set_band(i, new)
+    if new != old:
+        cache.set_band(i, new)
     return UpdateRecord(cache.time, i, old, new, before, cache.aggregate())
 
 
@@ -125,8 +127,8 @@ class RandomPermutationRounds:
     def next(self, cache: InterferenceCache) -> tuple[int, float]:
         """(cluster index, time advance) for the next update event."""
         if self._pos >= self._order.size:
-            idx = cache.active_indices()
-            if idx.size == 0:
+            idx = cache.active_list()
+            if not idx:
                 raise SchedulingError("no active clusters to schedule")
             self._order = cache.rng.permutation(idx)
             self._pos = 0
@@ -167,15 +169,16 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     round_based = isinstance(scheduler, RandomPermutationRounds)
     quiet_needed = n_active if round_based else 2 * n_active
     quiet_streak = 0
+    next_event, update, append = scheduler.next, apply_update, trace.append
     while True:
         if len(trace) >= max_updates:
             raise ConvergenceError(
                 f"no convergence within {max_updates} updates "
                 f"(n={cache.n}, eta={cache.topology.eta})")
-        i, dt = scheduler.next(cache)
+        i, dt = next_event(cache)
         cache.time += dt
-        rec = apply_update(cache, i)
-        trace.append(rec)
+        rec = update(cache, i)
+        append(rec)
         quiet_streak = 0 if rec.switched else quiet_streak + 1
         if quiet_streak >= quiet_needed and (
                 not round_based or scheduler.at_round_boundary()):

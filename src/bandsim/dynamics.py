@@ -3,8 +3,8 @@
 Update events arrive as a network-wide Poisson process of rate 1/delta_t;
 at every event each cluster's on/off state advances one step of a symmetric
 two-state Markov chain (stay with probability alpha), applied to the cache
-as one batched update, then one uniformly chosen active cluster applies the
-best-band rule.  The ensemble mean of the aggregate relaxes exponentially
+as one apply_flips update, then one uniformly chosen active cluster applies
+the best-band rule.  The ensemble mean of the aggregate relaxes exponentially
 with rate rho/tau (tau = N*delta_t), and in steady state the variance
 follows a closed-form prediction gated by the stability margin
 8*(1-alpha)/rho < 1.
@@ -18,6 +18,13 @@ Each kind of draw comes in blocks of interference.DRAW_BLOCK events from a
 stream of its own, so the block size changes no value, and alpha=1 runs are
 event-for-event identical to the static Poisson engine driven by the
 scheduling stream alone.
+
+The churn never reads the bands, so the flip rows are read a block at a
+time: one block of flip rows, XOR-accumulated onto the current mask, gives
+every event's mask row, active count, flip signs and pick (the
+floor(u*m)-th active cluster) before any of the block's best-response
+steps.  Each event then hands its flips and mask row to the cache and
+makes one apply_update call if it found an active cluster.
 """
 
 from __future__ import annotations
@@ -179,43 +186,77 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
         raise ValueError(f"initial assignment has r={asg.r}, expected {r}")
     cache = InterferenceCache(top, asg, rng=sched_rng)
     n = top.n
-    one_minus_alpha = 1.0 - cfg.alpha
-    flips = (_flip_sets(act_rng, n, one_minus_alpha)
-             if one_minus_alpha > 0.0 else None)
+    rate = 1.0 - cfg.alpha
     a0 = cache.aggregate()
     records = []
     active_counts = [n]
 
     t = 0.0
+    e = rows = 0
     while True:
         dt = cache.next_gap(cfg.delta_t)
         if t + dt > cfg.horizon:
             break
         t += dt
         cache.time = t
-        if flips is not None:
-            cache.toggle_active(next(flips))
-        i = cache.pick_active()
+        if e == rows:
+            rows = interference.DRAW_BLOCK
+            masks, counts, picks, cols, signs, ends = _churn_block(
+                cache, act_rng, rate, rows)
+            e = 0
+        lo, hi = ends[e], ends[e + 1]
+        if hi > lo:
+            cache.apply_flips(cols[lo:hi], signs[lo:hi], masks[e])
+        i = picks[e]
         records.append(apply_update(cache, i) if i >= 0
                        else UpdateRecord(t, -1, 0, 0, 0.0, 0.0))
-        active_counts.append(cache.active_indices().size)
+        active_counts.append(counts[e])
+        e += 1
 
     return replica_trace(records, a0, active_counts, n, cfg.delta_t,
                          final_bands=cache.bands.copy(), seed=seed)
 
 
-def _flip_sets(act_rng: np.random.Generator, n: int, rate: float):
-    """Endless iterator over each event's flip set: the indices of the
-    clusters whose uniform from act_rng falls below rate, one row of n
-    uniforms per event, drawn DRAW_BLOCK rows at a time."""
-    while True:
-        rows = interference.DRAW_BLOCK
-        hit_rows, hit_cols = np.nonzero(act_rng.random((rows, n)) < rate)
-        ends = np.searchsorted(hit_rows, np.arange(1, rows + 1)).tolist()
-        start = 0
-        for end in ends:
-            yield hit_cols[start:end]
-            start = end
+def _churn_block(cache: InterferenceCache, act_rng: np.random.Generator,
+                 rate: float, rows: int):
+    """Activity and picks of the next `rows` events, from the cache's
+    current mask: a cluster flips at an event when its uniform in that
+    event's row of act_rng falls below rate (no draw when rate is 0).
+
+    Returns (masks, counts, picks, cols, signs, ends): masks[e] is the
+    activity after event e's flips, counts[e] its active count and picks[e]
+    its floor(u*m)-th active cluster for the event's pick uniform u (-1 when
+    none is active); event e flips the clusters cols[ends[e]:ends[e+1]],
+    each turning on where its sign is 1.0 and off where it is -1.0.  The
+    best-response steps never touch activity, so a whole block is read
+    ahead of them.  A block without flips keeps the current mask (masks is
+    then None) and picks from the cache's active list.
+    """
+    n = cache.n
+    u = cache.pick_uniforms(rows)
+    flips = act_rng.random((rows, n)) < rate if rate > 0.0 else None
+    hits = np.flatnonzero(flips) if flips is not None else np.empty(0, int)
+    if hits.size == 0:
+        active = cache.active_list()
+        m = len(active)
+        picks = ([active[k] for k in (u * m).astype(np.int64).tolist()]
+                 if m else [-1] * rows)
+        return None, [m] * rows, picks, hits, None, [0] * (rows + 1)
+    # XOR-accumulate the flip rows onto the current mask
+    masks = np.bitwise_xor.accumulate(flips.view(np.uint8), axis=0).view(bool)
+    masks ^= cache.active
+    # flat positions e*n + j of the active clusters, row by row
+    on = np.flatnonzero(masks)
+    row_starts = np.arange(rows + 1) * n
+    starts = np.searchsorted(on, row_starts)
+    counts = np.diff(starts)
+    nth = starts[:-1] + (u * counts).astype(np.int64)
+    picks = np.append(on, -1)[nth] - row_starts[:-1]
+    picks[counts == 0] = -1
+    cols = hits % n
+    signs = np.where(masks.ravel()[hits], 1.0, -1.0)
+    ends = np.searchsorted(hits, row_starts).tolist()
+    return masks, counts.tolist(), picks.tolist(), cols, signs, ends
 
 
 def replica_trace(records: list[UpdateRecord], a0: float, active_counts,

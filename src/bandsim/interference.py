@@ -7,12 +7,13 @@ Conventions, used everywhere downstream:
 
 Plain functions recompute from scratch (the O(N^2) oracle path); the
 InterferenceCache is the mutable state of one simulated replica.  It keeps
-per-cluster per-band sums updated in O(N) per event for the simulation
-inner loop, and the aggregate updated in O(1).
+per-cluster per-band sums updated in O(N) per band switch and O(N*k) per
+event that flips k clusters, and the aggregate updated in O(1) per switch.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,17 +167,25 @@ class InterferenceCache:
 
     _band_power[j, k] is the power cluster j would receive on band k+1 from
     the currently active transmitters (excluding j itself, whose weight to
-    itself is zero).  Band switches and activity toggles adjust one weight
-    column per event, so bands and activity change only through set_band,
-    set_active and toggle_active.  The aggregate is kept as a running value:
-    by reciprocity a switch of active cluster i changes it by
-    2*(P[i,new] - P[i,old]).  Activity changes, single (set_active) or
-    batched (toggle_active), and rebuild() re-sum it exactly.
+    itself is zero).  Bands change only through set_band, which adjusts two
+    weight columns and keeps the per-band state in step: the N x r one-hot
+    band matrix _onehot and the flat index _own of each cluster's own-band
+    sum in _band_power.  Activity changes only through apply_flips, which
+    adds the flipped weight columns in one gather-matmul
+    W[:, idx] @ (onehot[idx] * sign), O(N*k*r) for k flips, and adopts the
+    new mask; set_active and toggle_active call it.  The aggregate is kept
+    as a running value: by reciprocity a switch of active cluster i changes
+    it by 2*(P[i,new] - P[i,old]).  Activity changes and rebuild() re-sum it
+    exactly.  The ascending list of active indices is cached between
+    activity changes.
 
     Poisson events draw in blocks of DRAW_BLOCK, one stream per kind of
     draw: next_gap reads standard exponentials from rng, so rng serves only
-    gaps once the first block is drawn; pick_active reads uniforms from a
-    child stream spawned from rng at the first pick.  Not thread-safe.
+    gaps once the first block is drawn; pick_active and pick_uniforms read
+    uniforms from a child stream spawned from rng at the first pick.  The
+    churn engine (dynamics.simulate_time_varying) reads a block of flip rows
+    into mask rows and picks ahead of its events and hands each event's
+    flips to apply_flips.  Not thread-safe.
     """
 
     def __init__(self, top: Topology, asg: Assignment,
@@ -193,7 +202,6 @@ class InterferenceCache:
         self.time = 0.0
         self.weights = weight_matrix(top)
         self._band_power = np.zeros((top.n, asg.r))
-        self._idx = np.arange(top.n)
         self.rebuild()
 
     @property
@@ -201,7 +209,11 @@ class InterferenceCache:
         return self.bands.size
 
     def rebuild(self) -> None:
-        """Full O(N^2) recompute of the cached sums."""
+        """Full O(N^2) recompute of the cached sums and per-band state."""
+        idx = np.arange(self.n)
+        self._onehot = np.zeros((self.n, self.r))
+        self._onehot[idx, self.bands - 1] = 1.0
+        self._own = idx * self.r + self.bands - 1
         masked = self.weights * self.active[None, :]
         for k in range(self.r):
             cols = self.bands == k + 1
@@ -209,8 +221,8 @@ class InterferenceCache:
         self._activity_changed()
 
     def _activity_changed(self) -> None:
-        """Drop the cached active set and re-sum the aggregate in O(N)."""
-        self._active_idx = None
+        """Drop the cached active list and re-sum the aggregate in O(N)."""
+        self._active_list = None
         self._aggregate = float(np.add.reduce(self.own_band_interference(),
                                               where=self.active))
 
@@ -220,16 +232,17 @@ class InterferenceCache:
 
     def own_band_interference(self) -> np.ndarray:
         """Per-cluster interference on each cluster's own band."""
-        return self._band_power[self._idx, self.bands - 1]
+        return self._band_power.take(self._own)
 
     def aggregate(self) -> float:
         return self._aggregate
 
-    def active_indices(self) -> np.ndarray:
-        """Indices of the active clusters, ascending (do not mutate)."""
-        if self._active_idx is None:
-            self._active_idx = np.flatnonzero(self.active)
-        return self._active_idx
+    def active_list(self) -> list[int]:
+        """Indices of the active clusters, ascending, as a list cached
+        between activity changes (do not mutate)."""
+        if self._active_list is None:
+            self._active_list = np.flatnonzero(self.active).tolist()
+        return self._active_list
 
     def next_gap(self, delta_t: float) -> float:
         """Time to the next Poisson event of mean delta_t: delta_t times the
@@ -237,46 +250,65 @@ class InterferenceCache:
         return delta_t * next(self._gaps)
 
     def pick_active(self) -> int:
-        """Uniformly drawn active cluster active_indices()[floor(u*m)] of
-        the m active ones, for the next uniform u of the pick stream; -1
-        if none is active.  Every call uses one uniform."""
+        """Uniformly drawn active cluster active_list()[floor(u*m)] of the
+        m active ones, for the next uniform u of the pick stream; -1 if
+        none is active.  Every call uses one uniform."""
         u = next(self._picks)
-        idx = self.active_indices()
-        m = idx.size
+        idx = self.active_list()
+        m = len(idx)
         if m == 0:
             return -1
-        return int(idx[int(u * m)])
+        return idx[int(u * m)]
+
+    def pick_uniforms(self, k: int) -> np.ndarray:
+        """The next k uniforms of the pick stream: the ones the next k
+        pick_active calls would read."""
+        return np.fromiter(itertools.islice(self._picks, k), float, k)
 
     def set_band(self, i: int, band: int) -> None:
-        old = int(self.bands[i])
+        old = self.bands.item(i)
         if band == old:
             return
         if not 1 <= band <= self.r:
             raise ValueError(f"band {band} out of range 1..{self.r}")
-        if self.active[i]:
+        if self.active.item(i):
             row = self._band_power[i]
-            self._aggregate += 2.0 * float(row[band - 1] - row[old - 1])
+            self._aggregate += 2.0 * (row.item(band - 1) - row.item(old - 1))
             col = self.weights[:, i]
             self._band_power[:, old - 1] -= col
             self._band_power[:, band - 1] += col
         self.bands[i] = band
+        self._onehot[i, old - 1] = 0.0
+        self._onehot[i, band - 1] = 1.0
+        self._own[i] += band - old
+
+    def apply_flips(self, idx: np.ndarray, signs: np.ndarray,
+                    mask: np.ndarray) -> None:
+        """Flip the activity of the distinct clusters idx: signs[k] is 1.0
+        where idx[k] turns on and -1.0 where it turns off, and mask is the
+        activity after the flips, adopted as it is (the caller must not
+        mutate it afterwards).  The band sums gain the k flipped weight
+        columns in one product, O(N*k*r); the aggregate is re-summed
+        exactly."""
+        # keep the column gather: the product's last bits depend on its
+        # operands' memory layout, and W[:, idx] is Fortran-ordered
+        self._band_power += self.weights[:, idx] @ (
+            self._onehot.take(idx, axis=0) * signs[:, None])
+        self.active = mask
+        self._activity_changed()
 
     def set_active(self, i: int, on: bool) -> None:
-        if bool(self.active[i]) != bool(on):
+        if self.active.item(i) != bool(on):
             self.toggle_active(np.array([i]))
 
     def toggle_active(self, idx: np.ndarray) -> None:
-        """Flip the activity of the clusters at the indices idx (distinct),
-        as one batched update of the band sums followed by an exact re-sum
-        of the aggregate."""
+        """Flip the activity of the clusters at the indices idx (distinct)
+        as one apply_flips update."""
         if idx.size == 0:
             return
-        signed = np.zeros((idx.size, self.r))
-        signed[np.arange(idx.size), self.bands[idx] - 1] = \
-            np.where(self.active[idx], -1.0, 1.0)
-        self._band_power += self.weights[:, idx] @ signed
-        self.active[idx] = ~self.active[idx]
-        self._activity_changed()
+        mask = self.active.copy()
+        mask[idx] = ~mask[idx]
+        self.apply_flips(idx, np.where(mask[idx], 1.0, -1.0), mask)
 
     def assignment(self) -> Assignment:
         return Assignment(self.bands.copy(), self.r)

@@ -89,6 +89,37 @@ def test_apply_update_records_potential_change():
     assert rec.aggregate_after < rec.aggregate_before
 
 
+def test_apply_update_quiet_leaves_the_cache_bitwise_unchanged():
+    # a quiet update writes nothing; a switch is exactly one set_band
+    rng = np.random.default_rng(11)
+    top = make_rectangular_lattice(4, 5, 1.0)
+    quiet = switched = 0
+    for _ in range(30):
+        asg = uniform_random_assignment(20, 3, rng)
+        act = rng.random(20) < 0.8
+        cache = InterferenceCache(top, asg, act)
+        twin = InterferenceCache(top, asg, act)
+        for i in rng.permutation(np.flatnonzero(act)).tolist():
+            bands = cache.bands.copy()
+            powers = cache._band_power.copy()
+            before = cache.aggregate()
+            rec = apply_update(cache, i)
+            if rec.new_band == bands[i]:
+                quiet += 1
+                assert not rec.switched
+                assert np.array_equal(cache.bands, bands)
+                assert np.array_equal(cache._band_power, powers)
+                assert cache.aggregate() == before == rec.aggregate_after
+            else:
+                switched += 1
+                assert rec.switched
+                twin.set_band(i, rec.new_band)
+            assert np.array_equal(cache.bands, twin.bands)
+            assert np.array_equal(cache._band_power, twin._band_power)
+            assert cache.aggregate() == twin.aggregate()
+    assert quiet > 0 and switched > 0
+
+
 def test_single_active_cluster_never_switches():
     top = make_uniform_linear_array(4, 1.0)
     state = _state(top, [1, 2, 2, 2], 2,
@@ -389,7 +420,7 @@ def test_simstate_default_activity_all_on():
     top = make_uniform_linear_array(4, 1.0)
     state = InterferenceCache(top, all_band_one(4, 2))
     assert state.active.all()
-    assert np.array_equal(state.active_indices(), np.arange(4))
+    assert state.active_list() == [0, 1, 2, 3]
     assert state.n == 4
     assert state.r == 2
 

@@ -10,6 +10,7 @@ name.  Each test runs
 benchmark's first run does, and checks the counts against the outputs.
 """
 
+import csv
 import importlib.util
 import json
 import os
@@ -33,9 +34,14 @@ def _build_config(name: str) -> dict:
     return workloads.build_config(name, 1, smoke=True)
 
 
-def _traced_run(name: str, tmp_path: Path) -> tuple[dict, Path, dict]:
+def _traced_run(name: str, tmp_path: Path,
+                **output) -> tuple[dict, Path, dict]:
+    """Traced run of the workload's smoke config, with `output` settings
+    added to the config's output section."""
+    doc = _build_config(name)
+    doc["output"].update(output)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(_build_config(name)))
+    config.write_text(json.dumps(doc))
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "child.py"), str(ROOT / "src"),
@@ -61,7 +67,7 @@ def test_traced_converge_counts_every_update(tmp_path):
 @pytest.mark.parametrize("name,replicas", [("relax_ula", 3),
                                            ("churn_ula", 21)])
 def test_traced_dynamics_counts_every_replica(tmp_path, name, replicas):
-    layers, _, _ = _traced_run(name, tmp_path)
+    layers, out, _ = _traced_run(name, tmp_path, write_trace=True)
     assert layers["dynamics.replicas"] == replicas
     # the benchmark's event count is the number of apply_update calls, so
     # the engine must make one per event that finds an active cluster
@@ -76,7 +82,13 @@ def test_traced_dynamics_counts_every_replica(tmp_path, name, replicas):
         top, _ = experiments._build_topology(cfg)
         records, *_ = experiments._converge_one(cfg, top, (cfg.base_seed, 1))
         assert layers["allocation.converge_calls"] == 1
-        assert 0 < events - len(records) <= layers["dynamics.events"]
+        # every churn event that finds an active cluster is one trace row
+        # after t = 0 with a cluster, and one apply_update call
+        with open(out / f"{name}_trace.csv", newline="") as fh:
+            picked = sum(float(row["time"]) > 0 and int(row["cluster"]) >= 0
+                         for row in csv.DictReader(fh))
+        assert events - len(records) == picked > 0
+        assert picked <= layers["dynamics.events"]
 
 
 def test_traced_sweep_counts_every_oracle_call(tmp_path):
