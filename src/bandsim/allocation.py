@@ -14,6 +14,7 @@ and the dynamics do not depend on units.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,9 +147,11 @@ def default_update_guard(n: int, eta: float) -> int:
 
 
 def run_to_convergence(cache: InterferenceCache, scheduler=None,
-                       max_updates: int | None = None
+                       max_updates: int | None = None,
+                       levels: list | None = None
                        ) -> tuple[InterferenceCache, list[UpdateRecord]]:
-    """Run updates under a fixed activity pattern until no cluster moves.
+    """Run updates under a fixed activity pattern until no cluster moves;
+    returns (cache, records), one apply_update record per event.
 
     Both schedulers stop on a streak of events that apply no switch:
     permutation scheduling when a streak of n_active ends on a round
@@ -156,6 +159,13 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     2 * n_active (each event hits any given cluster with chance 1/n_active,
     so a full coverage cannot be certified by a single round).  Raises
     ConvergenceError beyond max_updates (default 10*N^(eta+2)).
+
+    Under a PoissonClock the events are read a block at a time
+    (InterferenceCache.poisson_ahead), since the activity, and so every
+    pick, stays fixed; a run that stops mid-block leaves the block's unused
+    draws to the cache's next reader.  When levels is a list, the run
+    appends the own-band interference row (own_band_interference()) after
+    every switch: the states a capacity series needs.
     """
     if scheduler is None:
         scheduler = RandomPermutationRounds()
@@ -165,6 +175,10 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
         return cache, trace
     if max_updates is None:
         max_updates = default_update_guard(cache.n, cache.topology.eta)
+    if isinstance(scheduler, PoissonClock):
+        _run_poisson(cache, scheduler.delta_t, 2 * n_active, max_updates,
+                     trace, levels)
+        return cache, trace
 
     round_based = isinstance(scheduler, RandomPermutationRounds)
     quiet_needed = n_active if round_based else 2 * n_active
@@ -172,15 +186,56 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     next_event, update, append = scheduler.next, apply_update, trace.append
     while True:
         if len(trace) >= max_updates:
-            raise ConvergenceError(
-                f"no convergence within {max_updates} updates "
-                f"(n={cache.n}, eta={cache.topology.eta})")
+            raise _guard_error(cache, max_updates)
         i, dt = next_event(cache)
         cache.time += dt
         rec = update(cache, i)
         append(rec)
-        quiet_streak = 0 if rec.switched else quiet_streak + 1
+        if rec.switched:
+            quiet_streak = 0
+            if levels is not None:
+                levels.append(cache.own_band_interference())
+        else:
+            quiet_streak += 1
         if quiet_streak >= quiet_needed and (
                 not round_based or scheduler.at_round_boundary()):
             break
     return cache, trace
+
+
+def _run_poisson(cache: InterferenceCache, delta_t: float, quiet_needed: int,
+                 max_updates: int, trace: list, levels: list | None) -> None:
+    """run_to_convergence's Poisson loop: one apply_update per event,
+    appended to trace, until quiet_needed events in a row switch nothing."""
+    quiet_streak = 0
+    update, append = apply_update, trace.append
+    while True:
+        room = max_updates - len(trace)
+        if room <= 0:
+            raise _guard_error(cache, max_updates)
+        gaps, picks = cache.poisson_ahead(delta_t)
+        # the running sum cache.time + gap, one event after another
+        times = itertools.accumulate(gaps[:room], initial=cache.time)
+        next(times)
+        start = len(trace)
+        for t, i in zip(times, picks):
+            cache.time = t
+            rec = update(cache, i)
+            append(rec)
+            if rec.switched:
+                quiet_streak = 0
+                if levels is not None:
+                    levels.append(cache.own_band_interference())
+            else:
+                quiet_streak += 1
+                if quiet_streak >= quiet_needed:
+                    cache.skip_events(len(trace) - start)
+                    return
+        cache.skip_events(len(trace) - start)
+
+
+def _guard_error(cache: InterferenceCache,
+                 max_updates: int) -> ConvergenceError:
+    return ConvergenceError(
+        f"no convergence within {max_updates} updates "
+        f"(n={cache.n}, eta={cache.topology.eta})")

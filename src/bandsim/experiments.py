@@ -14,8 +14,8 @@ files (sorted keys, floats at 17 significant digits, LF endings).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -187,41 +187,67 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-# rows per block of _write_csv; larger blocks wrote slower, smaller ones
-# no faster (measured on a 200k-row trace table)
-_CSV_BLOCK = 4096
+# rows per block of _write_csv: on converge_lattice's trace and capacity
+# tables, blocks of 4096 rows raised the writer's peak RSS by 0.8 MB more
+# than blocks of 2048, and neither they nor blocks of 1024 wrote faster
+_CSV_BLOCK = 2048
 
 
-def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    """Write header and one row per position of the equal-length columns,
-    each cell as _csv_cell writes it, _CSV_BLOCK rows at a time.
+def _write_csv(tables: list) -> None:
+    """Write each (path, header, columns) table: its header, then one row
+    per position of its equal-length columns, each cell as _csv_cell writes
+    it.
 
-    When every column is an int or float numpy array, a block is formatted
-    by one %-operation; '%d' and '%.17g' are str(int) and _format_float for
-    those cells.  Any other table, and any block whose text shows a
-    non-finite float, goes through _csv_cell.
+    The tables are written side by side, _CSV_BLOCK rows at a time.  In a
+    table whose columns are all int or float numpy arrays, a block is
+    formatted column by column: a column object that several tables share
+    is formatted once per block, and so is each distinct value of a column's
+    block (so each run of bitwise-equal cells), where '%.17g' and str(int)
+    are what _csv_cell writes for those cells.  Any other table, and any
+    block of a table that holds a NaN or an infinity, goes through _csv_cell.
     """
-    kinds = [col.dtype.kind if isinstance(col, np.ndarray) else "O"
-             for col in columns]
-    fmt = None
-    if all(kind in "iuf" for kind in kinds):
-        fmt = ",".join("%.17g" if kind == "f" else "%d" for kind in kinds)
-    size = len(columns[0]) if columns else 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with contextlib.ExitStack() as stack:
+        handles = []
+        for path, header, _ in tables:
+            fh = stack.enter_context(
+                open(path, "w", encoding="utf-8", newline="\n"))
+            fh.write(",".join(header) + "\n")
+            handles.append(fh)
+        numeric = [all(isinstance(col, np.ndarray) and col.dtype.kind in "iuf"
+                       for col in columns) for _, _, columns in tables]
+        size = max((len(columns[0]) for _, _, columns in tables if columns),
+                   default=0)
         for start in range(0, size, _CSV_BLOCK):
-            block = [col[start:start + _CSV_BLOCK] for col in columns]
-            text = None
-            if fmt is not None:
-                block = [col.tolist() for col in block]
-                text = "\n".join([fmt] * len(block[0])) % tuple(
-                    itertools.chain.from_iterable(zip(*block)))
-                if "n" in text:  # only 'nan' and 'inf' hold the letter
-                    text = None
-            if text is None:
-                text = "\n".join(",".join(map(_csv_cell, row))
-                                 for row in zip(*block))
-            fh.write(text + "\n")
+            stop = start + _CSV_BLOCK
+            cells = {}  # id of a numeric column -> its block's cells or None
+            for fh, (_, _, columns), bulk in zip(handles, tables, numeric):
+                if not columns or len(columns[0]) <= start:
+                    continue
+                block = None
+                if bulk:
+                    for col in columns:
+                        if id(col) not in cells:
+                            cells[id(col)] = _block_cells(col[start:stop])
+                    block = [cells[id(col)] for col in columns]
+                if block is None or None in block:
+                    block = [list(map(_csv_cell, col[start:stop]))
+                             for col in columns]
+                fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+
+
+def _block_cells(values: np.ndarray) -> list[str] | None:
+    """The cells of an int or float array as _csv_cell writes them, each
+    distinct value formatted once; None if it holds a NaN or an infinity."""
+    if values.dtype.kind != "f":
+        keys, fmt = values, str
+    elif np.isfinite(values).all():
+        # the bits, so that -0.0 and 0.0 stay apart
+        keys, fmt = values.view(f"i{values.itemsize}"), "%.17g".__mod__
+    else:
+        return None
+    distinct, where = np.unique(keys, return_inverse=True)
+    texts = list(map(fmt, distinct.view(values.dtype).tolist()))
+    return np.array(texts, dtype=object)[where].tolist()
 
 
 def config_hash(resolved: dict) -> str:
@@ -755,10 +781,12 @@ def _score(ref: Reference, link: tuple, final: Assignment):
 
 
 def _converge_one(cfg: ExperimentConfig, top: Topology,
-                  seed: int | tuple[int, int]):
+                  seed: int | tuple[int, int], levels: list | None = None):
     """One static run to convergence from the config's initial assignment,
     drawn, like the scheduler's clock, from SeedSequence(seed); returns
-    (records, initial, converged cache, a0)."""
+    (records, initial, converged cache, a0).  When levels is a list it gets
+    the own-band interference row of the initial state and of the state
+    after each switch."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if cfg.initial_assignment == "uniform_random":
         initial = uniform_random_assignment(top.n, cfg.bands, rng)
@@ -766,28 +794,24 @@ def _converge_one(cfg: ExperimentConfig, top: Topology,
         initial = all_band_one(top.n, cfg.bands)
     cache = InterferenceCache(top, initial, rng=rng)
     a0 = cache.aggregate()
+    if levels is not None:
+        levels.append(cache.own_band_interference())
     scheduler = (PoissonClock(cfg.delta_t) if cfg.scheduler_kind == "poisson"
                  else RandomPermutationRounds(cfg.delta_t))
-    cache, records = run_to_convergence(cache, scheduler)
+    cache, records = run_to_convergence(cache, scheduler, levels=levels)
     return records, initial, cache, a0
 
 
-def _capacity_series(top: Topology, initial: Assignment, tr: SimTrace,
-                     s: float, n0: float) -> np.ndarray:
-    """Mean link capacity after each row of the trace `tr`.  Its switches
-    are replayed from `initial` and the capacity of each distinct state is
-    computed in one batch."""
-    cache = InterferenceCache(top, initial)
-    switched = tr.new_bands != tr.old_bands
-    levels = [cache.own_band_interference()]
-    for i, band in zip(tr.clusters[switched].tolist(),
-                       tr.new_bands[switched].tolist()):
-        cache.set_band(i, band)
-        levels.append(cache.own_band_interference())
+def _capacity_series(levels: list, tr: SimTrace, s: float,
+                     n0: float) -> np.ndarray:
+    """Mean link capacity after each row of the trace `tr`, from levels,
+    the own-band interference rows the run recorded: its initial state's,
+    then one after each switch (see _converge_one).  The capacity of all
+    those states is computed in one batch."""
     # every cluster is active, so the mean runs over all of them
     caps = link_capacity(np.array(levels), s, n0).mean(axis=1)
     # per row, the index in levels of the state after it
-    return caps[np.cumsum(switched)]
+    return caps[np.cumsum(tr.new_bands != tr.old_bands)]
 
 
 def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
@@ -799,12 +823,13 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     reports = []
     for k in range(cfg.replicas):
         seed = cfg.base_seed + k
-        records, initial, cache, a0 = _converge_one(cfg, top, seed)
+        levels = [] if cfg.write_capacity_series else None
+        records, _, cache, a0 = _converge_one(cfg, top, seed, levels)
         tr = replica_trace(records, a0, [top.n] * (len(records) + 1), top.n,
                            cfg.delta_t, seed=seed)
         traces.append(tr)
-        if cfg.write_capacity_series:
-            caps.append(_capacity_series(top, initial, tr, s, n0))
+        if levels is not None:
+            caps.append(_capacity_series(levels, tr, s, n0))
         brep, scores = _score(ref, link, cache.assignment())
         reports.append(brep)
         detail.append({
@@ -1070,16 +1095,17 @@ TRACE_HEADER = ["replica", "event_index", "time", "cluster", "old_band",
 def _emit(cfg: ExperimentConfig, out_dir: Path, summary: dict,
           tables: list) -> list[Path]:
     """Write <prefix>_config.json, <prefix>_summary.json and one CSV per
-    (suffix, header, columns) table whose columns are not None; returns the
-    paths in that order."""
+    (suffix, header, columns) table whose columns are not None, the CSVs
+    in one _write_csv call, so that columns the tables share are formatted
+    once; returns the paths in that order."""
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = [t for t in tables if t[2] is not None]
     files = [out_dir / f"{cfg.prefix}_{suffix}" for suffix in
              ("config.json", "summary.json", *(t[0] for t in tables))]
     _write_json(files[0], cfg.resolved)
     _write_json(files[1], summary)
-    for path, (_, header, columns) in zip(files[2:], tables):
-        _write_csv(path, header, columns)
+    _write_csv([(path, header, columns)
+                for path, (_, header, columns) in zip(files[2:], tables)])
     return files
 
 

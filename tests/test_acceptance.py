@@ -376,7 +376,7 @@ def test_acceptance_10_cache_consistency(capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_acceptance_11_preset_determinism(capsys, tmp_path):
-    names = ("fig2a", "fig2b", "fig6")
+    names = ("fig2a", "fig2b", "fig2c", "fig6")
     ok = True
     checked = 0
     for name in names:

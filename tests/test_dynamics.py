@@ -218,11 +218,18 @@ def test_draw_block_size_changes_no_value(monkeypatch, n, alpha):
         sched_rng, _ = replica_streams(3)
         cache = InterferenceCache(top, all_band_one(n, 2), rng=sched_rng)
         _, records = run_to_convergence(cache, PoissonClock(0.01))
-        return tr, [(rec.time, rec.cluster, rec.new_band) for rec in records]
+        # a Poisson run stops mid-block: the draws it read ahead but did
+        # not use go to the cache's next readers
+        cache.set_band(0, 3 - cache.bands.item(0))
+        _, more = run_to_convergence(cache, PoissonClock(0.01))
+        later = [(cache.next_gap(0.01), cache.pick_active())
+                 for _ in range(70)]
+        return tr, [(rec.time, rec.cluster, rec.new_band)
+                    for rec in records + more] + later
 
     want_tr, want_records = runs()
     assert want_tr.events > 100
-    for block in (1, 7):
+    for block in (1, 7, 64):
         monkeypatch.setattr(interference, "DRAW_BLOCK", block)
         tr, records = runs()
         assert records == want_records

@@ -7,16 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from bandsim import experiments, oracle
 from bandsim.cli import main
-from bandsim.dynamics import replica_streams, stability_margin
+from bandsim.dynamics import replica_streams, replica_trace, stability_margin
 from bandsim.experiments import (EXPERIMENTS, OUTPUT_DIR_ENV, PRESET_NAMES,
-                                 TRACE_HEADER, ConfigError, config_hash,
-                                 dumps_canonical, load_config, parse_config,
-                                 preset, resolve_out_dir, run_experiment,
-                                 validate_config, _build_topology,
+                                 SCHEDULER_KINDS, TRACE_HEADER, ConfigError,
+                                 config_hash, dumps_canonical, load_config,
+                                 parse_config, preset, resolve_out_dir,
+                                 run_experiment, validate_config,
+                                 _build_topology, _capacity_series,
                                  _converge_one, _csv_cell, _emit, _jsonable,
                                  _write_csv)
 from bandsim.interference import InterferenceCache, worst_case_interference
@@ -476,62 +478,88 @@ _ARRAY_CELLS = {np.int64: st.integers(-2 ** 63, 2 ** 63 - 1),
 
 
 @st.composite
-def _csv_columns(draw):
-    """Equal-length columns: int64 and float64 arrays (NaN and +-inf
-    among the floats) and lists of mixed cells."""
-    size = draw(st.integers(0, 12))
-    columns = []
-    for _ in range(draw(st.integers(1, 4))):
-        dtype = draw(st.sampled_from([np.int64, np.float64, list]))
-        if dtype is list:
-            columns.append(draw(st.lists(st.one_of(*_CELLS.values()),
-                                         min_size=size, max_size=size)))
-        else:
-            columns.append(np.array(
-                draw(st.lists(_ARRAY_CELLS[dtype], min_size=size,
-                              max_size=size)), dtype=dtype))
-    return columns
+def _column(draw, size):
+    """An int64 or float64 array (NaN and +-inf among the floats) or a list
+    of mixed cells, of `size` cells in runs of equal values."""
+    dtype = draw(st.sampled_from([np.int64, np.float64, list]))
+    cells = (st.one_of(*_CELLS.values()) if dtype is list
+             else _ARRAY_CELLS[dtype])
+    values = []
+    while len(values) < size:
+        values += [draw(cells)] * draw(st.integers(1, 4))
+    return values[:size] if dtype is list else np.array(values[:size], dtype)
+
+
+@st.composite
+def _csv_tables(draw):
+    """Up to three tables of up to four columns each, drawn from pools of
+    equal-length columns (one pool per table length), so that tables share
+    column objects."""
+    pools = [[draw(_column(size)) for _ in range(draw(st.integers(1, 4)))]
+             for size in draw(st.lists(st.integers(0, 12), min_size=1,
+                                       max_size=2))]
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = draw(st.sampled_from(pools))
+        tables.append([pool[draw(st.integers(0, len(pool) - 1))]
+                       for _ in range(draw(st.integers(1, 4)))])
+    return tables
+
+
+def _per_cell_text(header, columns):
+    return ",".join(header) + "\n" + "".join(
+        ",".join(_csv_cell(c) for c in row) + "\n" for row in zip(*columns))
+
+
+_SHARED = np.array([0.0, -0.0, -0.0, math.nan, math.nan, 0.0, 0.0, 0.0])
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(columns=_csv_columns(), block=st.integers(1, 5))
-def test_write_csv_matches_a_per_cell_join(tmp_path, monkeypatch, columns,
+@given(tables=_csv_tables(), block=st.integers(1, 5))
+@example(tables=[[_SHARED, np.arange(8)], [np.arange(8), _SHARED]],
+         block=2)
+@example(tables=[[_SHARED], [np.array([1.0, math.inf])]], block=1)
+def test_write_csv_matches_a_per_cell_join(tmp_path, monkeypatch, tables,
                                            block):
-    # small blocks split the tables, so bulk and per-cell blocks mix
+    # small blocks split the tables, so bulk and per-cell blocks mix and
+    # runs of equal cells cross block boundaries
     monkeypatch.setattr(experiments, "_CSV_BLOCK", block)
-    path = tmp_path / "t.csv"
-    header = [f"h{j}" for j in range(len(columns))]
+    paths = [tmp_path / f"t{k}.csv" for k in range(len(tables))]
+    headers = [[f"h{j}" for j in range(len(columns))] for columns in tables]
     try:
-        expected = ",".join(header) + "\n" + "".join(
-            ",".join(_csv_cell(c) for c in row) + "\n"
-            for row in zip(*columns))
+        expected = [_per_cell_text(header, columns)
+                    for header, columns in zip(headers, tables)]
     except ValueError:
         with pytest.raises(ValueError):
-            _write_csv(path, header, columns)
+            _write_csv(list(zip(paths, headers, tables)))
         return
-    _write_csv(path, header, columns)
-    assert path.read_bytes() == expected.encode("utf-8")
+    _write_csv(list(zip(paths, headers, tables)))
+    for path, text in zip(paths, expected):
+        assert path.read_bytes() == text.encode("utf-8")
 
 
 def test_write_csv_non_finite_in_a_uniform_run(tmp_path):
     # a NaN leaves its cell empty inside an all-array block
     path = tmp_path / "t.csv"
-    _write_csv(path, ["a", "b"], [np.array([1, 2, 3]),
-                                  np.array([0.5, math.nan, 1.5])])
+    _write_csv([(path, ["a", "b"], [np.array([1, 2, 3]),
+                                    np.array([0.5, math.nan, 1.5])])])
     assert path.read_text(encoding="utf-8") == "a,b\n1,0.5\n2,\n3,1.5\n"
     with pytest.raises(ValueError):
-        _write_csv(path, ["a", "b"], [np.array([1, 2]),
-                                      np.array([0.5, -math.inf])])
+        _write_csv([(path, ["a", "b"], [np.array([1, 2]),
+                                        np.array([0.5, -math.inf])])])
 
 
 def test_write_csv_memory_does_not_grow_with_the_table(tmp_path):
     def peak(size):
-        columns = [np.arange(size), np.linspace(0.0, 1.0, size),
-                   np.full(size, -1), np.linspace(1.0, 2.0, size)]
+        shared = [np.arange(size), np.linspace(0.0, 1.0, size)]
+        tables = [(tmp_path / "t.csv", ["a", "b", "c", "d"],
+                   [*shared, np.full(size, -1), np.linspace(1.0, 2.0, size)]),
+                  (tmp_path / "u.csv", ["a", "b", "e"],
+                   [*shared, np.repeat(np.linspace(0.0, 1.0, size // 8), 8)])]
         tracemalloc.start()
         try:
-            _write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], columns)
+            _write_csv(tables)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -643,6 +671,44 @@ def test_capacity_series_matches_a_per_switch_loop(tmp_path, doc):
     run_experiment(cfg, out_dir=str(tmp_path))
     text = (tmp_path / "t_capacity.csv").read_text(encoding="utf-8")
     assert text == _capacity_series_per_switch(cfg)
+
+
+def _replayed_capacity_series(top, initial, tr, s, n0):
+    """Mean link capacity after each row of the trace `tr`, from a fresh
+    cache that replays the trace's switches from `initial`."""
+    cache = InterferenceCache(top, initial)
+    switched = tr.new_bands != tr.old_bands
+    levels = [cache.own_band_interference()]
+    for i, band in zip(tr.clusters[switched].tolist(),
+                       tr.new_bands[switched].tolist()):
+        cache.set_band(i, band)
+        levels.append(cache.own_band_interference())
+    caps = link_capacity(np.array(levels), s, n0).mean(axis=1)
+    return caps[np.cumsum(switched)]
+
+
+@pytest.mark.parametrize("initial", ["all_band_one", "uniform_random"])
+@pytest.mark.parametrize("topology", [
+    {"kind": "ula", "n": 30, "d": 1.0},
+    {"kind": "rect", "rows": 5, "cols": 6, "d": 1.0},
+    {"kind": "hex", "rows": 5, "cols": 6, "d": 1.0}])
+def test_recorded_capacity_series_matches_a_replay(topology, initial):
+    for kind in SCHEDULER_KINDS:
+        cfg = parse_config(_tiny_doc(
+            topology=topology, bands=3, initial_assignment=initial,
+            scheduler={"kind": kind, "delta_t": 0.01},
+            link={"signal_power": 1.0, "noise_power": 0.1}))
+        top, _ = _build_topology(cfg)
+        s, n0 = link_powers(top, cfg.signal_power, cfg.noise_power)
+        for seed in (1, 2, 3):
+            levels = []
+            records, start, _, a0 = _converge_one(cfg, top, seed, levels)
+            assert len(levels) == 1 + sum(rec.switched for rec in records) > 1
+            tr = replica_trace(records, a0, [top.n] * (len(records) + 1),
+                               top.n, cfg.delta_t)
+            got = _capacity_series(levels, tr, s, n0)
+            want = _replayed_capacity_series(top, start, tr, s, n0)
+            assert got.tobytes() == want.tobytes()
 
 
 def _trace_per_record(cfg):

@@ -62,6 +62,11 @@ def test_traced_converge_counts_every_update(tmp_path):
     updates = sum(d["updates"] for d in summary["replicas_detail"])
     assert layers["allocation.events"] == updates
     assert layers["experiments.emit_s"] > 0
+    # the capacity series reads the levels the run recorded: one cache per
+    # replica, and no switch replayed
+    assert layers["interference.cache_builds"] == summary["replicas"]
+    assert layers["interference.set_band_calls"] == sum(
+        d["switches"] for d in summary["replicas_detail"])
 
 
 @pytest.mark.parametrize("name,replicas", [("relax_ula", 3),
