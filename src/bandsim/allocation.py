@@ -14,7 +14,6 @@ and the dynamics do not depend on units.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,12 +159,9 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     so a full coverage cannot be certified by a single round).  Raises
     ConvergenceError beyond max_updates (default 10*N^(eta+2)).
 
-    Under a PoissonClock the events are read a block at a time
-    (InterferenceCache.poisson_ahead), since the activity, and so every
-    pick, stays fixed; a run that stops mid-block leaves the block's unused
-    draws to the cache's next reader.  When levels is a list, the run
-    appends the own-band interference row (own_band_interference()) after
-    every switch: the states a capacity series needs.
+    When levels is a list, the run appends the own-band interference row
+    (own_band_interference()) after every switch: the states a capacity
+    series needs.
     """
     if scheduler is None:
         scheduler = RandomPermutationRounds()
@@ -175,10 +171,6 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
         return cache, trace
     if max_updates is None:
         max_updates = default_update_guard(cache.n, cache.topology.eta)
-    if isinstance(scheduler, PoissonClock):
-        _run_poisson(cache, scheduler.delta_t, 2 * n_active, max_updates,
-                     trace, levels)
-        return cache, trace
 
     round_based = isinstance(scheduler, RandomPermutationRounds)
     quiet_needed = n_active if round_based else 2 * n_active
@@ -186,7 +178,9 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     next_event, update, append = scheduler.next, apply_update, trace.append
     while True:
         if len(trace) >= max_updates:
-            raise _guard_error(cache, max_updates)
+            raise ConvergenceError(
+                f"no convergence within {max_updates} updates "
+                f"(n={cache.n}, eta={cache.topology.eta})")
         i, dt = next_event(cache)
         cache.time += dt
         rec = update(cache, i)
@@ -201,41 +195,3 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
                 not round_based or scheduler.at_round_boundary()):
             break
     return cache, trace
-
-
-def _run_poisson(cache: InterferenceCache, delta_t: float, quiet_needed: int,
-                 max_updates: int, trace: list, levels: list | None) -> None:
-    """run_to_convergence's Poisson loop: one apply_update per event,
-    appended to trace, until quiet_needed events in a row switch nothing."""
-    quiet_streak = 0
-    update, append = apply_update, trace.append
-    while True:
-        room = max_updates - len(trace)
-        if room <= 0:
-            raise _guard_error(cache, max_updates)
-        gaps, picks = cache.poisson_ahead(delta_t)
-        # the running sum cache.time + gap, one event after another
-        times = itertools.accumulate(gaps[:room], initial=cache.time)
-        next(times)
-        start = len(trace)
-        for t, i in zip(times, picks):
-            cache.time = t
-            rec = update(cache, i)
-            append(rec)
-            if rec.switched:
-                quiet_streak = 0
-                if levels is not None:
-                    levels.append(cache.own_band_interference())
-            else:
-                quiet_streak += 1
-                if quiet_streak >= quiet_needed:
-                    cache.skip_events(len(trace) - start)
-                    return
-        cache.skip_events(len(trace) - start)
-
-
-def _guard_error(cache: InterferenceCache,
-                 max_updates: int) -> ConvergenceError:
-    return ConvergenceError(
-        f"no convergence within {max_updates} updates "
-        f"(n={cache.n}, eta={cache.topology.eta})")

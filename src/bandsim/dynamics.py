@@ -230,15 +230,18 @@ def _churn_block(cache: InterferenceCache, act_rng: np.random.Generator,
     each turning on where its sign is 1.0 and off where it is -1.0.  The
     best-response steps never touch activity, so a whole block is read
     ahead of them.  A block without flips keeps the current mask (masks is
-    then None) and takes its picks from InterferenceCache.picks.
+    then None) and picks from the cache's active list.
     """
     n = cache.n
     u = cache.pick_uniforms(rows)
     flips = act_rng.random((rows, n)) < rate if rate > 0.0 else None
     hits = np.flatnonzero(flips) if flips is not None else np.empty(0, int)
     if hits.size == 0:
-        return (None, [len(cache.active_list())] * rows, cache.picks(u),
-                hits, None, [0] * (rows + 1))
+        active = cache.active_list()
+        m = len(active)
+        picks = ([active[k] for k in (u * m).astype(np.int64).tolist()]
+                 if m else [-1] * rows)
+        return None, [m] * rows, picks, hits, None, [0] * (rows + 1)
     # XOR-accumulate the flip rows onto the current mask
     masks = np.bitwise_xor.accumulate(flips.view(np.uint8), axis=0).view(bool)
     masks ^= cache.active

@@ -13,6 +13,7 @@ event that flips k clusters, and the aggregate updated in O(1) per switch.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,48 +144,18 @@ def worst_case_interference(top: Topology,
     return aggregate_interference(top, all_band_one(top.n, 1), act)
 
 
-class _Draws:
-    """Buffer of one stream's draws, read DRAW_BLOCK at a time: the list
-    values holds the current block and pos the first value no reader has
-    used.  A reader reads from pos on and moves pos past the values it
-    used, so a draw read ahead but not used stays there for the next
-    reader.  The values read are those successive scalar draws on the
+def _blocks(draw):
+    """Endless iterator over the values of draw(DRAW_BLOCK), one block
+    after another: the values successive scalar draw() calls on the same
     stream would give, whatever DRAW_BLOCK is."""
+    while True:
+        yield from draw(DRAW_BLOCK).tolist()
 
-    __slots__ = ("_source", "_draw", "values", "pos")
 
-    def __init__(self, source):
-        # source() gives the stream's draw(k), called at the first refill
-        self._source = source
-        self._draw = None
-        self.values: list[float] = []
-        self.pos = 0
-
-    def ahead(self) -> list[float]:
-        """The values from pos to the end of the block, after a refill when
-        none is left; none of them is used until pos moves past it."""
-        if self.pos == len(self.values):
-            if self._draw is None:
-                self._draw = self._source()
-            self.values = self._draw(DRAW_BLOCK).tolist()
-            self.pos = 0
-        return self.values[self.pos:]
-
-    def next(self) -> float:
-        """The next value, used."""
-        if self.pos == len(self.values):
-            self.ahead()
-        self.pos += 1
-        return self.values[self.pos - 1]
-
-    def take(self, k: int) -> list[float]:
-        """The next k values, used."""
-        out: list[float] = []
-        while len(out) < k:
-            rest = self.ahead()[:k - len(out)]
-            self.pos += len(rest)
-            out += rest
-        return out
+def _pick_uniforms(rng: np.random.Generator):
+    # spawned at the first pick, so a cache that never picks leaves rng's
+    # seed sequence as it was
+    yield from _blocks(rng.spawn(1)[0].random)
 
 
 class InterferenceCache:
@@ -209,18 +180,12 @@ class InterferenceCache:
     activity changes.
 
     Poisson events draw in blocks of DRAW_BLOCK, one stream per kind of
-    draw, each held in a buffer of its own: a list of the block's values
-    and a cursor to the first one not yet used.  The gap buffer reads
-    standard exponentials from rng, so rng serves only gaps once the first
-    block is drawn; the pick buffer reads uniforms from a child stream
-    spawned from rng at the first pick.  next_gap and pick_active use one
-    value each, pick_uniforms k; poisson_ahead shows the events the two
-    buffers hold without using them, and skip_events uses the first k of
-    them, so a run that stops mid-block leaves the rest to the next reader.
-    picks is the one pick rule of all of them.  The churn engine
-    (dynamics.simulate_time_varying) reads a block of flip rows into mask
-    rows and picks ahead of its events and hands each event's flips to
-    apply_flips.  Not thread-safe.
+    draw: next_gap reads standard exponentials from rng, so rng serves only
+    gaps once the first block is drawn; pick_active and pick_uniforms read
+    uniforms from a child stream spawned from rng at the first pick.  The
+    churn engine (dynamics.simulate_time_varying) reads a block of flip rows
+    into mask rows and picks ahead of its events and hands each event's
+    flips to apply_flips.  Not thread-safe.
     """
 
     def __init__(self, top: Topology, asg: Assignment,
@@ -231,11 +196,9 @@ class InterferenceCache:
         self.topology = top
         self.r = asg.r
         self.bands = asg.bands.copy()
-        self.rng = rng = rng if rng is not None else np.random.default_rng()
-        self._gaps = _Draws(lambda: rng.standard_exponential)
-        # spawned at the first pick, so a cache that never picks leaves
-        # rng's seed sequence as it was
-        self._picks = _Draws(lambda: rng.spawn(1)[0].random)
+        self.rng = rng if rng is not None else np.random.default_rng()
+        self._gaps = _blocks(self.rng.standard_exponential)
+        self._picks = _pick_uniforms(self.rng)
         self.time = 0.0
         self.weights = weight_matrix(top)
         self._band_power = np.zeros((top.n, asg.r))
@@ -284,43 +247,23 @@ class InterferenceCache:
     def next_gap(self, delta_t: float) -> float:
         """Time to the next Poisson event of mean delta_t: delta_t times the
         next standard exponential of rng, bitwise rng.exponential(delta_t)."""
-        return delta_t * self._gaps.next()
-
-    def picks(self, u) -> list[int]:
-        """The active cluster each pick uniform of u selects: of the m
-        active ones, active_list()[floor(u*m)]; all -1 if none is active."""
-        active = self.active_list()
-        m = len(active)
-        if m == 0:
-            return [-1] * len(u)
-        return [active[k]
-                for k in (np.asarray(u) * m).astype(np.int64).tolist()]
+        return delta_t * next(self._gaps)
 
     def pick_active(self) -> int:
-        """Uniformly drawn active cluster for the next uniform of the pick
-        stream (see picks); -1 if none is active.  Every call uses one
-        uniform."""
-        return self.picks([self._picks.next()])[0]
+        """Uniformly drawn active cluster active_list()[floor(u*m)] of the
+        m active ones, for the next uniform u of the pick stream; -1 if
+        none is active.  Every call uses one uniform."""
+        u = next(self._picks)
+        idx = self.active_list()
+        m = len(idx)
+        if m == 0:
+            return -1
+        return idx[int(u * m)]
 
     def pick_uniforms(self, k: int) -> np.ndarray:
-        """The next k uniforms of the pick stream, used: the ones the next k
+        """The next k uniforms of the pick stream: the ones the next k
         pick_active calls would read."""
-        return np.array(self._picks.take(k))
-
-    def poisson_ahead(self, delta_t: float) -> tuple[list[float], list[int]]:
-        """Time advances and picks of the next Poisson events of mean gap
-        delta_t, as many as the gap and the pick buffers both hold (a spent
-        buffer is refilled first): what next_gap and pick_active would
-        return.  None of them is used until skip_events."""
-        gaps, u = self._gaps.ahead(), self._picks.ahead()
-        k = min(len(gaps), len(u))
-        return [delta_t * g for g in gaps[:k]], self.picks(u[:k])
-
-    def skip_events(self, k: int) -> None:
-        """Use the first k events poisson_ahead shows: k gaps and k pick
-        uniforms."""
-        self._gaps.pos += k
-        self._picks.pos += k
+        return np.fromiter(itertools.islice(self._picks, k), float, k)
 
     def set_band(self, i: int, band: int) -> None:
         old = self.bands.item(i)

@@ -376,18 +376,6 @@ def test_run_to_convergence_guard_raises():
         run_to_convergence(state, max_updates=3)
 
 
-def test_poisson_guard_uses_the_draws_of_its_events_only():
-    top = make_uniform_linear_array(10, 1.0)
-    state = _state(top, [1] * 10, 2, seed=5)
-    with pytest.raises(ConvergenceError):
-        run_to_convergence(state, PoissonClock(0.01), max_updates=3)
-    fresh = _state(top, [1] * 10, 2, seed=5)
-    clock = PoissonClock(0.01)
-    events = [clock.next(fresh) for _ in range(4)]
-    assert state.time == sum(dt for _, dt in events[:3])
-    assert clock.next(state) == events[3]
-
-
 def test_default_update_guard_value():
     assert default_update_guard(10, 2.0) == 100000
     assert default_update_guard(2, 3.0) == 320

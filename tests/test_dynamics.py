@@ -218,8 +218,8 @@ def test_draw_block_size_changes_no_value(monkeypatch, n, alpha):
         sched_rng, _ = replica_streams(3)
         cache = InterferenceCache(top, all_band_one(n, 2), rng=sched_rng)
         _, records = run_to_convergence(cache, PoissonClock(0.01))
-        # a Poisson run stops mid-block: the draws it read ahead but did
-        # not use go to the cache's next readers
+        # a Poisson run stops mid-block: the rest of the block goes to the
+        # cache's next readers
         cache.set_band(0, 3 - cache.bands.item(0))
         _, more = run_to_convergence(cache, PoissonClock(0.01))
         later = [(cache.next_gap(0.01), cache.pick_active())
