@@ -21,10 +21,11 @@ scheduling stream alone.
 
 The churn never reads the bands, so the flip rows are read a block at a
 time: one block of flip rows, XOR-accumulated onto the current mask, gives
-every event's mask row, active count, flip signs and pick (the
-floor(u*m)-th active cluster) before any of the block's best-response
-steps.  Each event then hands its flips and mask row to the cache and
-makes one apply_update call if it found an active cluster.
+every event's mask row, active count, flipped clusters with their rows
+in the cache's signed band table, and pick (the floor(u*m)-th active
+cluster) before any of the block's best-response steps.  Each event then
+hands its flips and mask row to the cache and makes one apply_update call
+if it found an active cluster.
 """
 
 from __future__ import annotations
@@ -201,12 +202,12 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
         cache.time = t
         if e == rows:
             rows = interference.DRAW_BLOCK
-            masks, counts, picks, cols, signs, ends = _churn_block(
+            masks, counts, picks, cols, flip_rows, ends = _churn_block(
                 cache, act_rng, rate, rows)
             e = 0
         lo, hi = ends[e], ends[e + 1]
         if hi > lo:
-            cache.apply_flips(cols[lo:hi], signs[lo:hi], masks[e])
+            cache.apply_flips(cols[lo:hi], flip_rows[lo:hi], masks[e])
         i = picks[e]
         records.append(apply_update(cache, i) if i >= 0
                        else UpdateRecord(t, -1, 0, 0, 0.0, 0.0))
@@ -223,11 +224,12 @@ def _churn_block(cache: InterferenceCache, act_rng: np.random.Generator,
     current mask: a cluster flips at an event when its uniform in that
     event's row of act_rng falls below rate (no draw when rate is 0).
 
-    Returns (masks, counts, picks, cols, signs, ends): masks[e] is the
+    Returns (masks, counts, picks, cols, flip_rows, ends): masks[e] is the
     activity after event e's flips, counts[e] its active count and picks[e]
     its floor(u*m)-th active cluster for the event's pick uniform u (-1 when
     none is active); event e flips the clusters cols[ends[e]:ends[e+1]],
-    each turning on where its sign is 1.0 and off where it is -1.0.  The
+    and flip_rows holds each flip's row in the cache's signed band
+    table: the cluster j where it turns on, j + N where it turns off.  The
     best-response steps never touch activity, so a whole block is read
     ahead of them.  A block without flips keeps the current mask (masks is
     then None) and picks from the cache's active list.
@@ -254,9 +256,9 @@ def _churn_block(cache: InterferenceCache, act_rng: np.random.Generator,
     picks = np.append(on, -1)[nth] - row_starts[:-1]
     picks[counts == 0] = -1
     cols = hits % n
-    signs = np.where(masks.ravel()[hits], 1.0, -1.0)
+    flip_rows = np.where(masks.ravel()[hits], cols, cols + n)
     ends = np.searchsorted(hits, row_starts).tolist()
-    return masks, counts.tolist(), picks.tolist(), cols, signs, ends
+    return masks, counts.tolist(), picks.tolist(), cols, flip_rows, ends
 
 
 def replica_trace(records: list[UpdateRecord], a0: float, active_counts,

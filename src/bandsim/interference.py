@@ -168,12 +168,15 @@ class InterferenceCache:
     _band_power[j, k] is the power cluster j would receive on band k+1 from
     the currently active transmitters (excluding j itself, whose weight to
     itself is zero).  Bands change only through set_band, which adjusts two
-    weight columns and keeps the per-band state in step: the N x r one-hot
-    band matrix _onehot and the flat index _own of each cluster's own-band
-    sum in _band_power.  Activity changes only through apply_flips, which
-    adds the flipped weight columns in one gather-matmul
-    W[:, idx] @ (onehot[idx] * sign), O(N*k*r) for k flips, and adopts the
-    new mask; set_active and toggle_active call it.  The aggregate is kept
+    band columns by the switching cluster's weight row and keeps the
+    per-band state in step: the signed band table _signed and the flat
+    index _own of each cluster's own-band sum in _band_power.  Row j of
+    _signed's upper half is j's one-hot band row; row j + N of its lower
+    half is that row negated, -0.0 where the one-hot holds 0.0, so it
+    equals onehot[j] * -1.0 bit for bit.  Activity changes only through
+    apply_flips, which adds the flipped clusters' weights in one product
+    with their signed band rows, O(N*k*r) for k flips, and adopts the new
+    mask; set_active and toggle_active call it.  The aggregate is kept
     as a running value: by reciprocity a switch of active cluster i changes
     it by 2*(P[i,new] - P[i,old]).  Activity changes and rebuild() re-sum it
     exactly.  The ascending list of active indices is cached between
@@ -184,8 +187,9 @@ class InterferenceCache:
     gaps once the first block is drawn; pick_active and pick_uniforms read
     uniforms from a child stream spawned from rng at the first pick.  The
     churn engine (dynamics.simulate_time_varying) reads a block of flip rows
-    into mask rows and picks ahead of its events and hands each event's
-    flips to apply_flips.  Not thread-safe.
+    into mask rows, picks and the flipped clusters' rows in _signed ahead
+    of its events and hands each event's flips to apply_flips.  Not
+    thread-safe.
     """
 
     def __init__(self, top: Topology, asg: Assignment,
@@ -210,9 +214,11 @@ class InterferenceCache:
 
     def rebuild(self) -> None:
         """Full O(N^2) recompute of the cached sums and per-band state."""
-        idx = np.arange(self.n)
-        self._onehot = np.zeros((self.n, self.r))
-        self._onehot[idx, self.bands - 1] = 1.0
+        n = self.n
+        idx = np.arange(n)
+        self._signed = np.zeros((2 * n, self.r))
+        self._signed[idx, self.bands - 1] = 1.0
+        np.negative(self._signed[:n], out=self._signed[n:])
         self._own = idx * self.r + self.bands - 1
         masked = self.weights * self.active[None, :]
         for k in range(self.r):
@@ -274,26 +280,33 @@ class InterferenceCache:
         if self.active.item(i):
             row = self._band_power[i]
             self._aggregate += 2.0 * (row.item(band - 1) - row.item(old - 1))
-            col = self.weights[:, i]
-            self._band_power[:, old - 1] -= col
-            self._band_power[:, band - 1] += col
+            # W is symmetric, so row i holds the weights of column i
+            w = self.weights[i]
+            self._band_power[:, old - 1] -= w
+            self._band_power[:, band - 1] += w
         self.bands[i] = band
-        self._onehot[i, old - 1] = 0.0
-        self._onehot[i, band - 1] = 1.0
+        signed = self._signed
+        signed[i, old - 1] = 0.0
+        signed[i, band - 1] = 1.0
+        signed[i + self.n, old - 1] = -0.0
+        signed[i + self.n, band - 1] = -1.0
         self._own[i] += band - old
 
-    def apply_flips(self, idx: np.ndarray, signs: np.ndarray,
+    def apply_flips(self, idx: np.ndarray, rows: np.ndarray,
                     mask: np.ndarray) -> None:
-        """Flip the activity of the distinct clusters idx: signs[k] is 1.0
-        where idx[k] turns on and -1.0 where it turns off, and mask is the
-        activity after the flips, adopted as it is (the caller must not
-        mutate it afterwards).  The band sums gain the k flipped weight
-        columns in one product, O(N*k*r); the aggregate is re-summed
-        exactly."""
-        # keep the column gather: the product's last bits depend on its
-        # operands' memory layout, and W[:, idx] is Fortran-ordered
-        self._band_power += self.weights[:, idx] @ (
-            self._onehot.take(idx, axis=0) * signs[:, None])
+        """Flip the activity of the distinct clusters idx: rows[k] is
+        idx[k]'s row in _signed, idx[k] where it turns on and idx[k] + N
+        where it turns off, and mask is the activity after the flips,
+        adopted as it is (the caller must not mutate it afterwards).  The
+        band sums gain W[:, idx] @ _signed[rows], the k flipped weight
+        columns times their signed band rows, in one product, O(N*k*r);
+        the aggregate is re-summed exactly."""
+        # the product's last bits depend on its operands' memory layout.
+        # W is exactly symmetric (Topology.weights), so the transposed row
+        # gather holds the values of the column gather W[:, idx] in the same
+        # Fortran layout, and BLAS gets the same call on the same operands
+        self._band_power += self.weights.take(idx, axis=0).T \
+            @ self._signed.take(rows, axis=0)
         self.active = mask
         self._activity_changed()
 
@@ -308,7 +321,7 @@ class InterferenceCache:
             return
         mask = self.active.copy()
         mask[idx] = ~mask[idx]
-        self.apply_flips(idx, np.where(mask[idx], 1.0, -1.0), mask)
+        self.apply_flips(idx, np.where(mask[idx], idx, idx + self.n), mask)
 
     def assignment(self) -> Assignment:
         return Assignment(self.bands.copy(), self.r)

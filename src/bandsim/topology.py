@@ -69,7 +69,13 @@ class Topology:
     @cached_property
     def weights(self) -> np.ndarray:
         """Read-only path-loss weights p0/dist**eta with a zero diagonal,
-        computed once per topology."""
+        computed once per topology.
+
+        The matrix is exactly symmetric, w[i, j] == w[j, i] bit for bit,
+        because dist is: floating-point a - b is exactly -(b - a), so a
+        distance and its mirror square and sum the same values.
+        InterferenceCache relies on this when it reads weight rows in place
+        of weight columns."""
         with np.errstate(divide="ignore"):
             w = self.p0 / self.dist ** self.eta
         np.fill_diagonal(w, 0.0)

@@ -289,7 +289,13 @@ def _assert_matches_recompute(cache, top, tol=1e-12):
     # the per-band state set_band keeps and the cached active list are
     # those of a cache built afresh from the same bands and activity
     fresh = InterferenceCache(top, asg, act)
-    assert np.array_equal(cache._onehot, fresh._onehot)
+    n = top.n
+    assert np.array_equal(cache._signed, fresh._signed)
+    assert np.array_equal(np.signbit(cache._signed), np.signbit(fresh._signed))
+    # upper half one-hot, lower half its negation with -0.0 for 0.0
+    assert np.array_equal(fresh._signed[n:], -fresh._signed[:n])
+    assert not np.signbit(fresh._signed[:n]).any()
+    assert np.signbit(fresh._signed[n:]).all()
     assert np.array_equal(cache._own, fresh._own)
     assert cache.active_list() == fresh.active_list() \
         == np.flatnonzero(act).tolist()
@@ -346,3 +352,90 @@ def test_batched_flips_equal_single_toggles():
         _assert_matches_recompute(batched, top)
     batched.toggle_active(np.array([], dtype=np.int64))
     assert np.array_equal(batched.active, single.active)
+
+
+class _FormerFlipStep:
+    """Band sums and aggregate of a cache updated the former way: a switch
+    adds and subtracts weight column i, a flip adds
+    W[:, idx] @ (onehot[idx] * sign) with sign 1.0 on and -1.0 off."""
+
+    def __init__(self, cache):
+        self.w = cache.weights
+        self.bands = cache.bands.copy()
+        self.active = cache.active.copy()
+        self.r = cache.r
+        self.onehot = np.zeros((cache.n, cache.r))
+        self.onehot[np.arange(cache.n), self.bands - 1] = 1.0
+        self.power = cache._band_power.copy()
+        self.aggregate = cache.aggregate()
+
+    def set_band(self, i, band):
+        old = int(self.bands[i])
+        if band == old:
+            return
+        if self.active[i]:
+            row = self.power[i]
+            self.aggregate += 2.0 * (row.item(band - 1) - row.item(old - 1))
+            self.power[:, old - 1] -= self.w[:, i]
+            self.power[:, band - 1] += self.w[:, i]
+        self.bands[i] = band
+        self.onehot[i] = 0.0
+        self.onehot[i, band - 1] = 1.0
+
+    def flip(self, idx):
+        mask = self.active.copy()
+        mask[idx] = ~mask[idx]
+        sign = np.where(mask[idx], 1.0, -1.0)
+        self.power += self.w[:, idx] @ (self.onehot[idx] * sign[:, None])
+        self.active = mask
+        own = np.arange(self.bands.size) * self.r + self.bands - 1
+        self.aggregate = float(np.add.reduce(self.power.take(own),
+                                             where=self.active))
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), r=st.sampled_from([2, 3, 4]),
+       cells=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                      min_size=2, max_size=60, unique=True))
+def test_flip_step_is_bitwise_the_column_gather_product(data, r, cells):
+    # apply_flips multiplies the transposed row gather of W by the signed
+    # band rows; the band sums and the aggregate must keep every bit of the
+    # former W[:, idx] @ (onehot[idx] * sign), under any mix of flips of
+    # 1 to N clusters and band switches.  From about N = 20 on, the same
+    # product on a C-ordered copy of the gather differs in the last bits
+    n = len(cells)
+    top = topology_from_positions(0.75 * np.array(cells, dtype=float))
+    bands = data.draw(st.lists(st.integers(1, r), min_size=n, max_size=n))
+    active = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cache = InterferenceCache(top, Assignment(np.array(bands), r),
+                              np.array(active))
+    ref = _FormerFlipStep(cache)
+    flip_sets = st.lists(st.booleans(), min_size=n, max_size=n).filter(any)
+    ops = st.one_of(
+        st.tuples(st.just("band"), st.integers(0, n - 1), st.integers(1, r)),
+        st.tuples(st.sampled_from(["toggle", "apply"]), flip_sets))
+    for op in data.draw(st.lists(ops, min_size=1, max_size=30)):
+        if op[0] == "band":
+            cache.set_band(op[1], op[2])
+            ref.set_band(op[1], op[2])
+        else:
+            idx = np.flatnonzero(op[1])
+            if op[0] == "toggle":
+                cache.toggle_active(idx)
+            else:
+                mask = cache.active ^ np.array(op[1])
+                cache.apply_flips(idx, np.where(mask[idx], idx, idx + n),
+                                  mask)
+            ref.flip(idx)
+        assert np.array_equal(cache.active, ref.active)
+        assert _same_bits(cache._band_power, ref.power)
+        assert cache.aggregate() == ref.aggregate
+    full = np.arange(n)
+    cache.toggle_active(full)
+    ref.flip(full)
+    assert _same_bits(cache._band_power, ref.power)
+    assert cache.aggregate() == ref.aggregate

@@ -176,6 +176,24 @@ def test_json_round_trip(tmp_path):
     assert np.allclose(back.dist, top.dist)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: make_uniform_linear_array(17, 1.3, eta=3.0),
+    lambda: make_random_linear_array(23, 1.0, 0.05,
+                                     np.random.default_rng(5), eta=2.5),
+    lambda: make_rectangular_lattice(5, 7, 0.9),
+    lambda: make_hexagonal_lattice(6, 5, 1.1, eta=4.0),
+    lambda: topology_from_positions(
+        np.random.default_rng(9).uniform(-3.0, 3.0, size=(31, 2))),
+    lambda: topology_from_json(topology_to_json(
+        make_hexagonal_lattice(4, 6, 0.7))),
+], ids=["ula", "random_linear", "rect", "hex", "positions", "json"])
+def test_weights_are_exactly_symmetric(make):
+    # InterferenceCache reads weight rows where it means weight columns
+    w = make().weights
+    assert np.array_equal(w, w.T)
+    assert np.array_equal(w.view(np.int64), w.T.view(np.int64))
+
+
 def test_json_doc_shape():
     top = make_uniform_linear_array(3, 1.0, p0=2.0, eta=3.0)
     doc = json.loads(topology_to_json(top))
