@@ -198,13 +198,9 @@ def _write_csv(tables: list) -> None:
     per position of its equal-length columns, each cell as _csv_cell writes
     it.
 
-    The tables are written side by side, _CSV_BLOCK rows at a time.  In a
-    table whose columns are all int or float numpy arrays, a block is
-    formatted column by column: a column object that several tables share
-    is formatted once per block, and so is each distinct value of a column's
-    block (so each run of bitwise-equal cells), where '%.17g' and str(int)
-    are what _csv_cell writes for those cells.  Any other table, and any
-    block of a table that holds a NaN or an infinity, goes through _csv_cell.
+    The tables are written side by side, _CSV_BLOCK rows at a time, and
+    each block is formatted column by column by _block_cells: a column
+    object that several tables share is formatted once per block.
     """
     with contextlib.ExitStack() as stack:
         handles = []
@@ -213,38 +209,33 @@ def _write_csv(tables: list) -> None:
                 open(path, "w", encoding="utf-8", newline="\n"))
             fh.write(",".join(header) + "\n")
             handles.append(fh)
-        numeric = [all(isinstance(col, np.ndarray) and col.dtype.kind in "iuf"
-                       for col in columns) for _, _, columns in tables]
         size = max((len(columns[0]) for _, _, columns in tables if columns),
                    default=0)
         for start in range(0, size, _CSV_BLOCK):
             stop = start + _CSV_BLOCK
-            cells = {}  # id of a numeric column -> its block's cells or None
-            for fh, (_, _, columns), bulk in zip(handles, tables, numeric):
+            cells = {}  # id of a column -> its block's cells
+            for fh, (_, _, columns) in zip(handles, tables):
                 if not columns or len(columns[0]) <= start:
                     continue
-                block = None
-                if bulk:
-                    for col in columns:
-                        if id(col) not in cells:
-                            cells[id(col)] = _block_cells(col[start:stop])
-                    block = [cells[id(col)] for col in columns]
-                if block is None or None in block:
-                    block = [list(map(_csv_cell, col[start:stop]))
-                             for col in columns]
+                for col in columns:
+                    if id(col) not in cells:
+                        cells[id(col)] = _block_cells(col[start:stop])
+                block = [cells[id(col)] for col in columns]
                 fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
-def _block_cells(values: np.ndarray) -> list[str] | None:
-    """The cells of an int or float array as _csv_cell writes them, each
-    distinct value formatted once; None if it holds a NaN or an infinity."""
-    if values.dtype.kind != "f":
+def _block_cells(values) -> list[str]:
+    """The cells of one block of a column as _csv_cell writes them: an int
+    numpy block, or a float one without a NaN or an infinity, by str(int) or
+    '%.17g', each distinct value once; any other block by _csv_cell."""
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else None
+    if kind in ("i", "u"):
         keys, fmt = values, str
-    elif np.isfinite(values).all():
+    elif kind == "f" and np.isfinite(values).all():
         # the bits, so that -0.0 and 0.0 stay apart
         keys, fmt = values.view(f"i{values.itemsize}"), "%.17g".__mod__
     else:
-        return None
+        return list(map(_csv_cell, values))
     distinct, where = np.unique(keys, return_inverse=True)
     texts = list(map(fmt, distinct.view(values.dtype).tolist()))
     return np.array(texts, dtype=object)[where].tolist()
@@ -367,8 +358,10 @@ def _unaccepted(experiment: str, doc: dict):
 
 
 def _section(ctx: _Ctx, doc: dict, key: str, allowed: set[str]) -> dict:
-    """Optional object `key` of doc, its keys checked; {} when absent."""
-    sec = doc.get(key) or {}
+    """Optional object `key` of doc, its keys checked; {} if absent or null."""
+    sec = doc.get(key)
+    if sec is None:
+        return {}
     if not isinstance(sec, dict):
         ctx.err(key, "expected an object")
         return {}
@@ -814,7 +807,7 @@ def _capacity_series(levels: list, tr: SimTrace, s: float,
     return caps[np.cumsum(tr.new_bands != tr.old_bands)]
 
 
-def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
+def _run_converge(cfg: ExperimentConfig) -> tuple[dict, list]:
     ref, link = _reference(cfg)
     top, (s, n0, ref_capacity) = ref.top, link
     traces = []
@@ -843,7 +836,6 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
             **scores,
         })
 
-    _check_bounds(reports, cfg)
     finals = [d["final_aggregate"] for d in detail]
     updates = [d["updates"] for d in detail]
     summary = _summary(
@@ -860,19 +852,18 @@ def _run_converge(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
                          "max": float(np.max(finals))},
         update_counts={"max": int(np.max(updates)),
                        "le_50n": bool(np.max(updates) <= 50 * top.n)},
-        bounds={**_bounds_block(reports), **_reference_bounds(ref),
+        bounds={**_bounds(reports, cfg), **_reference_bounds(ref),
                 "limit_per_cluster": ref.limit},
         link={"signal_power": s, "noise_power": n0},
         replicas_detail=detail,
     )
     columns = _trace_columns(traces, cfg.base_seed)
-    files = _emit(cfg, out_dir, summary, [
+    return summary, [
         ("trace.csv", TRACE_HEADER, columns if cfg.write_trace else None),
         ("capacity.csv",
          ["replica", "event_index", "time", "normalized_capacity"],
          [*columns[:3], np.concatenate(caps)]
-         if cfg.write_capacity_series else None)])
-    return RunResult(out_dir, files, summary)
+         if cfg.write_capacity_series else None)]
 
 
 def _summary(cfg: ExperimentConfig, top: Topology | None, **fields) -> dict:
@@ -886,10 +877,21 @@ def _summary(cfg: ExperimentConfig, top: Topology | None, **fields) -> dict:
     return {**head, **fields}
 
 
-def _bounds_block(reports) -> dict:
-    """The replica-level bound checks of a run."""
+def _bounds(reports, cfg: ExperimentConfig) -> dict:
+    """The bound checks of a run's reports, in replica order (a sweep's size
+    by size); raises BoundViolationError at the first replica over i_w/r,
+    numbered within its sweep size."""
+    for k, r in enumerate(reports):
+        if not r.upper_bound_ok:
+            k %= cfg.replicas
+            record = {"failure": "upper_bound_violation", "replica": k,
+                      "i_a": r.i_a, "i_w_over_r": r.ref.i_w / r.ref.r,
+                      "config_hash": config_hash(cfg.resolved)}
+            raise BoundViolationError(
+                f"replica {k}: converged aggregate {r.i_a} exceeds "
+                f"i_w/r = {r.ref.i_w / r.ref.r}", record)
     return {
-        "upper_ok_all": all(r.upper_bound_ok for r in reports),
+        "upper_ok_all": True,
         "max_ratio_aw": max(r.ratio_aw for r in reports),
         "ratio_cap_ok_all": all(r.ratio_cap_ok for r in reports
                                 if r.ratio_cap_ok is not None),
@@ -905,27 +907,15 @@ def _reference_bounds(ref: Reference) -> dict:
     }
 
 
-def _check_bounds(reports, cfg: ExperimentConfig):
-    for k, r in enumerate(reports):
-        if not r.upper_bound_ok:
-            record = {"failure": "upper_bound_violation", "replica": k,
-                      "i_a": r.i_a, "i_w_over_r": r.ref.i_w / r.ref.r,
-                      "config_hash": config_hash(cfg.resolved)}
-            raise BoundViolationError(
-                f"replica {k}: converged aggregate {r.i_a} exceeds "
-                f"i_w/r = {r.ref.i_w / r.ref.r}", record)
-
-
-def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
+def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, list]:
     per_size = []
-    all_reports = []
+    reports = []
     for si, size in enumerate(cfg.sweep_sizes):
         ref, link = _reference(cfg, size)
         n = ref.top.n
         finals = []
         fractions = []
         gaps = []
-        reports = []
         for k in range(cfg.replicas):
             seed = cfg.base_seed + si * cfg.replicas + k
             _, _, cache, _ = _converge_one(cfg, ref.top, seed)
@@ -936,8 +926,6 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
                 fractions.append(scores["capacity_fraction"])
                 if scores["db_gap_vs_reference"] is not None:
                     gaps.append(scores["db_gap_vs_reference"])
-        _check_bounds(reports, cfg)
-        all_reports.extend(reports)
         rows, cols = size if isinstance(size, list) else (None, None)
         per_size.append({
             "n": n,
@@ -962,15 +950,14 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         cfg, None,
         eta=cfg.eta,
         p0=cfg.p0,
-        bounds=_bounds_block(all_reports),
+        bounds=_bounds(reports, cfg),
         sizes=per_size,
     )
     header = ["n", "rows", "cols", "i_w_norm", "upper_norm", "ia_mean_norm",
               "ia_min_norm", "ia_max_norm", "ref_norm", "limit_norm",
               "db_gap_mean", "capacity_fraction_mean", "reference_kind"]
-    files = _emit(cfg, out_dir, summary, [
-        ("sweep.csv", header, [[row[h] for row in per_size] for h in header])])
-    return RunResult(out_dir, files, summary)
+    return summary, [
+        ("sweep.csv", header, [[row[h] for row in per_size] for h in header])]
 
 
 def _trace_columns(traces: list[SimTrace], base_seed: int) -> list:
@@ -984,7 +971,7 @@ def _trace_columns(traces: list[SimTrace], base_seed: int) -> list:
                            "aggregates", "active_counts"))]
 
 
-def _run_relaxation(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
+def _run_relaxation(cfg: ExperimentConfig) -> tuple[dict, list]:
     top, _ = _build_topology(cfg)
     dyn = DynamicsConfig(delta_t=cfg.delta_t, horizon=cfg.horizon,
                          replicas=cfg.replicas)
@@ -1007,13 +994,12 @@ def _run_relaxation(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         i_a_normalized=i_a / top.n,
         fit_floor=FIT_FLOOR,
     )
-    files = _emit(cfg, out_dir, summary, [
+    return summary, [
         ("trace.csv", TRACE_HEADER,
          _trace_columns(traces, cfg.base_seed) if cfg.write_trace else None),
         ("decay.csv", ["time", "mean_aggregate", "mean_normalized",
                        "bracket", "model_bracket"],
-         [grid, mean, mean / top.n, bracket, model])])
-    return RunResult(out_dir, files, summary)
+         [grid, mean, mean / top.n, bracket, model])]
 
 
 def _variance_warmup(cfg: ExperimentConfig, tau: float) -> float:
@@ -1028,7 +1014,7 @@ def _variance_warmup(cfg: ExperimentConfig, tau: float) -> float:
     return warmup
 
 
-def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
+def _run_variance(cfg: ExperimentConfig) -> tuple[dict, list]:
     top, _ = _build_topology(cfg)
     tau = time_scale(top.n, cfg.delta_t)
     warmup = _variance_warmup(cfg, tau)
@@ -1081,11 +1067,10 @@ def _run_variance(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     header = ["one_minus_alpha", "alpha", "lambda", "margin", "divergent",
               "sigma_sq_predicted", "sigma_sq_empirical",
               "ratio_emp_over_pred", "mean_level", "within"]
-    files = _emit(cfg, out_dir, summary, [
+    return summary, [
         ("trace.csv", TRACE_HEADER,
          _trace_columns(kept, cfg.base_seed) if cfg.write_trace else None),
-        ("variance.csv", header, [[pt[h] for pt in points] for h in header])])
-    return RunResult(out_dir, files, summary)
+        ("variance.csv", header, [[pt[h] for pt in points] for h in header])]
 
 
 TRACE_HEADER = ["replica", "event_index", "time", "cluster", "old_band",
@@ -1119,15 +1104,14 @@ def resolve_out_dir(cfg: ExperimentConfig, override: str | None = None) -> Path:
     return Path(cfg.out_dir)
 
 
+# each runner returns a run's summary and its tables for _emit
+_RUNNERS = {"converge": _run_converge, "sweep": _run_sweep,
+            "relaxation": _run_relaxation, "variance": _run_variance}
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
     """Execute a parsed config and write its result files."""
     target = resolve_out_dir(cfg, out_dir)
-    if cfg.experiment == "converge":
-        return _run_converge(cfg, target)
-    if cfg.experiment == "sweep":
-        return _run_sweep(cfg, target)
-    if cfg.experiment == "relaxation":
-        return _run_relaxation(cfg, target)
-    if cfg.experiment == "variance":
-        return _run_variance(cfg, target)
-    raise ValueError(f"unhandled experiment {cfg.experiment}")
+    summary, tables = _RUNNERS[cfg.experiment](cfg)
+    # _emit is looked up at call time, so that a tracer can rebind it
+    return RunResult(target, _emit(cfg, target, summary, tables), summary)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib.util
 import json
 import math
@@ -14,7 +15,8 @@ from bandsim import experiments, oracle
 from bandsim.cli import main
 from bandsim.dynamics import replica_streams, replica_trace, stability_margin
 from bandsim.experiments import (EXPERIMENTS, OUTPUT_DIR_ENV, PRESET_NAMES,
-                                 SCHEDULER_KINDS, TRACE_HEADER, ConfigError,
+                                 SCHEDULER_KINDS, TRACE_HEADER,
+                                 BoundViolationError, ConfigError,
                                  config_hash, dumps_canonical, load_config,
                                  parse_config, preset, resolve_out_dir,
                                  run_experiment, validate_config,
@@ -72,6 +74,15 @@ def test_parse_rejects_unknown_keys():
     errs = _errors(_tiny_doc(topology={"kind": "ula", "n": 6, "d": 1.0,
                                        "extra": 2}))
     assert any("topology.extra" in e for e in errs)
+
+
+@pytest.mark.parametrize("value", [[], 0, False, ""], ids=repr)
+@pytest.mark.parametrize("key", ["link", "output"])
+def test_parse_rejects_a_falsy_section_that_is_no_object(key, value):
+    assert _errors(_tiny_doc(**{key: value})) == [f"{key}: expected an object"]
+    # only a missing key or null counts as an absent section
+    assert parse_config(_tiny_doc(**{key: None})).resolved \
+        == parse_config(_tiny_doc()).resolved
 
 
 def test_parse_forbids_irrelevant_sections():
@@ -980,6 +991,47 @@ def _write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def _break_upper_bound(monkeypatch, call):
+    """Make call number `call` (from 0) of experiments.bound_report report
+    a converged aggregate over i_w/r."""
+    reports = []
+
+    def bound_report(*args):
+        reports.append(oracle.bound_report(*args))
+        if len(reports) == call + 1:
+            return dataclasses.replace(reports[-1], upper_bound_ok=False)
+        return reports[-1]
+
+    monkeypatch.setattr(experiments, "bound_report", bound_report)
+
+
+@pytest.mark.parametrize("over,call", [
+    ({"replicas": 3}, 1),
+    # the second size's replica 1, numbered within its size
+    ({"experiment": "sweep", "topology": {"kind": "ula", "d": 1.0},
+      "sweep": {"sizes": [4, 6]}, "replicas": 2}, 3),
+], ids=["converge", "sweep"])
+def test_bound_violation_fails_the_run_before_any_file(tmp_path, capsys,
+                                                       monkeypatch, over,
+                                                       call):
+    doc = _tiny_doc(**over)
+    cfg = parse_config(doc)
+    out = tmp_path / "out"
+    _break_upper_bound(monkeypatch, call)
+    with pytest.raises(BoundViolationError) as exc:
+        run_experiment(cfg, out_dir=str(out))
+    record = exc.value.record
+    assert record["failure"] == "upper_bound_violation"
+    assert record["replica"] == 1
+    assert record["config_hash"] == config_hash(cfg.resolved)
+    assert not out.exists()
+    path = _write_config(tmp_path, doc)
+    _break_upper_bound(monkeypatch, call)
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert dumps_canonical(record) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_preset_stdout(capsys):

@@ -52,6 +52,10 @@ def _traced_run(name: str, tmp_path: Path,
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["exit"] == 0, proc.stderr
     assert result["layers"]["allocation.events"] > 0
+    # the tracer times the writer and the parser by rebinding their names,
+    # so run_experiment must call _emit through the module global
+    assert result["layers"]["experiments.emit_s"] > 0
+    assert result["layers"]["experiments.parse_s"] > 0
     return result["layers"], out, result["checks"]
 
 
@@ -61,7 +65,6 @@ def test_traced_converge_counts_every_update(tmp_path):
         (out / "converge_lattice_summary.json").read_text())
     updates = sum(d["updates"] for d in summary["replicas_detail"])
     assert layers["allocation.events"] == updates
-    assert layers["experiments.emit_s"] > 0
     # the capacity series reads the levels the run recorded: one cache per
     # replica, and no switch replayed
     assert layers["interference.cache_builds"] == summary["replicas"]
