@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import interference
 from .interference import InterferenceCache
 
 __all__ = [
@@ -63,6 +64,15 @@ class UpdateRecord:
         return self.new_band != self.old_band
 
 
+def _choose(powers: list[float], current: int) -> int:
+    """best_band's rule over the band powers of a cluster on band current."""
+    cur_val = powers[current - 1]
+    low = min(powers)
+    if cur_val - low <= REL_TOL * cur_val:
+        return current
+    return powers.index(low) + 1
+
+
 def best_band(cache: InterferenceCache, i: int) -> int:
     """Band with the least measured interference for active cluster i.
 
@@ -72,24 +82,21 @@ def best_band(cache: InterferenceCache, i: int) -> int:
     """
     if not cache.active.item(i):
         raise ValueError(f"cluster {i} is inactive")
-    powers = cache.band_powers(i).tolist()
-    current = cache.bands.item(i)
-    cur_val = powers[current - 1]
-    low = min(powers)
-    if cur_val - low <= REL_TOL * cur_val:
-        return current
-    return powers.index(low) + 1
+    return _choose(cache.band_powers(i).tolist(), cache.bands.item(i))
 
 
 def apply_update(cache: InterferenceCache, i: int) -> UpdateRecord:
-    """Apply the best-band rule at cluster i and log the potential change;
-    the cache is written only when the band changes."""
-    before = cache.aggregate()
+    """Apply the best-band rule at active cluster i and log the potential
+    change; the cache is written only when the band changes."""
+    if not cache.active.item(i):
+        raise ValueError(f"cluster {i} is inactive")
+    before = cache._aggregate
     old = cache.bands.item(i)
-    new = best_band(cache, i)
-    if new != old:
-        cache.set_band(i, new)
-    return UpdateRecord(cache.time, i, old, new, before, cache.aggregate())
+    new = _choose(cache._band_power[i].tolist(), old)
+    if new == old:
+        return UpdateRecord(cache.time, i, old, old, before, before)
+    cache.set_band(i, new)
+    return UpdateRecord(cache.time, i, old, new, before, cache._aggregate)
 
 
 @dataclass
@@ -112,6 +119,17 @@ class PoissonClock:
             raise SchedulingError("no active clusters to schedule")
         return i, dt
 
+    def _block(self, cache: InterferenceCache, k: int):
+        """(gaps, clusters) of the next min(k, DRAW_BLOCK) events, peeked
+        from the cache's buffers; _used(cache, e) consumes the first e."""
+        k = min(k, interference.DRAW_BLOCK)
+        return (self.delta_t * cache.gaps.peek(k),
+                cache.picks_of(cache.picks.peek(k)))
+
+    def _used(self, cache: InterferenceCache, e: int) -> None:
+        cache.gaps.use(e)
+        cache.picks.use(e)
+
 
 class RandomPermutationRounds:
     """Rounds of updates, each round a fresh uniform shuffle of the active
@@ -121,23 +139,32 @@ class RandomPermutationRounds:
         if not (delta_t > 0):
             raise ValueError(f"delta_t must be > 0, got {delta_t}")
         self.delta_t = delta_t
-        self._order: np.ndarray = np.empty(0, dtype=np.int64)
+        self._order: list[int] = []
         self._pos = 0
 
     def next(self, cache: InterferenceCache) -> tuple[int, float]:
         """(cluster index, time advance) for the next update event."""
-        if self._pos >= self._order.size:
-            idx = cache.active_list()
-            if not idx:
-                raise SchedulingError("no active clusters to schedule")
-            self._order = cache.rng.permutation(idx)
-            self._pos = 0
-        i = int(self._order[self._pos])
+        i = self._block(cache, 1)[1][0]
         self._pos += 1
         return i, self.delta_t
 
+    def _block(self, cache: InterferenceCache, k: int):
+        """(gaps, clusters) of up to k events to the end of the round, a new
+        shuffle once a round is done; _used(cache, e) consumes the first e."""
+        if self._pos >= len(self._order):
+            idx = cache.active_list()
+            if not idx:
+                raise SchedulingError("no active clusters to schedule")
+            self._order = cache.rng.permutation(idx).tolist()
+            self._pos = 0
+        rest = self._order[self._pos:self._pos + k]
+        return np.full(len(rest), self.delta_t), rest
+
+    def _used(self, cache: InterferenceCache, e: int) -> None:
+        self._pos += e
+
     def at_round_boundary(self) -> bool:
-        return self._pos >= self._order.size
+        return self._pos >= len(self._order)
 
 
 def default_update_guard(n: int, eta: float) -> int:
@@ -159,6 +186,11 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     so a full coverage cannot be certified by a single round).  Raises
     ConvergenceError beyond max_updates (default 10*N^(eta+2)).
 
+    Events run a block at a time: the next DRAW_BLOCK Poisson gaps and
+    picks, read ahead from the cache's buffers, or the rest of a round.
+    Only the events that ran are consumed; their times are the running
+    sums of the gaps, as `time += gap` in turn gives them.
+
     When levels is a list, the run appends the own-band interference row
     (own_band_interference()) after every switch: the states a capacity
     series needs.
@@ -175,22 +207,27 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     round_based = isinstance(scheduler, RandomPermutationRounds)
     quiet_needed = n_active if round_based else 2 * n_active
     quiet_streak = 0
-    next_event, update, append = scheduler.next, apply_update, trace.append
+    update, append = apply_update, trace.append
     while True:
-        if len(trace) >= max_updates:
+        done = len(trace)
+        if done >= max_updates:
             raise ConvergenceError(
                 f"no convergence within {max_updates} updates "
                 f"(n={cache.n}, eta={cache.topology.eta})")
-        i, dt = next_event(cache)
-        cache.time += dt
-        rec = update(cache, i)
-        append(rec)
-        if rec.switched:
-            quiet_streak = 0
-            if levels is not None:
-                levels.append(cache.own_band_interference())
-        else:
-            quiet_streak += 1
+        gaps, clusters = scheduler._block(cache, max_updates - done)
+        for t, i in zip(cache.event_times(gaps).tolist(), clusters):
+            cache.time = t
+            rec = update(cache, i)
+            append(rec)
+            if rec.switched:
+                quiet_streak = 0
+                if levels is not None:
+                    levels.append(cache.own_band_interference())
+            else:
+                quiet_streak += 1
+                if quiet_streak >= quiet_needed and not round_based:
+                    break
+        scheduler._used(cache, len(trace) - done)
         if quiet_streak >= quiet_needed and (
                 not round_based or scheduler.at_round_boundary()):
             break

@@ -19,13 +19,14 @@ stream of its own, so the block size changes no value, and alpha=1 runs are
 event-for-event identical to the static Poisson engine driven by the
 scheduling stream alone.
 
-The churn never reads the bands, so the flip rows are read a block at a
-time: one block of flip rows, XOR-accumulated onto the current mask, gives
-every event's mask row, active count, flipped clusters with their rows
-in the cache's signed band table, and pick (the floor(u*m)-th active
-cluster) before any of the block's best-response steps.  Each event then
-hands its flips and mask row to the cache and makes one apply_update call
-if it found an active cluster.
+Neither the clock nor the churn reads the bands, so events are read a
+block at a time: the running sums of a block of gaps, cut at the horizon
+with one searchsorted, give the event times, and the block's flip rows,
+XOR-accumulated onto the current mask, give every event's mask row, active
+count, flipped clusters with their rows in the cache's signed band table,
+and pick (the floor(u*m)-th active cluster).  Each event then hands its
+flips and mask row to the cache and makes one apply_update call if it
+found an active cluster.
 """
 
 from __future__ import annotations
@@ -192,27 +193,25 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
     records = []
     active_counts = [n]
 
-    t = 0.0
-    e = rows = 0
-    while True:
-        dt = cache.next_gap(cfg.delta_t)
-        if t + dt > cfg.horizon:
+    ran = rows = interference.DRAW_BLOCK
+    while ran == rows:
+        # the events of the next block that fall within the horizon
+        times = cache.event_times(cfg.delta_t * cache.gaps.peek(rows))
+        ran = int(np.searchsorted(times, cfg.horizon, side="right"))
+        cache.gaps.use(ran)
+        if ran == 0:
             break
-        t += dt
-        cache.time = t
-        if e == rows:
-            rows = interference.DRAW_BLOCK
-            masks, counts, picks, cols, flip_rows, ends = _churn_block(
-                cache, act_rng, rate, rows)
-            e = 0
-        lo, hi = ends[e], ends[e + 1]
-        if hi > lo:
-            cache.apply_flips(cols[lo:hi], flip_rows[lo:hi], masks[e])
-        i = picks[e]
-        records.append(apply_update(cache, i) if i >= 0
-                       else UpdateRecord(t, -1, 0, 0, 0.0, 0.0))
-        active_counts.append(counts[e])
-        e += 1
+        masks, counts, picks, cols, flip_rows, ends = _churn_block(
+            cache, act_rng, rate, ran)
+        for e, t in enumerate(times[:ran].tolist()):
+            cache.time = t
+            lo, hi = ends[e], ends[e + 1]
+            if hi > lo:
+                cache.apply_flips(cols[lo:hi], flip_rows[lo:hi], masks[e])
+            i = picks[e]
+            records.append(apply_update(cache, i) if i >= 0
+                           else UpdateRecord(t, -1, 0, 0, 0.0, 0.0))
+        active_counts += counts
 
     return replica_trace(records, a0, active_counts, n, cfg.delta_t,
                          final_bands=cache.bands.copy(), seed=seed)
@@ -239,11 +238,8 @@ def _churn_block(cache: InterferenceCache, act_rng: np.random.Generator,
     flips = act_rng.random((rows, n)) < rate if rate > 0.0 else None
     hits = np.flatnonzero(flips) if flips is not None else np.empty(0, int)
     if hits.size == 0:
-        active = cache.active_list()
-        m = len(active)
-        picks = ([active[k] for k in (u * m).astype(np.int64).tolist()]
-                 if m else [-1] * rows)
-        return None, [m] * rows, picks, hits, None, [0] * (rows + 1)
+        counts = [len(cache.active_list())] * rows
+        return None, counts, cache.picks_of(u), hits, None, [0] * (rows + 1)
     # XOR-accumulate the flip rows onto the current mask
     masks = np.bitwise_xor.accumulate(flips.view(np.uint8), axis=0).view(bool)
     masks ^= cache.active

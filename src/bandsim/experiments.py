@@ -226,18 +226,25 @@ def _write_csv(tables: list) -> None:
 
 def _block_cells(values) -> list[str]:
     """The cells of one block of a column as _csv_cell writes them: an int
-    numpy block, or a float one without a NaN or an infinity, by str(int) or
-    '%.17g', each distinct value once; any other block by _csv_cell."""
+    numpy block by str(int), from a table of its value range's texts unless
+    the range is wider than the block; a float one without a NaN or an
+    infinity by '%.17g', each distinct value once; any other by _csv_cell."""
     kind = values.dtype.kind if isinstance(values, np.ndarray) else None
     if kind in ("i", "u"):
-        keys, fmt = values, str
-    elif kind == "f" and np.isfinite(values).all():
-        # the bits, so that -0.0 and 0.0 stay apart
-        keys, fmt = values.view(f"i{values.itemsize}"), "%.17g".__mod__
-    else:
+        lo = values.min()
+        span = int(values.max()) - int(lo)
+        if span >= values.size:
+            return list(map(str, values.tolist()))
+        texts = np.array([str(v) for v in range(int(lo), int(lo) + span + 1)],
+                         dtype=object)
+        # offsets from lo wrap in a signed type; as unsigned they are exact
+        return texts[(values - lo).view(f"u{values.itemsize}")].tolist()
+    if kind != "f" or not np.isfinite(values).all():
         return list(map(_csv_cell, values))
-    distinct, where = np.unique(keys, return_inverse=True)
-    texts = list(map(fmt, distinct.view(values.dtype).tolist()))
+    # the bits, so that -0.0 and 0.0 stay apart
+    distinct, where = np.unique(values.view(f"i{values.itemsize}"),
+                                return_inverse=True)
+    texts = list(map("%.17g".__mod__, distinct.view(values.dtype).tolist()))
     return np.array(texts, dtype=object)[where].tolist()
 
 

@@ -13,7 +13,7 @@ event that flips k clusters, and the aggregate updated in O(1) per switch.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,25 +144,38 @@ def worst_case_interference(top: Topology,
     return aggregate_interference(top, all_band_one(top.n, 1), act)
 
 
-def _blocks(draw):
-    """Endless iterator over the values of draw(DRAW_BLOCK), one block
-    after another: the values successive scalar draw() calls on the same
-    stream would give, whatever DRAW_BLOCK is."""
-    while True:
-        yield from draw(DRAW_BLOCK).tolist()
+class _Draws:
+    """Cursor over one stream's values, drawn DRAW_BLOCK at a time: the
+    values successive scalar draw() calls would give, whatever DRAW_BLOCK
+    is.  peek(k) returns the next k values (do not mutate), use(k) returns
+    and consumes them and next() consumes one."""
 
+    def __init__(self, draw):
+        self._draw = draw
+        self._vals = np.empty(0)
+        self._pos = 0
 
-def _pick_uniforms(rng: np.random.Generator):
-    # spawned at the first pick, so a cache that never picks leaves rng's
-    # seed sequence as it was
-    yield from _blocks(rng.spawn(1)[0].random)
+    def next(self) -> float:
+        return self.use(1).item(0)
+
+    def peek(self, k: int) -> np.ndarray:
+        while self._vals.size - self._pos < k:
+            self._vals = np.concatenate((self._vals[self._pos:],
+                                         self._draw(DRAW_BLOCK)))
+            self._pos = 0
+        return self._vals[self._pos:self._pos + k]
+
+    def use(self, k: int) -> np.ndarray:
+        vals = self.peek(k)
+        self._pos += k
+        return vals
 
 
 class InterferenceCache:
     """Mutable state of one replica: the band vector bands, the activity
     mask active (a copy of act), per-cluster per-band interference sums with
     O(N) event updates (read through band_powers and own_band_interference),
-    the scheduling stream rng, the replica's buffered event gaps and picks,
+    the scheduling stream rng, the replica's draw buffers gaps and picks,
     and the clock time.
 
     _band_power[j, k] is the power cluster j would receive on band k+1 from
@@ -182,14 +195,12 @@ class InterferenceCache:
     exactly.  The ascending list of active indices is cached between
     activity changes.
 
-    Poisson events draw in blocks of DRAW_BLOCK, one stream per kind of
-    draw: next_gap reads standard exponentials from rng, so rng serves only
-    gaps once the first block is drawn; pick_active and pick_uniforms read
-    uniforms from a child stream spawned from rng at the first pick.  The
-    churn engine (dynamics.simulate_time_varying) reads a block of flip rows
-    into mask rows, picks and the flipped clusters' rows in _signed ahead
-    of its events and hands each event's flips to apply_flips.  Not
-    thread-safe.
+    Poisson events read two draw buffers, gaps and picks, refilled
+    DRAW_BLOCK values at a time: standard exponentials from rng (which then
+    serves only gaps) and uniforms from a child stream spawned from rng at
+    the first pick.  next_gap, pick_active and pick_uniforms consume them;
+    the engines peek a block ahead and use the events that ran.
+    Not thread-safe.
     """
 
     def __init__(self, top: Topology, asg: Assignment,
@@ -201,8 +212,11 @@ class InterferenceCache:
         self.r = asg.r
         self.bands = asg.bands.copy()
         self.rng = rng if rng is not None else np.random.default_rng()
-        self._gaps = _blocks(self.rng.standard_exponential)
-        self._picks = _pick_uniforms(self.rng)
+        self.gaps = _Draws(self.rng.standard_exponential)
+        # spawned at the first pick, so a cache that never picks leaves
+        # rng's seed sequence as it was
+        spawn = functools.cache(self.rng.spawn)
+        self.picks = _Draws(lambda k: spawn(1)[0].random(k))
         self.time = 0.0
         self.weights = weight_matrix(top)
         self._band_power = np.zeros((top.n, asg.r))
@@ -253,23 +267,31 @@ class InterferenceCache:
     def next_gap(self, delta_t: float) -> float:
         """Time to the next Poisson event of mean delta_t: delta_t times the
         next standard exponential of rng, bitwise rng.exponential(delta_t)."""
-        return delta_t * next(self._gaps)
+        return delta_t * self.gaps.next()
+
+    def event_times(self, gaps: np.ndarray) -> np.ndarray:
+        """The values `time += gap` reaches for each gap in turn, bit for
+        bit, as accumulate adds left to right; gaps is overwritten."""
+        gaps[0] += self.time
+        return np.add.accumulate(gaps, out=gaps)
 
     def pick_active(self) -> int:
-        """Uniformly drawn active cluster active_list()[floor(u*m)] of the
-        m active ones, for the next uniform u of the pick stream; -1 if
-        none is active.  Every call uses one uniform."""
-        u = next(self._picks)
+        """Uniformly drawn active cluster: picks_of the next uniform of the
+        pick stream, -1 if none is active.  Every call uses one uniform."""
+        return self.picks_of(self.picks.use(1))[0]
+
+    def picks_of(self, u: np.ndarray) -> list[int]:
+        """active_list()[floor(u*m)] of the m active clusters for each
+        uniform in u; -1 for each when none is active."""
         idx = self.active_list()
-        m = len(idx)
-        if m == 0:
-            return -1
-        return idx[int(u * m)]
+        if not idx:
+            return [-1] * u.size
+        return [idx[j] for j in (u * len(idx)).astype(np.int64).tolist()]
 
     def pick_uniforms(self, k: int) -> np.ndarray:
         """The next k uniforms of the pick stream: the ones the next k
         pick_active calls would read."""
-        return np.fromiter(itertools.islice(self._picks, k), float, k)
+        return self.picks.use(k)
 
     def set_band(self, i: int, band: int) -> None:
         old = self.bands.item(i)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bandsim import interference
 from bandsim.allocation import (REL_TOL, ConvergenceError, PoissonClock,
                                 RandomPermutationRounds, SchedulingError,
                                 apply_update, best_band,
@@ -283,6 +284,33 @@ def test_stop_rule_matches_a_round_counter(instance, seed, make_scheduler):
     assert np.array_equal(cache.bands, ref_cache.bands)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("make_scheduler,seed,events", [
+    # ula20/r2 Poisson runs that stop on the end of their second 64-event
+    # block, and in the middle of one (82 events, 82 % 7 == 5)
+    (PoissonClock, 166, 128),
+    (PoissonClock, 3, 82),
+    (RandomPermutationRounds, 3, None)])
+@pytest.mark.parametrize("active", [None, [j % 3 != 1 for j in range(20)]])
+def test_block_loop_matches_the_per_event_loop(monkeypatch, block,
+                                                make_scheduler, seed, events,
+                                                active):
+    monkeypatch.setattr(interference, "DRAW_BLOCK", block)
+    top = make_uniform_linear_array(20, 1.0)
+    runs = []
+    for _ in range(2):
+        rng = np.random.default_rng(seed)
+        cache = InterferenceCache(top, uniform_random_assignment(20, 2, rng),
+                                  active, rng=rng)
+        runs.append((cache, make_scheduler(0.1)))
+    (cache, sched), (ref_cache, ref_sched) = runs
+    _, records = run_to_convergence(cache, sched)
+    assert records == _run_with_round_counter(ref_cache, ref_sched)
+    assert np.array_equal(cache.bands, ref_cache.bands)
+    if events is not None and active is None:
+        assert len(records) == events
+
+
 @pytest.mark.xfail(strict=True, reason="the Poisson stop after 2*n_active "
                    "quiet events does not certify a fixed point")
 def test_poisson_clock_stops_on_a_fixed_point():
@@ -389,6 +417,28 @@ def test_time_accumulates_event_gaps():
     assert records[-1].time == pytest.approx(state.time)
     times = [rec.time for rec in records]
     assert all(b > a for a, b in zip(times, times[1:]))
+
+
+@pytest.mark.parametrize("make_scheduler", [PoissonClock,
+                                            RandomPermutationRounds])
+def test_event_times_are_exact_running_sums(make_scheduler):
+    # back-to-back runs on one cache, each from all-band-one, until 10**4
+    # events: the Poisson runs hand unused gaps on to the next run
+    top = make_uniform_linear_array(200, 1.0)
+    cache = InterferenceCache(top, all_band_one(200, 2),
+                              rng=np.random.default_rng(11))
+    sched = make_scheduler(0.1)
+    records = []
+    while len(records) < 10 ** 4:
+        for j in range(200):
+            cache.set_band(j, 1)
+        records += run_to_convergence(cache, sched)[1]
+    gaps = np.random.default_rng(11)
+    t, want = 0.0, []
+    for _ in records:
+        t += gaps.exponential(0.1) if make_scheduler is PoissonClock else 0.1
+        want.append(t)
+    assert [rec.time for rec in records] == want
 
 
 def test_convergence_reproducible_for_fixed_seed():

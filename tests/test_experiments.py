@@ -20,9 +20,9 @@ from bandsim.experiments import (EXPERIMENTS, OUTPUT_DIR_ENV, PRESET_NAMES,
                                  config_hash, dumps_canonical, load_config,
                                  parse_config, preset, resolve_out_dir,
                                  run_experiment, validate_config,
-                                 _build_topology, _capacity_series,
-                                 _converge_one, _csv_cell, _emit, _jsonable,
-                                 _write_csv)
+                                 _block_cells, _build_topology,
+                                 _capacity_series, _converge_one, _csv_cell,
+                                 _emit, _jsonable, _write_csv)
 from bandsim.interference import InterferenceCache, worst_case_interference
 from bandsim.metrics import link_capacity, link_powers
 from bandsim.topology import (make_random_linear_array,
@@ -469,6 +469,19 @@ def test_csv_cell_rules(value, text):
 def test_csv_cell_rejects_infinity(value):
     with pytest.raises(ValueError):
         _csv_cell(value)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([-1, 0, -1, 3, 0]), np.zeros(4, dtype=np.int64),
+    np.array([-1] * 3), np.array([0, 10 ** 12, 7, 0]),
+    np.array([5, 3, 4, 3], dtype=np.uint8),
+    np.array([0, 255, 1], dtype=np.uint8),
+    np.array([2 ** 64 - 1, 2 ** 64 - 2], dtype=np.uint64),
+    np.array([2 ** 64 - 1, 0], dtype=np.uint64),
+    np.arange(-100, 100, dtype=np.int8)])
+def test_block_cells_of_int_blocks_match_csv_cell(values):
+    # narrow value ranges go through a table of texts, wide ones per value
+    assert _block_cells(values) == [_csv_cell(v) for v in values]
 
 
 _SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
