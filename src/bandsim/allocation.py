@@ -119,10 +119,11 @@ class PoissonClock:
             raise SchedulingError("no active clusters to schedule")
         return i, dt
 
-    def _block(self, cache: InterferenceCache, k: int):
-        """(gaps, clusters) of the next min(k, DRAW_BLOCK) events, peeked
-        from the cache's buffers; _used(cache, e) consumes the first e."""
-        k = min(k, interference.DRAW_BLOCK)
+    def _block(self, cache: InterferenceCache, k: int, certain: int = 0):
+        """(gaps, clusters) of the next min(k, max(certain, DRAW_BLOCK))
+        events, peeked from the cache's buffers, where certain is the count
+        of events sure to run; _used(cache, e) consumes the first e."""
+        k = min(k, max(certain, interference.DRAW_BLOCK))
         return (self.delta_t * cache.gaps.peek(k),
                 cache.picks_of(cache.picks.peek(k)))
 
@@ -148,9 +149,10 @@ class RandomPermutationRounds:
         self._pos += 1
         return i, self.delta_t
 
-    def _block(self, cache: InterferenceCache, k: int):
+    def _block(self, cache: InterferenceCache, k: int, certain: int = 0):
         """(gaps, clusters) of up to k events to the end of the round, a new
-        shuffle once a round is done; _used(cache, e) consumes the first e."""
+        shuffle once a round is done, whatever certain is; _used(cache, e)
+        consumes the first e."""
         if self._pos >= len(self._order):
             idx = cache.active_list()
             if not idx:
@@ -186,10 +188,12 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     so a full coverage cannot be certified by a single round).  Raises
     ConvergenceError beyond max_updates (default 10*N^(eta+2)).
 
-    Events run a block at a time: the next DRAW_BLOCK Poisson gaps and
-    picks, read ahead from the cache's buffers, or the rest of a round.
-    Only the events that ran are consumed; their times are the running
-    sums of the gaps, as `time += gap` in turn gives them.
+    Events run a block at a time: a Poisson block is the next gaps and
+    picks, read ahead from the cache's buffers, as many as the quiet streak
+    still needs (those events are sure to run) but at least DRAW_BLOCK; a
+    permutation block is the rest of a round.  Only the events that ran are
+    consumed; their times are the running sums of the gaps, as
+    `time += gap` in turn gives them.
 
     When levels is a list, the run appends the own-band interference row
     (own_band_interference()) after every switch: the states a capacity
@@ -214,7 +218,8 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
             raise ConvergenceError(
                 f"no convergence within {max_updates} updates "
                 f"(n={cache.n}, eta={cache.topology.eta})")
-        gaps, clusters = scheduler._block(cache, max_updates - done)
+        gaps, clusters = scheduler._block(cache, max_updates - done,
+                                          quiet_needed - quiet_streak)
         for t, i in zip(cache.event_times(gaps).tolist(), clusters):
             cache.time = t
             rec = update(cache, i)

@@ -14,14 +14,18 @@ replica, SeedSequence(seed).spawn(2) yields the scheduling stream and the
 activity stream.  The scheduling stream draws the event gaps, and a child
 spawned from it draws one pick uniform per event (see InterferenceCache);
 the activity stream draws one uniform per cluster per event, the flip rows.
-Each kind of draw comes in blocks of interference.DRAW_BLOCK events from a
-stream of its own, so the block size changes no value, and alpha=1 runs are
-event-for-event identical to the static Poisson engine driven by the
-scheduling stream alone.
+Each kind of draw comes from a stream of its own, so no block size changes
+a value, and alpha=1 runs are event-for-event identical to the static
+Poisson engine driven by the scheduling stream alone.
 
-Neither the clock nor the churn reads the bands, so events are read a
-block at a time: the running sums of a block of gaps, cut at the horizon
-with one searchsorted, give the event times, and the block's flip rows,
+Neither the clock nor the churn reads the bands, so a replica reads its
+events ahead in blocks, as many as the horizon is known to need: the
+expected count up to the horizon plus four standard deviations of that
+Poisson count, at least interference.DRAW_BLOCK, and at most AHEAD_CELLS // N
+events, which bounds a block's flip draw.  One block nearly always reaches
+the horizon; one that falls short is followed by another sized the same
+way.  The running sums of a block's gaps, cut at the horizon with one
+searchsorted, give the event times, and the flip rows of its events,
 XOR-accumulated onto the current mask, give every event's mask row, active
 count, flipped clusters with their rows in the cache's signed band table,
 and pick (the floor(u*m)-th active cluster).  Each event then hands its
@@ -70,6 +74,9 @@ NEAR_EQUILIBRIUM_RATE = 0.1
 # Fraction of the initial gap below which the decay fit stops trusting the
 # ensemble mean (noise floor).
 FIT_FLOOR = 0.05
+# Most cells (events x clusters) of one read-ahead block of
+# simulate_time_varying, so that its flip draw stays within 1 MiB of float64.
+AHEAD_CELLS = 1 << 17
 
 
 class FitError(RuntimeError):
@@ -193,9 +200,16 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
     records = []
     active_counts = [n]
 
-    ran = rows = interference.DRAW_BLOCK
+    # most events one block may read: bounds its rows x N flip draw
+    cap = max(interference.DRAW_BLOCK, AHEAD_CELLS // n)
+    ran = rows = 0
     while ran == rows:
-        # the events of the next block that fall within the horizon
+        # the events expected up to the horizon and four standard deviations
+        # more (the count is Poisson), so one block nearly always suffices
+        mean = (cfg.horizon - cache.time) / cfg.delta_t
+        rows = min(cap, max(interference.DRAW_BLOCK,
+                            math.ceil(mean + 4.0 * math.sqrt(mean))))
+        # the events of the block that fall within the horizon
         times = cache.event_times(cfg.delta_t * cache.gaps.peek(rows))
         ran = int(np.searchsorted(times, cfg.horizon, side="right"))
         cache.gaps.use(ran)

@@ -228,7 +228,8 @@ def _block_cells(values) -> list[str]:
     """The cells of one block of a column as _csv_cell writes them: an int
     numpy block by str(int), from a table of its value range's texts unless
     the range is wider than the block; a float one without a NaN or an
-    infinity by '%.17g', each distinct value once; any other by _csv_cell."""
+    infinity by '%.17g', once per run of equal neighbours; any other by
+    _csv_cell."""
     kind = values.dtype.kind if isinstance(values, np.ndarray) else None
     if kind in ("i", "u"):
         lo = values.min()
@@ -241,11 +242,14 @@ def _block_cells(values) -> list[str]:
         return texts[(values - lo).view(f"u{values.itemsize}")].tolist()
     if kind != "f" or not np.isfinite(values).all():
         return list(map(_csv_cell, values))
-    # the bits, so that -0.0 and 0.0 stay apart
-    distinct, where = np.unique(values.view(f"i{values.itemsize}"),
-                                return_inverse=True)
-    texts = list(map("%.17g".__mod__, distinct.view(values.dtype).tolist()))
-    return np.array(texts, dtype=object)[where].tolist()
+    # runs compare by bits, so that -0.0 and 0.0 stay apart
+    bits = values.view(f"i{values.itemsize}")
+    heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    texts = ("%.17g\n" * heads.size % tuple(values[heads].tolist())).split()
+    if heads.size == values.size:
+        return texts
+    return np.repeat(np.array(texts, dtype=object),
+                     np.diff(heads, append=values.size)).tolist()
 
 
 def config_hash(resolved: dict) -> str:

@@ -35,9 +35,10 @@ __all__ = [
     "InterferenceCache",
 ]
 
-# Events covered by one refill of a replica's buffers: DRAW_BLOCK gaps,
-# pick uniforms or churn-flip rows (one uniform per cluster).  Each kind of
-# draw has a stream of its own, so the block size changes no drawn value.
+# The unit a replica's draw buffers refill by (a shortfall is drawn in whole
+# DRAW_BLOCKs) and the fewest events an engine reads ahead at a time.  Each
+# kind of draw has a stream of its own, so the block size changes no drawn
+# value.
 DRAW_BLOCK = 64
 
 
@@ -145,7 +146,7 @@ def worst_case_interference(top: Topology,
 
 
 class _Draws:
-    """Cursor over one stream's values, drawn DRAW_BLOCK at a time: the
+    """Cursor over one stream's values, drawn in whole DRAW_BLOCKs: the
     values successive scalar draw() calls would give, whatever DRAW_BLOCK
     is.  peek(k) returns the next k values (do not mutate), use(k) returns
     and consumes them and next() consumes one."""
@@ -159,9 +160,11 @@ class _Draws:
         return self.use(1).item(0)
 
     def peek(self, k: int) -> np.ndarray:
-        while self._vals.size - self._pos < k:
-            self._vals = np.concatenate((self._vals[self._pos:],
-                                         self._draw(DRAW_BLOCK)))
+        short = k - (self._vals.size - self._pos)
+        if short > 0:
+            # the shortfall in one draw, rounded up to whole blocks
+            self._vals = np.concatenate((self._vals[self._pos:], self._draw(
+                -(-short // DRAW_BLOCK) * DRAW_BLOCK)))
             self._pos = 0
         return self._vals[self._pos:self._pos + k]
 
@@ -195,8 +198,8 @@ class InterferenceCache:
     exactly.  The ascending list of active indices is cached between
     activity changes.
 
-    Poisson events read two draw buffers, gaps and picks, refilled
-    DRAW_BLOCK values at a time: standard exponentials from rng (which then
+    Poisson events read two draw buffers, gaps and picks, refilled in
+    whole DRAW_BLOCKs: standard exponentials from rng (which then
     serves only gaps) and uniforms from a child stream spawned from rng at
     the first pick.  next_gap, pick_active and pick_uniforms consume them;
     the engines peek a block ahead and use the events that ran.

@@ -285,16 +285,18 @@ def test_stop_rule_matches_a_round_counter(instance, seed, make_scheduler):
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
-@pytest.mark.parametrize("make_scheduler,seed,events", [
+@pytest.mark.parametrize("make_scheduler,seed,events,mid_block", [
     # ula20/r2 Poisson runs that stop on the end of their second 64-event
-    # block, and in the middle of one (82 events, 82 % 7 == 5)
-    (PoissonClock, 166, 128),
-    (PoissonClock, 3, 82),
-    (RandomPermutationRounds, 3, None)])
+    # read, and in the middle of one (82 events); a read of DRAW_BLOCK = 1
+    # or 7 is as long as the quiet streak still needs (at most 40), so
+    # there both stop on the end of a read
+    (PoissonClock, 166, 128, False),
+    (PoissonClock, 3, 82, True),
+    (RandomPermutationRounds, 3, None, None)])
 @pytest.mark.parametrize("active", [None, [j % 3 != 1 for j in range(20)]])
 def test_block_loop_matches_the_per_event_loop(monkeypatch, block,
                                                 make_scheduler, seed, events,
-                                                active):
+                                                mid_block, active):
     monkeypatch.setattr(interference, "DRAW_BLOCK", block)
     top = make_uniform_linear_array(20, 1.0)
     runs = []
@@ -304,11 +306,20 @@ def test_block_loop_matches_the_per_event_loop(monkeypatch, block,
                                   active, rng=rng)
         runs.append((cache, make_scheduler(0.1)))
     (cache, sched), (ref_cache, ref_sched) = runs
+    read, reads = sched._block, []
+
+    def spy(*args):
+        gaps, clusters = read(*args)
+        reads.append(len(clusters))
+        return gaps, clusters
+
+    monkeypatch.setattr(sched, "_block", spy)
     _, records = run_to_convergence(cache, sched)
     assert records == _run_with_round_counter(ref_cache, ref_sched)
     assert np.array_equal(cache.bands, ref_cache.bands)
     if events is not None and active is None:
         assert len(records) == events
+        assert (sum(reads) > events) == (mid_block and block == 64)
 
 
 @pytest.mark.xfail(strict=True, reason="the Poisson stop after 2*n_active "

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bandsim import interference
+from bandsim import dynamics, interference
 from bandsim.allocation import REL_TOL, PoissonClock, run_to_convergence
 from bandsim.dynamics import (DynamicsConfig, FitError, SimTrace,
                               StatisticsError, ensemble_mean_trace,
@@ -231,12 +231,45 @@ def test_draw_block_size_changes_no_value(monkeypatch, n, alpha):
     assert want_tr.events > 100
     for block in (1, 7, 64):
         monkeypatch.setattr(interference, "DRAW_BLOCK", block)
-        tr, records = runs()
-        assert records == want_records
-        for field in ("times", "aggregates", "active_counts", "clusters",
-                      "old_bands", "new_bands", "final_bands"):
-            assert np.array_equal(getattr(tr, field),
-                                  getattr(want_tr, field)), field
+        for cells in (dynamics.AHEAD_CELLS, 1):
+            # at one cell no read passes DRAW_BLOCK events, so a replica
+            # reaches its horizon block by block
+            monkeypatch.setattr(dynamics, "AHEAD_CELLS", cells)
+            tr, records = runs()
+            assert records == want_records
+            for field in ("times", "aggregates", "active_counts", "clusters",
+                          "old_bands", "new_bands", "final_bands"):
+                assert np.array_equal(getattr(tr, field),
+                                      getattr(want_tr, field)), field
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_read_ahead_stays_within_the_cell_bound(monkeypatch):
+    # about 6,000 events of 50 clusters: more cells than one read may span
+    n = 50
+    top = make_uniform_linear_array(n, 1.0)
+    cfg = DynamicsConfig(delta_t=0.01, horizon=60.0, alpha=0.99)
+    churn_block = dynamics._churn_block
+    rows = []
+
+    def spy(cache, act_rng, rate, k):
+        rows.append(k)  # its flip draw is k x n uniforms
+        return churn_block(cache, act_rng, rate, k)
+
+    monkeypatch.setattr(dynamics, "_churn_block", spy)
+    tr = simulate_time_varying(top, cfg, 2, seed=9)
+    assert tr.events == sum(rows)
+    assert len(rows) >= 3
+    assert max(rows) * n <= dynamics.AHEAD_CELLS
+    # a bound past the horizon reads it all at once, with the same values
+    rows.clear()
+    monkeypatch.setattr(dynamics, "AHEAD_CELLS", 10 ** 9)
+    unbounded = simulate_time_varying(top, cfg, 2, seed=9)
+    assert rows == [tr.events]
+    for field in ("times", "aggregates", "active_counts", "clusters",
+                  "new_bands", "final_bands"):
+        assert np.array_equal(getattr(tr, field),
+                              getattr(unbounded, field)), field
 
 
 def test_pick_index_stays_below_the_active_count():

@@ -484,6 +484,22 @@ def test_block_cells_of_int_blocks_match_csv_cell(values):
     assert _block_cells(values) == [_csv_cell(v) for v in values]
 
 
+@pytest.mark.parametrize("values", [
+    # runs that start on the block's first cell and end on its last
+    np.array([0.25] * 3 + [0.5] * 2), np.array([1.5] * 4), np.array([7.0]),
+    # -0.0 and 0.0 are equal but are distinct runs
+    np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0]),
+    # the exponent forms and the smallest subnormals
+    np.array([5e-324, 5e-324, -5e-324, 1e-5, 1e-5, 1e17, 1e17, -1e17]),
+    np.array([1e-5, 1e-4, 0.1, 1e16, 1e17, 1e308, -2.5e-310]),
+    # no repeats, and every value repeated
+    np.linspace(-1.0, 1.0, 9), np.repeat(np.linspace(0.0, 1.0, 5), 3),
+    np.array([0.1, 0.2, 0.1, 0.2], dtype=np.float32)])
+def test_block_cells_of_float_blocks_match_csv_cell(values):
+    # the head of each run of equal bits is formatted and repeated
+    assert _block_cells(values) == [_csv_cell(v) for v in values]
+
+
 _SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                    1e308, -1e308, 1.7976931348623157e308, math.nan,
                    math.inf, -math.inf]
@@ -544,6 +560,8 @@ _SHARED = np.array([0.0, -0.0, -0.0, math.nan, math.nan, 0.0, 0.0, 0.0])
 @example(tables=[[_SHARED, np.arange(8)], [np.arange(8), _SHARED]],
          block=2)
 @example(tables=[[_SHARED], [np.array([1.0, math.inf])]], block=1)
+@example(tables=[[np.array([0.5, 0.5, 0.5, -0.0, -0.0, 0.0, 1e17])]],
+         block=2)
 def test_write_csv_matches_a_per_cell_join(tmp_path, monkeypatch, tables,
                                            block):
     # small blocks split the tables, so bulk and per-cell blocks mix and

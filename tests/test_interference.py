@@ -262,6 +262,36 @@ def test_cache_rebuild_restores_consistency():
     assert cache.aggregate() == pytest.approx(before, rel=1e-15)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_draws_peek_of_several_blocks_matches_next_calls(monkeypatch, block):
+    monkeypatch.setattr(interference, "DRAW_BLOCK", block)
+    sizes = []
+
+    def draws(seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(k):
+            sizes.append(k)
+            return rng.standard_exponential(k)
+        return interference._Draws(draw)
+
+    ahead = draws(4)
+    ahead.use(3)
+    held = sizes[0] - 3  # drawn but not yet used
+    k = 3 * block + 2
+    peeked = ahead.peek(k).copy()
+    # the shortfall is drawn in one call, rounded up to whole blocks
+    assert sizes == [-(-3 // block) * block, -(-(k - held) // block) * block]
+    assert [ahead.next() for _ in range(k)] == peeked.tolist()
+    sizes.clear()
+    one_by_one = draws(4)
+    assert [one_by_one.next() for _ in range(3 + k)][3:] == peeked.tolist()
+    assert sizes == [block] * len(sizes)
+    scalar = np.random.default_rng(4)
+    assert [scalar.standard_exponential() for _ in range(3 + k)][3:] == \
+        peeked.tolist()
+
+
 def test_weight_matrix_cached_read_only():
     top = make_rectangular_lattice(3, 3, 1.0)
     w = weight_matrix(top)
