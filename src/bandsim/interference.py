@@ -202,7 +202,8 @@ class InterferenceCache:
     whole DRAW_BLOCKs: standard exponentials from rng (which then
     serves only gaps) and uniforms from a child stream spawned from rng at
     the first pick.  next_gap, pick_active and pick_uniforms consume them;
-    the engines peek a block ahead and use the events that ran.
+    the engines peek a block ahead and use the events that ran.  copy(rng)
+    starts another replica from this state on its own stream.
     Not thread-safe.
     """
 
@@ -214,16 +215,43 @@ class InterferenceCache:
         self.topology = top
         self.r = asg.r
         self.bands = asg.bands.copy()
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self.gaps = _Draws(self.rng.standard_exponential)
-        # spawned at the first pick, so a cache that never picks leaves
-        # rng's seed sequence as it was
-        spawn = functools.cache(self.rng.spawn)
-        self.picks = _Draws(lambda k: spawn(1)[0].random(k))
-        self.time = 0.0
+        self._start(rng if rng is not None else np.random.default_rng())
         self.weights = weight_matrix(top)
         self._band_power = np.zeros((top.n, asg.r))
         self.rebuild()
+
+    def _start(self, rng: np.random.Generator) -> None:
+        """Take rng as the scheduling stream, with empty draw buffers and
+        the clock at 0."""
+        self.rng = rng
+        self.gaps = _Draws(rng.standard_exponential)
+        # spawned at the first pick, so a cache that never picks leaves
+        # rng's seed sequence as it was
+        spawn = functools.cache(rng.spawn)
+        self.picks = _Draws(lambda k: spawn(1)[0].random(k))
+        self.time = 0.0
+
+    def copy(self, rng: np.random.Generator) -> "InterferenceCache":
+        """A new replica at time 0 that starts from this cache's state:
+        its bands, activity, band sums, signed band table, own-band index
+        and aggregate, bit for bit, with the scheduling stream rng and
+        fresh draw buffers as __init__ attaches them.  The weights and the
+        topology are shared, and this cache is left as it was.  A copy of a
+        fresh build is what a fresh build gives, without its O(N^2)
+        rebuild()."""
+        new = InterferenceCache.__new__(InterferenceCache)
+        new.active = self.active.copy()
+        new.topology = self.topology
+        new.r = self.r
+        new.bands = self.bands.copy()
+        new._start(rng)
+        new.weights = self.weights
+        new._band_power = self._band_power.copy()
+        new._signed = self._signed.copy()
+        new._own = self._own.copy()
+        new._active_list = None
+        new._aggregate = self._aggregate
+        return new
 
     @property
     def n(self) -> int:

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,8 @@ from bandsim.dynamics import (DynamicsConfig, FitError, SimTrace,
                               steady_state_stats, time_scale)
 from bandsim.interference import (InterferenceCache, aggregate_interference,
                                   all_band_one, uniform_random_assignment)
-from bandsim.topology import make_uniform_linear_array
+from bandsim.topology import (make_hexagonal_lattice,
+                              make_uniform_linear_array)
 
 
 def _flat_trace(level: float, t_end: float = 10.0, n: int = 1,
@@ -328,15 +332,80 @@ def test_ensemble_mean_trace():
         ensemble_mean_trace([], grid)
 
 
-def test_run_ensemble_seed_layout():
-    top = make_uniform_linear_array(6, 1.0)
-    cfg = DynamicsConfig(delta_t=0.1, horizon=1.0, replicas=3)
-    traces = run_ensemble(top, cfg, 2, base_seed=100)
-    assert len(traces) == 3
+def _cache_state(cache) -> dict:
+    """Every attribute of a cache, arrays as bytes and the stream as its
+    state; the draw buffers are left out."""
+    state = {}
+    for name, value in vars(cache).items():
+        if isinstance(value, np.ndarray):
+            state[name] = (value.dtype, value.shape, value.tobytes())
+        elif name == "rng":
+            state[name] = value.bit_generator.state
+        elif name not in ("gaps", "picks", "topology"):
+            state[name] = value
+    return state
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.99, 0.8])
+@pytest.mark.parametrize("topo", ["ula", "hex"])
+@pytest.mark.parametrize("converged", [False, True])
+def test_run_ensemble_seed_layout(monkeypatch, topo, alpha, converged):
+    # every replica runs bit for bit as a solo run that builds its own start
+    # from the same seed, and the one start they share is left as built
+    top = (make_uniform_linear_array(24, 1.0) if topo == "ula"
+           else make_hexagonal_lattice(4, 5, 1.0))
+    r = 3
+    initial = None
+    if converged:
+        state = InterferenceCache(
+            top, uniform_random_assignment(top.n, r, np.random.default_rng(4)),
+            rng=np.random.default_rng(4))
+        initial = run_to_convergence(state)[0].assignment()
+    cfg = DynamicsConfig(delta_t=0.05, horizon=1.0, alpha=alpha, replicas=3)
+    calls = []
+
+    def spy(*args, **kwargs):
+        start = kwargs["initial"]
+        calls.append((args, start, _cache_state(start)))
+        return simulate_time_varying(*args, **kwargs)
+
+    # run_ensemble calls simulate_time_varying through its module global
+    monkeypatch.setattr(dynamics, "simulate_time_varying", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        traces = run_ensemble(top, cfg, r, base_seed=100, initial=initial)
+        solos = [simulate_time_varying(top, cfg, r, seed=100 + k,
+                                       initial=initial) for k in range(3)]
     assert [tr.seed for tr in traces] == [100, 101, 102]
-    solo = simulate_time_varying(top, cfg, 2, seed=101)
-    assert np.array_equal(traces[1].times, solo.times)
-    assert np.array_equal(traces[1].aggregates, solo.aggregates)
+    assert [args for args, _, _ in calls] == [
+        (top, cfg, r, 100 + k) for k in range(3)]
+    start = calls[0][1]
+    assert all(s is start for _, s, _ in calls)
+    assert all(state == _cache_state(start) for _, _, state in calls)
+    assert np.array_equal(start.bands, initial.bands if converged
+                          else np.ones(top.n))
+    assert start.active.all() and start.time == 0.0
+    for tr, solo in zip(traces, solos):
+        for field in dataclasses.fields(SimTrace):
+            got, want = getattr(tr, field.name), getattr(solo, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, field.name
+                assert got.tobytes() == want.tobytes(), field.name
+            else:
+                assert got == want, field.name
+    if alpha < 1.0:
+        assert any((tr.active_counts < top.n).any() for tr in traces)
+
+
+def test_simulate_rejects_a_foreign_start_cache():
+    top = make_uniform_linear_array(5, 1.0)
+    cfg = DynamicsConfig(delta_t=0.1, horizon=1.0)
+    start = InterferenceCache(top, all_band_one(5, 2))
+    with pytest.raises(ValueError):
+        simulate_time_varying(top, cfg, 3, seed=0, initial=start)
+    with pytest.raises(ValueError):
+        simulate_time_varying(make_uniform_linear_array(5, 1.0), cfg, 2,
+                              seed=0, initial=start)
 
 
 def test_fit_recovers_exact_exponential():

@@ -331,6 +331,70 @@ def _assert_matches_recompute(cache, top, tol=1e-12):
         == np.flatnonzero(act).tolist()
 
 
+def _assert_same_state(got, want):
+    """got and want hold the same attributes, arrays equal bit for bit
+    (sign bits of zeros included), the same topology and weight objects,
+    and streams in the same state; the draw buffers are compared by what
+    they draw."""
+    assert vars(got).keys() == vars(want).keys()
+    for name, value in vars(want).items():
+        other = vars(got)[name]
+        if name in ("gaps", "picks"):
+            continue
+        if name == "rng":
+            assert other.bit_generator.state == value.bit_generator.state
+        elif name in ("topology", "weights"):
+            assert other is value
+        elif isinstance(value, np.ndarray):
+            assert (other.dtype, other.shape) == (value.dtype, value.shape)
+            assert other.tobytes() == value.tobytes(), name
+        else:
+            assert type(other) is type(value) and other == value, name
+
+
+@pytest.mark.parametrize("shape,r", [((1, 24), 2), ((5, 6), 3)])
+def test_copy_is_a_fresh_build(shape, r):
+    rows, cols = shape
+    top = make_rectangular_lattice(rows, cols, 1.0)
+    n = top.n
+    rng = np.random.default_rng(8)
+    asg = uniform_random_assignment(n, r, rng)
+    act = rng.random(n) < 0.7
+    source = InterferenceCache(top, asg, act, rng=np.random.default_rng(1))
+    # a cached active list, a used stream or a clock on the source is not
+    # copied
+    source.active_list()
+    source.next_gap(1.0)
+    source.time = 0.5
+    copy = source.copy(np.random.default_rng(5))
+    fresh = InterferenceCache(top, asg, act, rng=np.random.default_rng(5))
+    _assert_same_state(copy, fresh)
+    assert copy.active is not source.active
+    # the copy's gap and pick draws are the fresh cache's on the same seed
+    for _ in range(3):
+        assert copy.next_gap(0.1) == fresh.next_gap(0.1)
+        assert copy.pick_active() == fresh.pick_active()
+    assert copy.gaps.peek(100).tobytes() == fresh.gaps.peek(100).tobytes()
+    assert copy.pick_uniforms(100).tobytes() \
+        == fresh.pick_uniforms(100).tobytes()
+    # switches and flips on the copy leave the source as it was built
+    built = InterferenceCache(top, asg, act, rng=np.random.default_rng(1))
+    built.active_list()
+    built.next_gap(1.0)
+    built.time = 0.5
+    for i in range(0, n, 3):
+        copy.set_band(i, r + 1 - copy.bands[i])
+    idx = np.arange(1, n, 4)
+    mask = copy.active.copy()
+    mask[idx] = ~mask[idx]
+    copy.apply_flips(idx, np.where(mask[idx], idx, idx + n), mask)
+    _assert_matches_recompute(copy, top)
+    _assert_matches_recompute(source, top)
+    _assert_same_state(source, built)
+    assert np.array_equal(source.bands, asg.bands)
+    assert np.array_equal(source.active, act)
+
+
 _OPS = st.one_of(
     st.tuples(st.just("band"), st.integers(0, 11), st.integers(1, 3)),
     st.tuples(st.just("active"), st.integers(0, 11), st.booleans()),
