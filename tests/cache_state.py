@@ -1,0 +1,34 @@
+"""One rule for comparing the state of `InterferenceCache` objects in tests."""
+
+import numpy as np
+
+
+def cache_state(cache) -> dict:
+    """Every attribute of cache in a form that compares by value: arrays as
+    dtype, shape and bytes (sign bits of zeros included), the stream as its
+    state, the topology by identity, the shared weight matrix by identity
+    and bytes, anything else with its type.  The draw buffers are kept by
+    type only; compare them by what they draw."""
+    state = {}
+    for name, value in vars(cache).items():
+        if name in ("gaps", "picks"):
+            state[name] = type(value)
+        elif name == "rng":
+            state[name] = value.bit_generator.state
+        elif name == "topology":
+            state[name] = id(value)
+        elif name == "weights":
+            state[name] = (id(value), value.tobytes())
+        elif isinstance(value, np.ndarray):
+            state[name] = (value.dtype, value.shape, value.tobytes())
+        else:
+            state[name] = (type(value), value)
+    return state
+
+
+def assert_same_state(got, want):
+    """Caches got and want hold the same attributes with equal states."""
+    got, want = cache_state(got), cache_state(want)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert got[name] == value, name

@@ -18,6 +18,8 @@ from bandsim.interference import (InterferenceCache, aggregate_interference,
 from bandsim.topology import (make_hexagonal_lattice,
                               make_uniform_linear_array)
 
+from cache_state import cache_state
+
 
 def _flat_trace(level: float, t_end: float = 10.0, n: int = 1,
                 delta_t: float = 1.0) -> SimTrace:
@@ -332,20 +334,6 @@ def test_ensemble_mean_trace():
         ensemble_mean_trace([], grid)
 
 
-def _cache_state(cache) -> dict:
-    """Every attribute of a cache, arrays as bytes and the stream as its
-    state; the draw buffers are left out."""
-    state = {}
-    for name, value in vars(cache).items():
-        if isinstance(value, np.ndarray):
-            state[name] = (value.dtype, value.shape, value.tobytes())
-        elif name == "rng":
-            state[name] = value.bit_generator.state
-        elif name not in ("gaps", "picks", "topology"):
-            state[name] = value
-    return state
-
-
 @pytest.mark.parametrize("alpha", [1.0, 0.99, 0.8])
 @pytest.mark.parametrize("topo", ["ula", "hex"])
 @pytest.mark.parametrize("converged", [False, True])
@@ -366,7 +354,7 @@ def test_run_ensemble_seed_layout(monkeypatch, topo, alpha, converged):
 
     def spy(*args, **kwargs):
         start = kwargs["initial"]
-        calls.append((args, start, _cache_state(start)))
+        calls.append((args, start, cache_state(start)))
         return simulate_time_varying(*args, **kwargs)
 
     # run_ensemble calls simulate_time_varying through its module global
@@ -381,7 +369,7 @@ def test_run_ensemble_seed_layout(monkeypatch, topo, alpha, converged):
         (top, cfg, r, 100 + k) for k in range(3)]
     start = calls[0][1]
     assert all(s is start for _, s, _ in calls)
-    assert all(state == _cache_state(start) for _, _, state in calls)
+    assert all(state == cache_state(start) for _, _, state in calls)
     assert np.array_equal(start.bands, initial.bands if converged
                           else np.ones(top.n))
     assert start.active.all() and start.time == 0.0

@@ -14,6 +14,8 @@ from bandsim.topology import (make_rectangular_lattice,
                               make_uniform_linear_array,
                               topology_from_positions)
 
+from cache_state import assert_same_state
+
 # frozen reference values for the 100-cluster unit-spacing line, eta = 2
 I_ALT_100 = 76.75743134274704
 I_W_100 = 316.62202500169934
@@ -331,27 +333,6 @@ def _assert_matches_recompute(cache, top, tol=1e-12):
         == np.flatnonzero(act).tolist()
 
 
-def _assert_same_state(got, want):
-    """got and want hold the same attributes, arrays equal bit for bit
-    (sign bits of zeros included), the same topology and weight objects,
-    and streams in the same state; the draw buffers are compared by what
-    they draw."""
-    assert vars(got).keys() == vars(want).keys()
-    for name, value in vars(want).items():
-        other = vars(got)[name]
-        if name in ("gaps", "picks"):
-            continue
-        if name == "rng":
-            assert other.bit_generator.state == value.bit_generator.state
-        elif name in ("topology", "weights"):
-            assert other is value
-        elif isinstance(value, np.ndarray):
-            assert (other.dtype, other.shape) == (value.dtype, value.shape)
-            assert other.tobytes() == value.tobytes(), name
-        else:
-            assert type(other) is type(value) and other == value, name
-
-
 @pytest.mark.parametrize("shape,r", [((1, 24), 2), ((5, 6), 3)])
 def test_copy_is_a_fresh_build(shape, r):
     rows, cols = shape
@@ -368,7 +349,7 @@ def test_copy_is_a_fresh_build(shape, r):
     source.time = 0.5
     copy = source.copy(np.random.default_rng(5))
     fresh = InterferenceCache(top, asg, act, rng=np.random.default_rng(5))
-    _assert_same_state(copy, fresh)
+    assert_same_state(copy, fresh)
     assert copy.active is not source.active
     # the copy's gap and pick draws are the fresh cache's on the same seed
     for _ in range(3):
@@ -390,7 +371,7 @@ def test_copy_is_a_fresh_build(shape, r):
     copy.apply_flips(idx, np.where(mask[idx], idx, idx + n), mask)
     _assert_matches_recompute(copy, top)
     _assert_matches_recompute(source, top)
-    _assert_same_state(source, built)
+    assert_same_state(source, built)
     assert np.array_equal(source.bands, asg.bands)
     assert np.array_equal(source.active, act)
 

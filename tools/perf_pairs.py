@@ -1,21 +1,22 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
     python3 tools/perf_pairs.py PARENT CHANGE --workload W [--seed S]
-                                [--pairs N] [--seconds T]
+                                [--pairs N]
 
 Runs ``perfbench/run.py --workload W --seed S --seconds T`` from each
 checkout, N times each, one at a time, alternating which side goes first:
-pair 1 runs PARENT first, pair 2 CHANGE first, and so on.  The end-to-end
-metrics, their directions and their regression bounds come from PARENT's
-``BENCHMARK.json``, and T defaults to its ``run_seconds``.
+pair 1 runs PARENT first, pair 2 CHANGE first, and so on.  The run length
+T, the end-to-end metrics, their directions and their regression bounds
+come from PARENT's ``BENCHMARK.json``.  The runs inherit this process's
+environment unchanged.
 
 For each metric it prints every pair, both medians, the parent's quartile
 spread (Q3 - Q1 of its runs) and the pairs the change won (ties count for
 neither side), then a verdict:
 
-  gain        the change won at least nine tenths of the pairs and its
-              median is better than the parent's by more than the
-              parent's quartile spread
+  gain        at least ten complete pairs, the change won at least nine
+              tenths of them and its median is better than the parent's
+              by more than the parent's quartile spread
   regression  the change's median is worse than the parent's by more than
               the metric's relative bound
   unresolved  neither, and the parent's quartile spread is wider than the
@@ -30,11 +31,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+# fewer pairs than this cannot show a gain
+MIN_PAIRS = 10
 
 
 def run_bench(checkout: Path, workload: str, seed: int,
@@ -44,12 +47,7 @@ def run_bench(checkout: Path, workload: str, seed: int,
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}"]
-    # without bytecode caching every timed run and setup probe would compile
-    # bandsim afresh, which inflates setup_s and peak_rss_mb
-    env = {k: v for k, v in os.environ.items()
-           if k != "PYTHONDONTWRITEBYTECODE"}
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          env=env)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
@@ -98,7 +96,8 @@ def verdict(parent: list[float], change: list[float], lower: bool,
     gain = sign * (p_med - c_med)
     all_better = (max(change) < min(parent) if lower
                   else min(change) > max(parent))
-    if wins >= math.ceil(0.9 * len(parent)) and gain > spread:
+    if (len(parent) >= MIN_PAIRS and wins >= math.ceil(0.9 * len(parent))
+            and gain > spread):
         kind = "gain"
     elif -gain > bound * abs(p_med):
         kind = "regression"
@@ -148,14 +147,12 @@ def main(argv=None, runner=run_bench) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     parent, change = args.parent.resolve(), args.change.resolve()
     spec = json.loads((parent / "BENCHMARK.json").read_text())
-    seconds = (args.seconds if args.seconds is not None
-               else spec["run_seconds"])
+    seconds = spec["run_seconds"]
     print(f"# {args.workload} seed {args.seed}, {args.pairs} pairs of "
           f"{seconds:g} s: parent {parent}, change {change}")
     pairs = run_pairs(parent, change, args.workload, args.seed, args.pairs,
