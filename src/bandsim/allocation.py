@@ -24,7 +24,6 @@ from .interference import InterferenceCache
 __all__ = [
     "REL_TOL",
     "ConvergenceError",
-    "SchedulingError",
     "UpdateRecord",
     "PoissonClock",
     "RandomPermutationRounds",
@@ -42,10 +41,6 @@ REL_TOL = 1e-9
 
 class ConvergenceError(RuntimeError):
     """Update-count guard exceeded; indicates a tie-breaking/tolerance bug."""
-
-
-class SchedulingError(RuntimeError):
-    """No active cluster available to schedule."""
 
 
 @dataclass(slots=True)
@@ -110,15 +105,6 @@ class PoissonClock:
         if not (self.delta_t > 0):
             raise ValueError(f"delta_t must be > 0, got {self.delta_t}")
 
-    def next(self, cache: InterferenceCache) -> tuple[int, float]:
-        """(cluster index, time advance) for the next update event, from
-        the cache's gap and pick streams."""
-        dt = cache.next_gap(self.delta_t)
-        i = cache.pick_active()
-        if i < 0:
-            raise SchedulingError("no active clusters to schedule")
-        return i, dt
-
     def _block(self, cache: InterferenceCache, k: int, certain: int = 0):
         """(gaps, clusters) of the next min(k, max(certain, DRAW_BLOCK))
         events, peeked from the cache's buffers, where certain is the count
@@ -143,21 +129,12 @@ class RandomPermutationRounds:
         self._order: list[int] = []
         self._pos = 0
 
-    def next(self, cache: InterferenceCache) -> tuple[int, float]:
-        """(cluster index, time advance) for the next update event."""
-        i = self._block(cache, 1)[1][0]
-        self._pos += 1
-        return i, self.delta_t
-
     def _block(self, cache: InterferenceCache, k: int, certain: int = 0):
         """(gaps, clusters) of up to k events to the end of the round, a new
         shuffle once a round is done, whatever certain is; _used(cache, e)
         consumes the first e."""
         if self._pos >= len(self._order):
-            idx = cache.active_list()
-            if not idx:
-                raise SchedulingError("no active clusters to schedule")
-            self._order = cache.rng.permutation(idx).tolist()
+            self._order = cache.rng.permutation(cache.active_list()).tolist()
             self._pos = 0
         rest = self._order[self._pos:self._pos + k]
         return np.full(len(rest), self.delta_t), rest

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .allocation import ConvergenceError, SchedulingError
+from .allocation import ConvergenceError
 from .dynamics import FitError, StatisticsError
 from .experiments import (OUTPUT_DIR_ENV, PRESET_NAMES, BoundViolationError,
                           ConfigError, dumps_canonical, load_config, preset,
@@ -64,8 +64,7 @@ def _cmd_run(args) -> int:
         print(dumps_canonical(exc.record), file=sys.stderr)
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (ConvergenceError, SchedulingError, FitError,
-            StatisticsError) as exc:
+    except (ConvergenceError, FitError, StatisticsError) as exc:
         print(dumps_canonical({"failure": type(exc).__name__,
                                "message": str(exc)}), file=sys.stderr)
         print(f"runtime failure: {exc}", file=sys.stderr)

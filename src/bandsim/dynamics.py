@@ -204,12 +204,6 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
     horizon of 1 about 91% of clusters are still active.  Deterministic
     per seed.
     """
-    if (1.0 - cfg.alpha) > NEAR_EQUILIBRIUM_RATE:
-        warnings.warn(
-            f"alpha={cfg.alpha}: expected toggles per slot exceed "
-            f"{NEAR_EQUILIBRIUM_RATE:.0%} of the network; the "
-            "near-equilibrium variance prediction is strained",
-            RuntimeWarning, stacklevel=2)
     sched_rng, act_rng = replica_streams(seed)
     if initial is None:
         initial = all_band_one(top.n, r)
@@ -275,7 +269,7 @@ def _churn_block(cache: InterferenceCache, act_rng: np.random.Generator,
     then None) and picks from the cache's active list.
     """
     n = cache.n
-    u = cache.pick_uniforms(rows)
+    u = cache.picks.use(rows)
     flips = act_rng.random((rows, n)) < rate if rate > 0.0 else None
     hits = np.flatnonzero(flips) if flips is not None else np.empty(0, int)
     if hits.size == 0:
@@ -378,9 +372,15 @@ def predicted_variance(i_a: float, alpha: float,
 
     With m = stability_margin(alpha, rho), sigma_ss_sq = i_a^2*m/(1 - m)
     while m < 1; at or beyond the boundary it is +inf and the divergent
-    flag is set.
+    flag is set.  A RuntimeWarning flags 1 - alpha > NEAR_EQUILIBRIUM_RATE.
     """
     margin = stability_margin(alpha, rho)
+    if (1.0 - alpha) > NEAR_EQUILIBRIUM_RATE:
+        warnings.warn(
+            f"alpha={alpha}: expected toggles per slot exceed "
+            f"{NEAR_EQUILIBRIUM_RATE:.0%} of the network; the "
+            "near-equilibrium variance prediction is strained",
+            RuntimeWarning, stacklevel=2)
     sigma = (i_a * i_a * margin / (1.0 - margin) if margin < 1.0
              else math.inf)
     return DynamicsPrediction(rho=rho, margin=margin, sigma_ss_sq=sigma)

@@ -148,16 +148,13 @@ def worst_case_interference(top: Topology,
 class _Draws:
     """Cursor over one stream's values, drawn in whole DRAW_BLOCKs: the
     values successive scalar draw() calls would give, whatever DRAW_BLOCK
-    is.  peek(k) returns the next k values (do not mutate), use(k) returns
-    and consumes them and next() consumes one."""
+    is.  peek(k) returns the next k values (do not mutate) and use(k)
+    returns and consumes them."""
 
     def __init__(self, draw):
         self._draw = draw
         self._vals = np.empty(0)
         self._pos = 0
-
-    def next(self) -> float:
-        return self.use(1).item(0)
 
     def peek(self, k: int) -> np.ndarray:
         short = k - (self._vals.size - self._pos)
@@ -201,9 +198,9 @@ class InterferenceCache:
     Poisson events read two draw buffers, gaps and picks, refilled in
     whole DRAW_BLOCKs: standard exponentials from rng (which then
     serves only gaps) and uniforms from a child stream spawned from rng at
-    the first pick.  next_gap, pick_active and pick_uniforms consume them;
-    the engines peek a block ahead and use the events that ran.  copy(rng)
-    starts another replica from this state on its own stream.
+    the first pick, which picks_of maps to active clusters.  The engines
+    peek a block ahead and use the events that ran.  copy(rng) starts
+    another replica from this state on its own stream.
     Not thread-safe.
     """
 
@@ -295,21 +292,11 @@ class InterferenceCache:
             self._active_list = np.flatnonzero(self.active).tolist()
         return self._active_list
 
-    def next_gap(self, delta_t: float) -> float:
-        """Time to the next Poisson event of mean delta_t: delta_t times the
-        next standard exponential of rng, bitwise rng.exponential(delta_t)."""
-        return delta_t * self.gaps.next()
-
     def event_times(self, gaps: np.ndarray) -> np.ndarray:
         """The values `time += gap` reaches for each gap in turn, bit for
         bit, as accumulate adds left to right; gaps is overwritten."""
         gaps[0] += self.time
         return np.add.accumulate(gaps, out=gaps)
-
-    def pick_active(self) -> int:
-        """Uniformly drawn active cluster: picks_of the next uniform of the
-        pick stream, -1 if none is active.  Every call uses one uniform."""
-        return self.picks_of(self.picks.use(1))[0]
 
     def picks_of(self, u: np.ndarray) -> list[int]:
         """active_list()[floor(u*m)] of the m active clusters for each
@@ -318,11 +305,6 @@ class InterferenceCache:
         if not idx:
             return [-1] * u.size
         return [idx[j] for j in (u * len(idx)).astype(np.int64).tolist()]
-
-    def pick_uniforms(self, k: int) -> np.ndarray:
-        """The next k uniforms of the pick stream: the ones the next k
-        pick_active calls would read."""
-        return self.picks.use(k)
 
     def set_band(self, i: int, band: int) -> None:
         old = self.bands.item(i)

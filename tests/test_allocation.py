@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from bandsim import interference
 from bandsim.allocation import (REL_TOL, ConvergenceError, PoissonClock,
-                                RandomPermutationRounds, SchedulingError,
+                                RandomPermutationRounds,
                                 apply_update, best_band,
                                 default_update_guard, run_to_convergence)
 from bandsim.interference import (Assignment, InterferenceCache,
@@ -238,9 +238,10 @@ def _run_with_round_counter(cache, scheduler):
     switches_in_round = 0
     quiet_streak = 0
     while True:
-        i, dt = scheduler.next(cache)
-        cache.time += dt
-        rec = apply_update(cache, i)
+        gaps, clusters = scheduler._block(cache, 1)
+        scheduler._used(cache, 1)
+        cache.time += gaps.item(0)
+        rec = apply_update(cache, clusters[0])
         records.append(rec)
         if round_based:
             switches_in_round += rec.switched
@@ -339,11 +340,14 @@ def test_permutation_round_visits_each_active_once():
     top = make_uniform_linear_array(6, 1.0)
     state = _state(top, [1] * 6, 2, active=[True, True, False, True, True, True])
     sched = RandomPermutationRounds()
-    seen = [sched.next(state)[0] for _ in range(5)]
+    # a read asks for more events than a round holds and gets the round
+    _, seen = sched._block(state, 10)
+    sched._used(state, len(seen))
     assert sorted(seen) == [0, 1, 3, 4, 5]
     assert sched.at_round_boundary()
     # next round reshuffles the same set
-    seen2 = [sched.next(state)[0] for _ in range(5)]
+    _, seen2 = sched._block(state, 10)
+    sched._used(state, len(seen2))
     assert sorted(seen2) == [0, 1, 3, 4, 5]
 
 
@@ -351,15 +355,16 @@ def test_permutation_time_advances_by_delta_t():
     top = make_uniform_linear_array(3, 1.0)
     state = _state(top, [1, 1, 1], 2)
     sched = RandomPermutationRounds(delta_t=0.5)
-    _, dt = sched.next(state)
-    assert dt == 0.5
+    gaps, _ = sched._block(state, 3)
+    assert gaps.tolist() == [0.5] * 3
 
 
 def test_poisson_clock_statistics():
     top = make_uniform_linear_array(5, 1.0)
     state = _state(top, [1] * 5, 2, seed=123)
     clock = PoissonClock(0.2)
-    picks, gaps = zip(*(clock.next(state) for _ in range(4000)))
+    gaps = clock.delta_t * state.gaps.use(4000)
+    picks = state.picks_of(state.picks.use(4000))
     assert set(picks) == {0, 1, 2, 3, 4}
     assert np.mean(gaps) == pytest.approx(0.2, rel=0.05)
     counts = np.bincount(picks, minlength=5)
@@ -369,8 +374,7 @@ def test_poisson_clock_statistics():
 def test_poisson_picks_only_active():
     top = make_uniform_linear_array(4, 1.0)
     state = _state(top, [1] * 4, 2, active=[False, True, False, True])
-    clock = PoissonClock(1.0)
-    picks = {clock.next(state)[0] for _ in range(200)}
+    picks = set(state.picks_of(state.picks.use(200)))
     assert picks <= {1, 3}
 
 
@@ -381,15 +385,6 @@ def test_scheduler_validation():
         PoissonClock(-1.0)
     with pytest.raises(ValueError):
         RandomPermutationRounds(0.0)
-
-
-def test_schedulers_fail_without_active_clusters():
-    top = make_uniform_linear_array(3, 1.0)
-    state = _state(top, [1, 1, 1], 2, active=[False, False, False])
-    with pytest.raises(SchedulingError):
-        PoissonClock(1.0).next(state)
-    with pytest.raises(SchedulingError):
-        RandomPermutationRounds().next(state)
 
 
 def test_run_to_convergence_empty_active_returns_immediately():

@@ -80,6 +80,7 @@ def test_predicted_variance_finite():
     assert pred.sigma_ss_sq == pytest.approx(4.0 * 0.36363636363636365)
 
 
+@pytest.mark.filterwarnings("ignore:alpha=0.625:RuntimeWarning")
 def test_predicted_variance_divergent():
     # margin >= 1 pins the variance at +inf: alpha=0.625 (lam=3*100^2/16
     # at tau=1, n=100) is the boundary for rho=3
@@ -194,7 +195,6 @@ def _per_flip_reference(top, cfg, r, seed, initial):
     return rows
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("alpha", [0.99, 0.9, 0.5, 0.0])
 def test_simulate_churn_matches_per_flip_reference(alpha):
     top = make_uniform_linear_array(30, 1.0)
@@ -213,7 +213,6 @@ def test_simulate_churn_matches_per_flip_reference(alpha):
         assert np.allclose(tr.aggregates[1:], aggs, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n,alpha", [(3, 0.5), (20, 0.9), (20, 1.0)])
 def test_draw_block_size_changes_no_value(monkeypatch, n, alpha):
     top = make_uniform_linear_array(n, 1.0)
@@ -228,8 +227,8 @@ def test_draw_block_size_changes_no_value(monkeypatch, n, alpha):
         # cache's next readers
         cache.set_band(0, 3 - cache.bands.item(0))
         _, more = run_to_convergence(cache, PoissonClock(0.01))
-        later = [(cache.next_gap(0.01), cache.pick_active())
-                 for _ in range(70)]
+        later = list(zip((0.01 * cache.gaps.use(70)).tolist(),
+                         cache.picks_of(cache.picks.use(70))))
         return tr, [(rec.time, rec.cluster, rec.new_band)
                     for rec in records + more] + later
 
@@ -249,7 +248,6 @@ def test_draw_block_size_changes_no_value(monkeypatch, n, alpha):
                                       getattr(want_tr, field)), field
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_read_ahead_stays_within_the_cell_bound(monkeypatch):
     # about 6,000 events of 50 clusters: more cells than one read may span
     n = 50
@@ -284,23 +282,23 @@ def test_pick_index_stays_below_the_active_count():
     assert all(int(u * m) < m for m in range(1, 100_001))
 
 
-def test_simulate_warns_on_fast_churn():
-    top = make_uniform_linear_array(5, 1.0)
-    cfg = DynamicsConfig(delta_t=0.1, horizon=0.5, alpha=0.5)
-    with pytest.warns(RuntimeWarning, match="near-equilibrium"):
-        simulate_time_varying(top, cfg, 2, seed=0)
+def test_predicted_variance_warns_on_fast_churn():
+    with pytest.warns(RuntimeWarning, match="near-equilibrium") as record:
+        predicted_variance(1.0, 0.5)
+    # the warning names the caller's line, not one inside bandsim
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_simulate_no_warning_at_slow_churn():
+    # the warning is about the variance prediction, not the simulation
     top = make_uniform_linear_array(5, 1.0)
-    cfg = DynamicsConfig(delta_t=0.1, horizon=0.5, alpha=0.95)
-    import warnings as w
-    with w.catch_warnings():
-        w.simplefilter("error", RuntimeWarning)
-        simulate_time_varying(top, cfg, 2, seed=0)
+    for alpha in (0.95, 0.5):
+        cfg = DynamicsConfig(delta_t=0.1, horizon=0.5, alpha=alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            simulate_time_varying(top, cfg, 2, seed=0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_empty_active_rows():
     # alpha = 0 flips every cluster each event: the active set alternates
     # between everyone and no one
@@ -359,11 +357,9 @@ def test_run_ensemble_seed_layout(monkeypatch, topo, alpha, converged):
 
     # run_ensemble calls simulate_time_varying through its module global
     monkeypatch.setattr(dynamics, "simulate_time_varying", spy)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        traces = run_ensemble(top, cfg, r, base_seed=100, initial=initial)
-        solos = [simulate_time_varying(top, cfg, r, seed=100 + k,
-                                       initial=initial) for k in range(3)]
+    traces = run_ensemble(top, cfg, r, base_seed=100, initial=initial)
+    solos = [simulate_time_varying(top, cfg, r, seed=100 + k,
+                                   initial=initial) for k in range(3)]
     assert [tr.seed for tr in traces] == [100, 101, 102]
     assert [args for args, _, _ in calls] == [
         (top, cfg, r, 100 + k) for k in range(3)]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from bandsim import experiments, oracle
+from bandsim import allocation, experiments, oracle
 from bandsim.cli import main
 from bandsim.dynamics import replica_streams, replica_trace, stability_margin
 from bandsim.experiments import (EXPERIMENTS, OUTPUT_DIR_ENV, PRESET_NAMES,
@@ -955,7 +955,7 @@ def test_variance_run_rejects_late_warmup(tmp_path):
         run_experiment(cfg, out_dir=str(tmp_path))
 
 
-# rate 0.375 is past the near-equilibrium rate the engine warns about
+# rate 0.375 is past the near-equilibrium rate predicted_variance warns about
 @pytest.mark.filterwarnings("ignore:alpha=0.625:RuntimeWarning")
 @pytest.mark.parametrize("n,rho,rate,divergent", [
     # 8*(1-alpha)/rho is exactly 1 at rate 0.375 and rho 3, whatever n
@@ -1227,18 +1227,29 @@ def test_sweep_reports_each_sizes_own_bounds(tmp_path):
     assert "limit_norm" in header.split(",")
 
 
-@pytest.mark.parametrize("over,failure,line", [
+@pytest.mark.parametrize("over,guard,failure,line", [
     # no event falls inside the horizon, so nothing relaxes
-    ({"experiment": "relaxation", "horizon": 0.005}, "FitError",
+    ({"experiment": "relaxation", "horizon": 0.005}, None, "FitError",
      "runtime failure: need i_w > i_a, got i_w=25.137418115394304, "
      "i_a=25.137418115394304"),
     # the last event comes before the warmup ends
     ({"experiment": "variance", "horizon": 1.0, "warmup": 0.995,
-      "rates": [0.01], "replicas": 2}, "StatisticsError",
+      "rates": [0.01], "replicas": 2}, None, "StatisticsError",
      "runtime failure: warmup 0.995 leaves no samples before t_end "
-     "0.9693793577975722")], ids=["relaxation", "variance"])
-def test_cli_run_reports_dynamics_failures(tmp_path, capsys, over, failure,
-                                           line):
+     "0.9693793577975722"),
+    # one grid point, 0.965, lies between the warmup and the last event
+    ({"experiment": "variance", "horizon": 1.0, "warmup": 0.965,
+      "rates": [0.01], "replicas": 2}, None, "StatisticsError",
+     "runtime failure: fewer than 2 post-warmup samples per replica"),
+    # a budget of one update ends the run long before it converges
+    ({}, 1, "ConvergenceError",
+     "runtime failure: no convergence within 1 updates (n=10, eta=2.0)")],
+    ids=["relaxation", "variance", "variance_one_sample", "converge"])
+def test_cli_run_reports_dynamics_failures(tmp_path, capsys, monkeypatch,
+                                           over, guard, failure, line):
+    if guard is not None:
+        monkeypatch.setattr(allocation, "default_update_guard",
+                            lambda n, eta: guard)
     path = _write_config(tmp_path, _tiny_doc(
         topology={"kind": "ula", "n": 10, "d": 1.0},
         scheduler={"kind": "poisson", "delta_t": 0.01}, **over))

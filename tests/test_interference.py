@@ -284,10 +284,11 @@ def test_draws_peek_of_several_blocks_matches_next_calls(monkeypatch, block):
     peeked = ahead.peek(k).copy()
     # the shortfall is drawn in one call, rounded up to whole blocks
     assert sizes == [-(-3 // block) * block, -(-(k - held) // block) * block]
-    assert [ahead.next() for _ in range(k)] == peeked.tolist()
+    assert [ahead.use(1).item(0) for _ in range(k)] == peeked.tolist()
     sizes.clear()
     one_by_one = draws(4)
-    assert [one_by_one.next() for _ in range(3 + k)][3:] == peeked.tolist()
+    assert [one_by_one.use(1).item(0) for _ in range(3 + k)][3:] == \
+        peeked.tolist()
     assert sizes == [block] * len(sizes)
     scalar = np.random.default_rng(4)
     assert [scalar.standard_exponential() for _ in range(3 + k)][3:] == \
@@ -345,7 +346,7 @@ def test_copy_is_a_fresh_build(shape, r):
     # a cached active list, a used stream or a clock on the source is not
     # copied
     source.active_list()
-    source.next_gap(1.0)
+    source.gaps.use(1)
     source.time = 0.5
     copy = source.copy(np.random.default_rng(5))
     fresh = InterferenceCache(top, asg, act, rng=np.random.default_rng(5))
@@ -353,15 +354,15 @@ def test_copy_is_a_fresh_build(shape, r):
     assert copy.active is not source.active
     # the copy's gap and pick draws are the fresh cache's on the same seed
     for _ in range(3):
-        assert copy.next_gap(0.1) == fresh.next_gap(0.1)
-        assert copy.pick_active() == fresh.pick_active()
+        assert copy.gaps.use(1).item(0) == fresh.gaps.use(1).item(0)
+        assert copy.picks_of(copy.picks.use(1)) \
+            == fresh.picks_of(fresh.picks.use(1))
     assert copy.gaps.peek(100).tobytes() == fresh.gaps.peek(100).tobytes()
-    assert copy.pick_uniforms(100).tobytes() \
-        == fresh.pick_uniforms(100).tobytes()
+    assert copy.picks.use(100).tobytes() == fresh.picks.use(100).tobytes()
     # switches and flips on the copy leave the source as it was built
     built = InterferenceCache(top, asg, act, rng=np.random.default_rng(1))
     built.active_list()
-    built.next_gap(1.0)
+    built.gaps.use(1)
     built.time = 0.5
     for i in range(0, n, 3):
         copy.set_band(i, r + 1 - copy.bands[i])
