@@ -10,6 +10,10 @@ some band beats it by more than REL_TOL times the current band's power,
 which rules out oscillation between equal-interference states.  The rule
 has no absolute floor, so scaling p0 (or d) scales every comparison alike
 and the dynamics do not depend on units.
+
+The schedulers are immutable settings that hold only delta_t.  Every
+event's cluster and time come from the cache's scheduling stream and draw
+buffers, so the InterferenceCache is the one owner of a run's mutable state.
 """
 
 from __future__ import annotations
@@ -94,56 +98,30 @@ def apply_update(cache: InterferenceCache, i: int) -> UpdateRecord:
     return UpdateRecord(cache.time, i, old, new, before, cache._aggregate)
 
 
-@dataclass
+def _positive_delta_t(self) -> None:
+    if not (self.delta_t > 0):
+        raise ValueError(f"delta_t must be > 0, got {self.delta_t}")
+
+
+@dataclass(frozen=True)
 class PoissonClock:
     """Network-wide Poisson update clock with mean inter-event time delta_t;
     each event updates one uniformly chosen active cluster."""
 
     delta_t: float
 
-    def __post_init__(self):
-        if not (self.delta_t > 0):
-            raise ValueError(f"delta_t must be > 0, got {self.delta_t}")
-
-    def _block(self, cache: InterferenceCache, k: int, certain: int = 0):
-        """(gaps, clusters) of the next min(k, max(certain, DRAW_BLOCK))
-        events, peeked from the cache's buffers, where certain is the count
-        of events sure to run; _used(cache, e) consumes the first e."""
-        k = min(k, max(certain, interference.DRAW_BLOCK))
-        return (self.delta_t * cache.gaps.peek(k),
-                cache.picks_of(cache.picks.peek(k)))
-
-    def _used(self, cache: InterferenceCache, e: int) -> None:
-        cache.gaps.use(e)
-        cache.picks.use(e)
+    __post_init__ = _positive_delta_t
 
 
+@dataclass(frozen=True)
 class RandomPermutationRounds:
     """Rounds of updates, each round a fresh uniform shuffle of the active
-    clusters; every active cluster appears exactly once per round."""
+    clusters; every active cluster appears exactly once per round, delta_t
+    apart."""
 
-    def __init__(self, delta_t: float = 1.0):
-        if not (delta_t > 0):
-            raise ValueError(f"delta_t must be > 0, got {delta_t}")
-        self.delta_t = delta_t
-        self._order: list[int] = []
-        self._pos = 0
+    delta_t: float = 1.0
 
-    def _block(self, cache: InterferenceCache, k: int, certain: int = 0):
-        """(gaps, clusters) of up to k events to the end of the round, a new
-        shuffle once a round is done, whatever certain is; _used(cache, e)
-        consumes the first e."""
-        if self._pos >= len(self._order):
-            self._order = cache.rng.permutation(cache.active_list()).tolist()
-            self._pos = 0
-        rest = self._order[self._pos:self._pos + k]
-        return np.full(len(rest), self.delta_t), rest
-
-    def _used(self, cache: InterferenceCache, e: int) -> None:
-        self._pos += e
-
-    def at_round_boundary(self) -> bool:
-        return self._pos >= len(self._order)
+    __post_init__ = _positive_delta_t
 
 
 def default_update_guard(n: int, eta: float) -> int:
@@ -158,19 +136,20 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     """Run updates under a fixed activity pattern until no cluster moves;
     returns (cache, records), one apply_update record per event.
 
-    Both schedulers stop on a streak of events that apply no switch:
-    permutation scheduling when a streak of n_active ends on a round
-    boundary, that is, a full round applied none; Poisson scheduling after
-    2 * n_active (each event hits any given cluster with chance 1/n_active,
-    so a full coverage cannot be certified by a single round).  Raises
+    Permutation scheduling stops after a whole round applies no switch;
+    Poisson scheduling after a streak of 2 * n_active events that apply
+    none (each event hits any given cluster with chance 1/n_active, so a
+    full coverage cannot be certified by a single round).  Raises
     ConvergenceError beyond max_updates (default 10*N^(eta+2)).
 
-    Events run a block at a time: a Poisson block is the next gaps and
-    picks, read ahead from the cache's buffers, as many as the quiet streak
-    still needs (those events are sure to run) but at least DRAW_BLOCK; a
-    permutation block is the rest of a round.  Only the events that ran are
-    consumed; their times are the running sums of the gaps, as
-    `time += gap` in turn gives them.
+    The scheduler is a setting; the run reads its events from the cache a
+    block at a time.  A permutation block is one round,
+    cache.rng.permutation(cache.active_list()), delta_t apart.  A Poisson
+    block is the next gaps and picks peeked from the cache's buffers, as
+    many as the quiet streak still needs (those events are sure to run) but
+    at least DRAW_BLOCK, and only the events that ran are used.  Event
+    times are the running sums of the gaps, as `time += gap` in turn gives
+    them.
 
     When levels is a list, the run appends the own-band interference row
     (own_band_interference()) after every switch: the states a capacity
@@ -185,18 +164,28 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     if max_updates is None:
         max_updates = default_update_guard(cache.n, cache.topology.eta)
 
-    round_based = isinstance(scheduler, RandomPermutationRounds)
-    quiet_needed = n_active if round_based else 2 * n_active
+    rounds = isinstance(scheduler, RandomPermutationRounds)
+    quiet_needed = n_active if rounds else 2 * n_active
     quiet_streak = 0
     update, append = apply_update, trace.append
-    while True:
+    while quiet_streak < quiet_needed:
         done = len(trace)
         if done >= max_updates:
             raise ConvergenceError(
                 f"no convergence within {max_updates} updates "
                 f"(n={cache.n}, eta={cache.topology.eta})")
-        gaps, clusters = scheduler._block(cache, max_updates - done,
-                                          quiet_needed - quiet_streak)
+        if rounds:
+            # each round counts its own quiet events: only a whole quiet
+            # round stops the run, never one cut short by max_updates
+            quiet_streak = 0
+            clusters = cache.rng.permutation(
+                cache.active_list())[:max_updates - done].tolist()
+            gaps = np.full(len(clusters), scheduler.delta_t)
+        else:
+            k = min(max_updates - done,
+                    max(quiet_needed - quiet_streak, interference.DRAW_BLOCK))
+            gaps = scheduler.delta_t * cache.gaps.peek(k)
+            clusters = cache.picks_of(cache.picks.peek(k))
         for t, i in zip(cache.event_times(gaps).tolist(), clusters):
             cache.time = t
             rec = update(cache, i)
@@ -207,10 +196,9 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
                     levels.append(cache.own_band_interference())
             else:
                 quiet_streak += 1
-                if quiet_streak >= quiet_needed and not round_based:
+                if quiet_streak >= quiet_needed:
                     break
-        scheduler._used(cache, len(trace) - done)
-        if quiet_streak >= quiet_needed and (
-                not round_based or scheduler.at_round_boundary()):
-            break
+        if not rounds:
+            cache.gaps.use(len(trace) - done)
+            cache.picks.use(len(trace) - done)
     return cache, trace

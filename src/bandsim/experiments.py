@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -788,7 +789,7 @@ def _converge_one(cfg: ExperimentConfig, top: Topology,
                   seed: int | tuple[int, int], levels: list | None = None):
     """One static run to convergence from the config's initial assignment,
     drawn, like the scheduler's clock, from SeedSequence(seed); returns
-    (records, initial, converged cache, a0).  When levels is a list it gets
+    (records, converged cache, a0).  When levels is a list it gets
     the own-band interference row of the initial state and of the state
     after each switch."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -803,7 +804,7 @@ def _converge_one(cfg: ExperimentConfig, top: Topology,
     scheduler = (PoissonClock(cfg.delta_t) if cfg.scheduler_kind == "poisson"
                  else RandomPermutationRounds(cfg.delta_t))
     cache, records = run_to_convergence(cache, scheduler, levels=levels)
-    return records, initial, cache, a0
+    return records, cache, a0
 
 
 def _capacity_series(levels: list, tr: SimTrace, s: float,
@@ -828,7 +829,7 @@ def _run_converge(cfg: ExperimentConfig) -> tuple[dict, list]:
     for k in range(cfg.replicas):
         seed = cfg.base_seed + k
         levels = [] if cfg.write_capacity_series else None
-        records, _, cache, a0 = _converge_one(cfg, top, seed, levels)
+        records, cache, a0 = _converge_one(cfg, top, seed, levels)
         tr = replica_trace(records, a0, [top.n] * (len(records) + 1), top.n,
                            cfg.delta_t, seed=seed)
         traces.append(tr)
@@ -929,7 +930,7 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, list]:
         gaps = []
         for k in range(cfg.replicas):
             seed = cfg.base_seed + si * cfg.replicas + k
-            _, _, cache, _ = _converge_one(cfg, ref.top, seed)
+            _, cache, _ = _converge_one(cfg, ref.top, seed)
             brep, scores = _score(ref, link, cache.assignment())
             reports.append(brep)
             finals.append(brep.i_a)
@@ -1030,7 +1031,7 @@ def _run_variance(cfg: ExperimentConfig) -> tuple[dict, list]:
     tau = time_scale(top.n, cfg.delta_t)
     warmup = _variance_warmup(cfg, tau)
     # parse_config holds a variance run to the Poisson clock
-    _, _, init_cache, _ = _converge_one(cfg, top, (cfg.base_seed, 1))
+    _, init_cache, _ = _converge_one(cfg, top, (cfg.base_seed, 1))
     init = init_cache.assignment()
     points = []
     kept = []
@@ -1044,7 +1045,10 @@ def _run_variance(cfg: ExperimentConfig) -> tuple[dict, list]:
             kept.extend(traces)
         stats = steady_state_stats(traces, warmup)
         lam = lambda_from_alpha(alpha, top.n, tau)
-        pred = predicted_variance(stats.mean, alpha, cfg.rho)
+        # parse_config lists a fast rate among cfg.warnings already
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            pred = predicted_variance(stats.mean, alpha, cfg.rho)
         ratio = (stats.variance / pred.sigma_ss_sq
                  if (not pred.divergent and pred.sigma_ss_sq > 0) else None)
         points.append({

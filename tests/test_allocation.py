@@ -1,3 +1,6 @@
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,32 +230,30 @@ def test_permutation_rounds_stop_on_a_fixed_point(instance, seed):
 
 
 def _run_with_round_counter(cache, scheduler):
-    """The stop rule written out with a per-round switch counter:
-    permutation scheduling stops after a full round applies no switch,
-    Poisson scheduling after 2 * n_active quiet events."""
+    """The stop rule written out one draw at a time with a per-round switch
+    counter: permutation scheduling stops after a full round applies no
+    switch, Poisson scheduling after 2 * n_active quiet events."""
     n_active = int(cache.active.sum())
     records = []
     if n_active == 0:
         return records
-    round_based = isinstance(scheduler, RandomPermutationRounds)
-    switches_in_round = 0
-    quiet_streak = 0
-    while True:
-        gaps, clusters = scheduler._block(cache, 1)
-        scheduler._used(cache, 1)
-        cache.time += gaps.item(0)
-        rec = apply_update(cache, clusters[0])
-        records.append(rec)
-        if round_based:
-            switches_in_round += rec.switched
-            if scheduler.at_round_boundary():
-                if switches_in_round == 0:
-                    return records
-                switches_in_round = 0
-        else:
-            quiet_streak = 0 if rec.switched else quiet_streak + 1
-            if quiet_streak >= 2 * n_active:
+    if isinstance(scheduler, RandomPermutationRounds):
+        while True:
+            switches_in_round = 0
+            for i in cache.rng.permutation(cache.active_list()).tolist():
+                cache.time += scheduler.delta_t
+                rec = apply_update(cache, i)
+                records.append(rec)
+                switches_in_round += rec.switched
+            if switches_in_round == 0:
                 return records
+    quiet_streak = 0
+    while quiet_streak < 2 * n_active:
+        cache.time += scheduler.delta_t * cache.gaps.use(1).item(0)
+        rec = apply_update(cache, cache.picks_of(cache.picks.use(1))[0])
+        records.append(rec)
+        quiet_streak = 0 if rec.switched else quiet_streak + 1
+    return records
 
 
 @st.composite
@@ -307,14 +308,16 @@ def test_block_loop_matches_the_per_event_loop(monkeypatch, block,
                                   active, rng=rng)
         runs.append((cache, make_scheduler(0.1)))
     (cache, sched), (ref_cache, ref_sched) = runs
-    read, reads = sched._block, []
+    peek, reads = cache.gaps.peek, []
 
-    def spy(*args):
-        gaps, clusters = read(*args)
-        reads.append(len(clusters))
-        return gaps, clusters
+    def spy(k):
+        gaps = peek(k)
+        # the run's reads ahead, not the peek inside gaps.use
+        if sys._getframe(1).f_code is run_to_convergence.__code__:
+            reads.append(gaps.size)
+        return gaps
 
-    monkeypatch.setattr(sched, "_block", spy)
+    monkeypatch.setattr(cache.gaps, "peek", spy)
     _, records = run_to_convergence(cache, sched)
     assert records == _run_with_round_counter(ref_cache, ref_sched)
     assert np.array_equal(cache.bands, ref_cache.bands)
@@ -339,24 +342,22 @@ def test_poisson_clock_stops_on_a_fixed_point():
 def test_permutation_round_visits_each_active_once():
     top = make_uniform_linear_array(6, 1.0)
     state = _state(top, [1] * 6, 2, active=[True, True, False, True, True, True])
-    sched = RandomPermutationRounds()
-    # a read asks for more events than a round holds and gets the round
-    _, seen = sched._block(state, 10)
-    sched._used(state, len(seen))
-    assert sorted(seen) == [0, 1, 3, 4, 5]
-    assert sched.at_round_boundary()
-    # next round reshuffles the same set
-    _, seen2 = sched._block(state, 10)
-    sched._used(state, len(seen2))
-    assert sorted(seen2) == [0, 1, 3, 4, 5]
+    _, records = run_to_convergence(state, RandomPermutationRounds())
+    # the run ends on a round boundary, after at least one round that
+    # switched, and every round reshuffles the same set
+    seen = [rec.cluster for rec in records]
+    assert len(seen) >= 10 and len(seen) % 5 == 0
+    for k in range(0, len(seen), 5):
+        assert sorted(seen[k:k + 5]) == [0, 1, 3, 4, 5]
 
 
 def test_permutation_time_advances_by_delta_t():
     top = make_uniform_linear_array(3, 1.0)
     state = _state(top, [1, 1, 1], 2)
-    sched = RandomPermutationRounds(delta_t=0.5)
-    gaps, _ = sched._block(state, 3)
-    assert gaps.tolist() == [0.5] * 3
+    _, records = run_to_convergence(state, RandomPermutationRounds(0.5))
+    assert len(records) >= 6
+    assert [rec.time for rec in records] == [
+        0.5 * (k + 1) for k in range(len(records))]
 
 
 def test_poisson_clock_statistics():
@@ -385,6 +386,24 @@ def test_scheduler_validation():
         PoissonClock(-1.0)
     with pytest.raises(ValueError):
         RandomPermutationRounds(0.0)
+
+
+def test_permutation_rounds_reused_after_a_convergence_error():
+    # a scheduler is a setting: a round cut short by max_updates is not
+    # resumed on the next cache
+    top = make_uniform_linear_array(10, 1.0)
+    sched = RandomPermutationRounds()
+    with pytest.raises(ConvergenceError):
+        run_to_convergence(_state(top, [1] * 10, 2, seed=3), sched,
+                           max_updates=3)
+    active = [True, True] + [False] * 8
+    runs = [run_to_convergence(_state(top, [1] * 10, 2, active=active,
+                                      seed=1), s)[1]
+            for s in (sched, RandomPermutationRounds())]
+    assert runs[0] == runs[1]
+    for s in (sched, PoissonClock(0.1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.delta_t = 0.2
 
 
 def test_run_to_convergence_empty_active_returns_immediately():

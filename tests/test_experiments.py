@@ -23,7 +23,8 @@ from bandsim.experiments import (EXPERIMENTS, OUTPUT_DIR_ENV, PRESET_NAMES,
                                  _block_cells, _build_topology,
                                  _capacity_series, _converge_one, _csv_cell,
                                  _emit, _jsonable, _write_csv)
-from bandsim.interference import InterferenceCache, worst_case_interference
+from bandsim.interference import (Assignment, InterferenceCache,
+                                  worst_case_interference)
 from bandsim.metrics import link_capacity, link_powers
 from bandsim.topology import (make_random_linear_array,
                               make_uniform_linear_array)
@@ -662,6 +663,15 @@ def test_converge_trace_csv_layout(tmp_path):
     assert all(len(row) == len(TRACE_HEADER) for row in first)
 
 
+def _start_of(cache, records):
+    """The assignment a run started from: its converged bands with every
+    switch undone, the last first."""
+    bands = cache.bands.copy()
+    for rec in reversed(records):
+        bands[rec.cluster] = rec.old_band
+    return Assignment(bands, cache.r)
+
+
 def _capacity_series_per_switch(cfg):
     """capacity.csv text of a converge run, one capacity computed after
     each switch."""
@@ -669,8 +679,8 @@ def _capacity_series_per_switch(cfg):
     s, n0 = link_powers(top, cfg.signal_power, cfg.noise_power)
     rows = []
     for k in range(cfg.replicas):
-        records, initial, _, _ = _converge_one(cfg, top, cfg.base_seed + k)
-        cache = InterferenceCache(top, initial)
+        records, cache, _ = _converge_one(cfg, top, cfg.base_seed + k)
+        cache = InterferenceCache(top, _start_of(cache, records))
         cap = float(np.mean(link_capacity(
             cache.own_band_interference(), s, n0)))
         rows.append((k, 0, 0.0, cap))
@@ -744,12 +754,13 @@ def test_recorded_capacity_series_matches_a_replay(topology, initial):
         s, n0 = link_powers(top, cfg.signal_power, cfg.noise_power)
         for seed in (1, 2, 3):
             levels = []
-            records, start, _, a0 = _converge_one(cfg, top, seed, levels)
+            records, cache, a0 = _converge_one(cfg, top, seed, levels)
             assert len(levels) == 1 + sum(rec.switched for rec in records) > 1
             tr = replica_trace(records, a0, [top.n] * (len(records) + 1),
                                top.n, cfg.delta_t)
             got = _capacity_series(levels, tr, s, n0)
-            want = _replayed_capacity_series(top, start, tr, s, n0)
+            want = _replayed_capacity_series(
+                top, _start_of(cache, records), tr, s, n0)
             assert got.tobytes() == want.tobytes()
 
 
@@ -758,7 +769,7 @@ def _trace_per_record(cfg):
     top, _ = _build_topology(cfg)
     rows = []
     for k in range(cfg.replicas):
-        records, _, _, a0 = _converge_one(cfg, top, cfg.base_seed + k)
+        records, _, a0 = _converge_one(cfg, top, cfg.base_seed + k)
         rows.append((k, 0, 0.0, -1, 0, 0, a0, top.n))
         for e, rec in enumerate(records, 1):
             rows.append((k, e, rec.time, rec.cluster, rec.old_band,
@@ -955,8 +966,6 @@ def test_variance_run_rejects_late_warmup(tmp_path):
         run_experiment(cfg, out_dir=str(tmp_path))
 
 
-# rate 0.375 is past the near-equilibrium rate predicted_variance warns about
-@pytest.mark.filterwarnings("ignore:alpha=0.625:RuntimeWarning")
 @pytest.mark.parametrize("n,rho,rate,divergent", [
     # 8*(1-alpha)/rho is exactly 1 at rate 0.375 and rho 3, whatever n
     (35, 3.0, 0.375, True), (57, 3.0, 0.375, True), (70, 3.0, 0.375, True),
