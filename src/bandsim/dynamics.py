@@ -13,10 +13,10 @@ constant delta_t/(2*(1-alpha)): at low switching rates a short horizon
 ends well before it (about 91% active at t=1 for 1-alpha=0.001 and
 delta_t=0.01).
 
-The replicas of an ensemble share one start: run_ensemble builds its
-InterferenceCache once, and each replica runs a copy of it
-(InterferenceCache.copy), bitwise the state a fresh build would give, so
-the O(N^2) build is paid once per ensemble rather than once per replica.
+A replica starts only from a start InterferenceCache: it runs a copy
+(InterferenceCache.copy), bitwise the state a fresh build would give.  A
+run builds each start once for every replica and ensemble that shares it,
+so the O(N^2) build is not paid per replica.
 
 Seed discipline: replica k of an ensemble uses base_seed + k; within one
 replica, SeedSequence(seed).spawn(2) yields the scheduling stream and the
@@ -52,7 +52,7 @@ import numpy as np
 
 from . import interference
 from .allocation import UpdateRecord, apply_update
-from .interference import Assignment, InterferenceCache, all_band_one
+from .interference import InterferenceCache, all_band_one
 from .topology import Topology
 
 __all__ = [
@@ -184,18 +184,15 @@ def stability_margin(alpha: float, rho: float) -> float:
 
 
 def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
-                          seed: int,
-                          initial: Assignment | InterferenceCache | None = None
+                          seed: int, initial: InterferenceCache | None = None
                           ) -> SimTrace:
     """Event-driven run over [0, horizon] with Markov activity churn.
 
-    The replica starts from initial.  An Assignment (all band one when
-    None) is built into a fresh cache with every cluster active.  An
-    InterferenceCache, which must be built on top with r bands, is the
-    shared start of an ensemble (see run_ensemble): the run takes its
-    copy on the replica's scheduling stream and never writes initial
-    itself, and a copy of a fresh build runs bit for bit as that build
-    would.  A cluster switched off keeps its band and resumes with it.
+    The replica runs a copy, on its scheduling stream, of the start cache
+    initial, built on top with r bands and never written; None is the
+    all-band-one start with every cluster active.  A copy runs bit for bit
+    as a fresh build would.  A cluster switched off keeps its band and
+    resumes with it.
 
     The activity relaxes toward the stationary half-active split with
     time constant delta_t/(2*(1-alpha)), so at low switching rates the
@@ -206,15 +203,12 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
     """
     sched_rng, act_rng = replica_streams(seed)
     if initial is None:
-        initial = all_band_one(top.n, r)
-    if initial.r != r:
+        initial = InterferenceCache(top, all_band_one(top.n, r), rng=sched_rng)
+    elif initial.r != r:
         raise ValueError(f"initial has r={initial.r}, expected {r}")
-    if not isinstance(initial, InterferenceCache):
-        cache = InterferenceCache(top, initial, rng=sched_rng)
     elif initial.topology is not top:
         raise ValueError("initial cache was built on another topology")
-    else:
-        cache = initial.copy(sched_rng)
+    cache = initial.copy(sched_rng)
     n = top.n
     rate = 1.0 - cfg.alpha
     a0 = cache.aggregate()
@@ -314,16 +308,15 @@ def replica_trace(records: list[UpdateRecord], a0: float, active_counts,
 
 def run_ensemble(top: Topology, cfg: DynamicsConfig, r: int,
                  base_seed: int,
-                 initial: Assignment | None = None) -> list[SimTrace]:
+                 initial: InterferenceCache | None = None) -> list[SimTrace]:
     """Independent replicas with seeds base_seed + k, k = 0..replicas-1.
 
-    Their common start, the cache of initial (all band one when None) with
-    every cluster active, is built once; each replica runs a copy of it.
+    Each replica runs a copy of the start cache initial, which callers may
+    share across ensembles; None builds the all-band-one start once.
     """
-    asg = initial if initial is not None else all_band_one(top.n, r)
-    # the start draws nothing, so any fixed stream serves it
-    start = InterferenceCache(top, asg, rng=np.random.default_rng(base_seed))
-    return [simulate_time_varying(top, cfg, r, base_seed + k, initial=start)
+    if initial is None:
+        initial = InterferenceCache(top, all_band_one(top.n, r))
+    return [simulate_time_varying(top, cfg, r, base_seed + k, initial=initial)
             for k in range(cfg.replicas)]
 
 
@@ -409,9 +402,9 @@ def steady_state_stats(traces: list[SimTrace],
                        warmup: float) -> SteadyStateStats:
     """Post-warmup ensemble statistics on a regular sampling grid.
 
-    Samples every event scale delta_t (of the first trace) from warmup to
-    the shortest replica horizon; aggregates are normalized by N before
-    pooling.
+    Samples every event scale delta_t (of the first trace) from warmup up
+    to, not including, the earliest last event of any replica; aggregates
+    are normalized by N before pooling.
     """
     if len(traces) < 2:
         raise StatisticsError("need at least 2 replicas")

@@ -370,7 +370,8 @@ def _unaccepted(experiment: str, doc: dict):
 
 
 def _section(ctx: _Ctx, doc: dict, key: str, allowed: set[str]) -> dict:
-    """Optional object `key` of doc, its keys checked; {} if absent or null."""
+    """Optional object `key` of doc, its keys checked and its null values
+    dropped, as every setting reads null as absent; {} if absent or null."""
     sec = doc.get(key)
     if sec is None:
         return {}
@@ -378,7 +379,7 @@ def _section(ctx: _Ctx, doc: dict, key: str, allowed: set[str]) -> dict:
         ctx.err(key, "expected an object")
         return {}
     _expect_keys(ctx, sec, key, allowed)
-    return sec
+    return {k: v for k, v in sec.items() if v is not None}
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -1032,7 +1033,8 @@ def _run_variance(cfg: ExperimentConfig) -> tuple[dict, list]:
     warmup = _variance_warmup(cfg, tau)
     # parse_config holds a variance run to the Poisson clock
     _, init_cache, _ = _converge_one(cfg, top, (cfg.base_seed, 1))
-    init = init_cache.assignment()
+    # every rate's replicas copy this one start
+    start = InterferenceCache(top, init_cache.assignment())
     points = []
     kept = []
     for qi, q in enumerate(cfg.rates):
@@ -1040,7 +1042,7 @@ def _run_variance(cfg: ExperimentConfig) -> tuple[dict, list]:
         dyn = DynamicsConfig(delta_t=cfg.delta_t, horizon=cfg.horizon,
                              alpha=alpha, replicas=cfg.replicas)
         seed = cfg.base_seed + qi * cfg.replicas
-        traces = run_ensemble(top, dyn, cfg.bands, seed, initial=init)
+        traces = run_ensemble(top, dyn, cfg.bands, seed, initial=start)
         if cfg.write_trace:
             kept.extend(traces)
         stats = steady_state_stats(traces, warmup)

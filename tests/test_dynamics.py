@@ -137,9 +137,9 @@ def test_simulate_deterministic_per_seed():
 def test_simulate_rejects_mismatched_initial():
     top = make_uniform_linear_array(5, 1.0)
     cfg = DynamicsConfig(delta_t=0.1, horizon=1.0)
+    start = InterferenceCache(top, all_band_one(5, 3))
     with pytest.raises(ValueError):
-        simulate_time_varying(top, cfg, 2, seed=0,
-                              initial=all_band_one(5, 3))
+        simulate_time_varying(top, cfg, 2, seed=0, initial=start)
 
 
 def test_simulate_alpha_one_matches_static_engine():
@@ -201,7 +201,8 @@ def test_simulate_churn_matches_per_flip_reference(alpha):
     cfg = DynamicsConfig(delta_t=0.01, horizon=2.0, alpha=alpha)
     initial = uniform_random_assignment(30, 3, np.random.default_rng(2))
     for seed in (4, 5):
-        tr = simulate_time_varying(top, cfg, 3, seed, initial=initial)
+        tr = simulate_time_varying(top, cfg, 3, seed,
+                                   initial=InterferenceCache(top, initial))
         rows = _per_flip_reference(top, cfg, 3, seed, initial)
         assert tr.events == len(rows) > 100
         times, clusters, olds, news, counts, aggs = map(np.array, zip(*rows))
@@ -341,12 +342,16 @@ def test_run_ensemble_seed_layout(monkeypatch, topo, alpha, converged):
     top = (make_uniform_linear_array(24, 1.0) if topo == "ula"
            else make_hexagonal_lattice(4, 5, 1.0))
     r = 3
-    initial = None
+    asg = all_band_one(top.n, r)
     if converged:
         state = InterferenceCache(
             top, uniform_random_assignment(top.n, r, np.random.default_rng(4)),
             rng=np.random.default_rng(4))
-        initial = run_to_convergence(state)[0].assignment()
+        asg = run_to_convergence(state)[0].assignment()
+
+    def initial():
+        # a converged start is the caller's; all band one is the default
+        return InterferenceCache(top, asg) if converged else None
     cfg = DynamicsConfig(delta_t=0.05, horizon=1.0, alpha=alpha, replicas=3)
     calls = []
 
@@ -357,17 +362,16 @@ def test_run_ensemble_seed_layout(monkeypatch, topo, alpha, converged):
 
     # run_ensemble calls simulate_time_varying through its module global
     monkeypatch.setattr(dynamics, "simulate_time_varying", spy)
-    traces = run_ensemble(top, cfg, r, base_seed=100, initial=initial)
+    traces = run_ensemble(top, cfg, r, base_seed=100, initial=initial())
     solos = [simulate_time_varying(top, cfg, r, seed=100 + k,
-                                   initial=initial) for k in range(3)]
+                                   initial=initial()) for k in range(3)]
     assert [tr.seed for tr in traces] == [100, 101, 102]
     assert [args for args, _, _ in calls] == [
         (top, cfg, r, 100 + k) for k in range(3)]
     start = calls[0][1]
     assert all(s is start for _, s, _ in calls)
     assert all(state == cache_state(start) for _, _, state in calls)
-    assert np.array_equal(start.bands, initial.bands if converged
-                          else np.ones(top.n))
+    assert np.array_equal(start.bands, asg.bands)
     assert start.active.all() and start.time == 0.0
     for tr, solo in zip(traces, solos):
         for field in dataclasses.fields(SimTrace):
@@ -463,7 +467,8 @@ def test_quiescent_ensemble_has_zero_variance():
     state, _ = run_to_convergence(state)
     converged = state.assignment()
     cfg = DynamicsConfig(delta_t=0.05, horizon=2.0, alpha=1.0, replicas=4)
-    traces = run_ensemble(top, cfg, 2, base_seed=50, initial=converged)
+    traces = run_ensemble(top, cfg, 2, base_seed=50,
+                          initial=InterferenceCache(top, converged))
     stats = steady_state_stats(traces, warmup=0.5)
     assert stats.variance == 0.0
     assert stats.within == pytest.approx(0.0, abs=1e-20)

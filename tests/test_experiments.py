@@ -334,6 +334,20 @@ def test_output_dir_with_nul_is_a_config_error(tmp_path, capsys,
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def test_null_output_dir_and_prefix_read_as_absent(tmp_path, capsys):
+    doc = _tiny_doc(output={"dir": None, "prefix": None})
+    cfg = parse_config(doc)
+    assert (cfg.out_dir, cfg.prefix) == ("results", "converge")
+    assert cfg.resolved == parse_config(_tiny_doc()).resolved
+    echo = _emit(cfg, tmp_path, {}, [])[0]
+    assert echo.name == "converge_config.json"
+    output = json.loads(echo.read_text(encoding="utf-8"))["output"]
+    assert (output["dir"], output["prefix"]) == ("results", "converge")
+    assert main(["validate", _write_config(tmp_path, doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is True and report["errors"] == []
+
+
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")

@@ -82,6 +82,8 @@ def test_traced_dynamics_counts_every_replica(tmp_path, name, replicas):
     events = layers["allocation.events"]
     if name == "relax_ula":
         assert events == layers["dynamics.events"] > 0
+        # every replica copies the one start the ensemble builds
+        assert layers["interference.cache_builds"] == 1
         # the ensemble mean and the decay fit
         assert layers["dynamics.stats_s"] > 0
     else:
@@ -90,6 +92,8 @@ def test_traced_dynamics_counts_every_replica(tmp_path, name, replicas):
         top, _ = experiments._build_topology(cfg)
         records, *_ = experiments._converge_one(cfg, top, (cfg.base_seed, 1))
         assert layers["allocation.converge_calls"] == 1
+        # the cache it converges, and one start that every rate copies
+        assert layers["interference.cache_builds"] == 2
         # every churn event that finds an active cluster is one trace row
         # after t = 0 with a cluster, and one apply_update call
         with open(out / f"{name}_trace.csv", newline="") as fh:
