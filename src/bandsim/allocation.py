@@ -12,8 +12,9 @@ has no absolute floor, so scaling p0 (or d) scales every comparison alike
 and the dynamics do not depend on units.
 
 The schedulers are immutable settings that hold only delta_t.  Every
-event's cluster and time come from the cache's scheduling stream and draw
-buffers, so the InterferenceCache is the one owner of a run's mutable state.
+event's cluster and time come from the cache's scheduling stream and its
+pick stream, so the InterferenceCache is the one owner of a run's mutable
+state.
 """
 
 from __future__ import annotations
@@ -145,11 +146,11 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     The scheduler is a setting; the run reads its events from the cache a
     block at a time.  A permutation block is one round,
     cache.rng.permutation(cache.active_list()), delta_t apart.  A Poisson
-    block is the next gaps and picks peeked from the cache's buffers, as
-    many as the quiet streak still needs (those events are sure to run) but
-    at least DRAW_BLOCK, and only the events that ran are used.  Event
-    times are the running sums of the gaps, as `time += gap` in turn gives
-    them.
+    block draws its gaps from cache.rng and its picks from
+    cache.pick_uniforms, as many as the quiet streak still needs (those
+    events are sure to run) but at least DRAW_BLOCK; a block runs whole
+    unless the run stops in it.  Event times are the running sums of the
+    gaps, as `time += gap` in turn gives them.
 
     When levels is a list, the run appends the own-band interference row
     (own_band_interference()) after every switch: the states a capacity
@@ -184,8 +185,8 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
         else:
             k = min(max_updates - done,
                     max(quiet_needed - quiet_streak, interference.DRAW_BLOCK))
-            gaps = scheduler.delta_t * cache.gaps.peek(k)
-            clusters = cache.picks_of(cache.picks.peek(k))
+            gaps = scheduler.delta_t * cache.rng.standard_exponential(k)
+            clusters = cache.picks_of(cache.pick_uniforms(k))
         for t, i in zip(cache.event_times(gaps).tolist(), clusters):
             cache.time = t
             rec = update(cache, i)
@@ -198,7 +199,4 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
                 quiet_streak += 1
                 if quiet_streak >= quiet_needed:
                     break
-        if not rounds:
-            cache.gaps.use(len(trace) - done)
-            cache.picks.use(len(trace) - done)
     return cache, trace

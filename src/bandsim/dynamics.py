@@ -225,9 +225,9 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
         rows = min(cap, max(interference.DRAW_BLOCK,
                             math.ceil(mean + 4.0 * math.sqrt(mean))))
         # the events of the block that fall within the horizon
-        times = cache.event_times(cfg.delta_t * cache.gaps.peek(rows))
+        times = cache.event_times(
+            cfg.delta_t * cache.rng.standard_exponential(rows))
         ran = int(np.searchsorted(times, cfg.horizon, side="right"))
-        cache.gaps.use(ran)
         if ran == 0:
             break
         masks, counts, picks, cols, flip_rows, ends = _churn_block(
@@ -263,7 +263,7 @@ def _churn_block(cache: InterferenceCache, act_rng: np.random.Generator,
     then None) and picks from the cache's active list.
     """
     n = cache.n
-    u = cache.picks.use(rows)
+    u = cache.pick_uniforms(rows)
     flips = act_rng.random((rows, n)) < rate if rate > 0.0 else None
     hits = np.flatnonzero(flips) if flips is not None else np.empty(0, int)
     if hits.size == 0:

@@ -9,7 +9,7 @@ A single JSON config document drives one of four experiment kinds:
 
 Every run writes a canonical config echo and a summary JSON embedding the
 config hash and package version; identical configs produce byte-identical
-files (sorted keys, floats at 17 significant digits, LF endings).
+files on one numpy build, SIMD dispatch and BLAS kernel (see README.md).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -163,13 +164,9 @@ def _jsonable(obj):
     return obj
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _write_json(path: Path, doc) -> None:
-    _write_text(path, dumps_canonical(_jsonable(doc)) + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(dumps_canonical(_jsonable(doc)) + "\n")
 
 
 def _csv_cell(v) -> str:
@@ -325,6 +322,9 @@ def _get_num(ctx: _Ctx, sec: dict, path: str, key: str, *, required=False,
         return None
     if integer and not isinstance(v, int):
         ctx.err(f"{path}.{key}", f"expected an integer, got {v!r}")
+        return None
+    if not integer and isinstance(v, int) and abs(v) > sys.float_info.max:
+        ctx.err(f"{path}.{key}", "expected a number within the float range")
         return None
     if minimum is not None and v < minimum:
         ctx.err(f"{path}.{key}", f"must be >= {minimum}, got {v}")
@@ -619,6 +619,10 @@ def load_config(path) -> ExperimentConfig:
                            f"column {exc.colno}: {exc.msg}"]) from exc
     except UnicodeDecodeError as exc:
         raise ConfigError([f"config: not UTF-8 ({exc.reason})"]) from exc
+    except ValueError as exc:
+        # an integer literal past Python's int-to-string digit limit
+        raise ConfigError([f"config: invalid JSON: "
+                           f"{str(exc).split(';')[0]}"]) from exc
     return parse_config(doc)
 
 

@@ -13,7 +13,6 @@ event that flips k clusters, and the aggregate updated in O(1) per switch.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +34,8 @@ __all__ = [
     "InterferenceCache",
 ]
 
-# The unit a replica's draw buffers refill by (a shortfall is drawn in whole
-# DRAW_BLOCKs) and the fewest events an engine reads ahead at a time.  Each
-# kind of draw has a stream of its own, so the block size changes no drawn
-# value.
+# The fewest events an engine reads ahead at a time.  Each kind of draw has
+# a stream of its own, so the block size changes no drawn value.
 DRAW_BLOCK = 64
 
 
@@ -145,38 +142,11 @@ def worst_case_interference(top: Topology,
     return aggregate_interference(top, all_band_one(top.n, 1), act)
 
 
-class _Draws:
-    """Cursor over one stream's values, drawn in whole DRAW_BLOCKs: the
-    values successive scalar draw() calls would give, whatever DRAW_BLOCK
-    is.  peek(k) returns the next k values (do not mutate) and use(k)
-    returns and consumes them."""
-
-    def __init__(self, draw):
-        self._draw = draw
-        self._vals = np.empty(0)
-        self._pos = 0
-
-    def peek(self, k: int) -> np.ndarray:
-        short = k - (self._vals.size - self._pos)
-        if short > 0:
-            # the shortfall in one draw, rounded up to whole blocks
-            self._vals = np.concatenate((self._vals[self._pos:], self._draw(
-                -(-short // DRAW_BLOCK) * DRAW_BLOCK)))
-            self._pos = 0
-        return self._vals[self._pos:self._pos + k]
-
-    def use(self, k: int) -> np.ndarray:
-        vals = self.peek(k)
-        self._pos += k
-        return vals
-
-
 class InterferenceCache:
     """Mutable state of one replica: the band vector bands, the activity
     mask active (a copy of act), per-cluster per-band interference sums with
     O(N) event updates (read through band_powers and own_band_interference),
-    the scheduling stream rng, the replica's draw buffers gaps and picks,
-    and the clock time.
+    the scheduling stream rng and the clock time.
 
     _band_power[j, k] is the power cluster j would receive on band k+1 from
     the currently active transmitters (excluding j itself, whose weight to
@@ -195,12 +165,10 @@ class InterferenceCache:
     exactly.  The ascending list of active indices is cached between
     activity changes.
 
-    Poisson events read two draw buffers, gaps and picks, refilled in
-    whole DRAW_BLOCKs: standard exponentials from rng (which then
-    serves only gaps) and uniforms from a child stream spawned from rng at
-    the first pick, which picks_of maps to active clusters.  The engines
-    peek a block ahead and use the events that ran.  copy(rng) starts
-    another replica from this state on its own stream.
+    A block of Poisson events draws its gaps from rng (which then serves
+    only gaps) and its pick uniforms from pick_uniforms, which picks_of maps
+    to active clusters; the engines draw the events they read, no more.
+    copy(rng) starts another replica from this state on its own stream.
     Not thread-safe.
     """
 
@@ -218,24 +186,19 @@ class InterferenceCache:
         self.rebuild()
 
     def _start(self, rng: np.random.Generator) -> None:
-        """Take rng as the scheduling stream, with empty draw buffers and
+        """Take rng as the scheduling stream, with no pick stream yet and
         the clock at 0."""
         self.rng = rng
-        self.gaps = _Draws(rng.standard_exponential)
-        # spawned at the first pick, so a cache that never picks leaves
-        # rng's seed sequence as it was
-        spawn = functools.cache(rng.spawn)
-        self.picks = _Draws(lambda k: spawn(1)[0].random(k))
+        self._pick_rng = None
         self.time = 0.0
 
     def copy(self, rng: np.random.Generator) -> "InterferenceCache":
         """A new replica at time 0 that starts from this cache's state:
         its bands, activity, band sums, signed band table, own-band index
-        and aggregate, bit for bit, with the scheduling stream rng and
-        fresh draw buffers as __init__ attaches them.  The weights and the
-        topology are shared, and this cache is left as it was.  A copy of a
-        fresh build is what a fresh build gives, without its O(N^2)
-        rebuild()."""
+        and aggregate, bit for bit, with the scheduling stream rng as
+        __init__ attaches it.  The weights and the topology are shared, and
+        this cache is left as it was.  A copy of a fresh build is what a
+        fresh build gives, without its O(N^2) rebuild()."""
         new = InterferenceCache.__new__(InterferenceCache)
         new.active = self.active.copy()
         new.topology = self.topology
@@ -297,6 +260,14 @@ class InterferenceCache:
         bit, as accumulate adds left to right; gaps is overwritten."""
         gaps[0] += self.time
         return np.add.accumulate(gaps, out=gaps)
+
+    def pick_uniforms(self, k: int) -> np.ndarray:
+        """The next k pick uniforms, from a child stream of rng spawned at
+        the first pick, so a cache that never picks leaves rng's seed
+        sequence as it was."""
+        if self._pick_rng is None:
+            self._pick_rng = self.rng.spawn(1)[0]
+        return self._pick_rng.random(k)
 
     def picks_of(self, u: np.ndarray) -> list[int]:
         """active_list()[floor(u*m)] of the m active clusters for each

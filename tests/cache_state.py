@@ -5,15 +5,13 @@ import numpy as np
 
 def cache_state(cache) -> dict:
     """Every attribute of cache in a form that compares by value: arrays as
-    dtype, shape and bytes (sign bits of zeros included), the stream as its
-    state, the topology by identity, the shared weight matrix by identity
-    and bytes, anything else with its type.  The draw buffers are kept by
-    type only; compare them by what they draw."""
+    dtype, shape and bytes (sign bits of zeros included), each stream (rng,
+    and _pick_rng once spawned) as its bit generator's state, the topology
+    by identity, the shared weight matrix by identity and bytes, anything
+    else with its type."""
     state = {}
     for name, value in vars(cache).items():
-        if name in ("gaps", "picks"):
-            state[name] = type(value)
-        elif name == "rng":
+        if isinstance(value, np.random.Generator):
             state[name] = value.bit_generator.state
         elif name == "topology":
             state[name] = id(value)

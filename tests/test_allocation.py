@@ -1,5 +1,4 @@
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -249,8 +248,8 @@ def _run_with_round_counter(cache, scheduler):
                 return records
     quiet_streak = 0
     while quiet_streak < 2 * n_active:
-        cache.time += scheduler.delta_t * cache.gaps.use(1).item(0)
-        rec = apply_update(cache, cache.picks_of(cache.picks.use(1))[0])
+        cache.time += scheduler.delta_t * cache.rng.standard_exponential()
+        rec = apply_update(cache, cache.picks_of(cache.pick_uniforms(1))[0])
         records.append(rec)
         quiet_streak = 0 if rec.switched else quiet_streak + 1
     return records
@@ -308,16 +307,13 @@ def test_block_loop_matches_the_per_event_loop(monkeypatch, block,
                                   active, rng=rng)
         runs.append((cache, make_scheduler(0.1)))
     (cache, sched), (ref_cache, ref_sched) = runs
-    peek, reads = cache.gaps.peek, []
+    pick_uniforms, reads = cache.pick_uniforms, []
 
     def spy(k):
-        gaps = peek(k)
-        # the run's reads ahead, not the peek inside gaps.use
-        if sys._getframe(1).f_code is run_to_convergence.__code__:
-            reads.append(gaps.size)
-        return gaps
+        reads.append(k)
+        return pick_uniforms(k)
 
-    monkeypatch.setattr(cache.gaps, "peek", spy)
+    monkeypatch.setattr(cache, "pick_uniforms", spy)
     _, records = run_to_convergence(cache, sched)
     assert records == _run_with_round_counter(ref_cache, ref_sched)
     assert np.array_equal(cache.bands, ref_cache.bands)
@@ -364,8 +360,8 @@ def test_poisson_clock_statistics():
     top = make_uniform_linear_array(5, 1.0)
     state = _state(top, [1] * 5, 2, seed=123)
     clock = PoissonClock(0.2)
-    gaps = clock.delta_t * state.gaps.use(4000)
-    picks = state.picks_of(state.picks.use(4000))
+    gaps = clock.delta_t * state.rng.standard_exponential(4000)
+    picks = state.picks_of(state.pick_uniforms(4000))
     assert set(picks) == {0, 1, 2, 3, 4}
     assert np.mean(gaps) == pytest.approx(0.2, rel=0.05)
     counts = np.bincount(picks, minlength=5)
@@ -375,7 +371,7 @@ def test_poisson_clock_statistics():
 def test_poisson_picks_only_active():
     top = make_uniform_linear_array(4, 1.0)
     state = _state(top, [1] * 4, 2, active=[False, True, False, True])
-    picks = set(state.picks_of(state.picks.use(200)))
+    picks = set(state.picks_of(state.pick_uniforms(200)))
     assert picks <= {1, 3}
 
 

@@ -6,8 +6,12 @@ message, its field path and the set of lines it reports.  Lists are
 compared sorted: the order in which checks run is not part of the contract.
 """
 
+import json
+import sys
+
 import pytest
 
+from bandsim.cli import main
 from bandsim.experiments import ConfigError, parse_config
 
 P = {"kind": "poisson", "delta_t": 0.05}
@@ -243,6 +247,13 @@ CASES = {
          "bands": 2, "base_seed": 1, "scheduler": P,
          "output": {"dir": "out\0put"}},
         ["output.dir: must be a path without NUL"]),
+    "beyond_float": (
+        {"experiment": "variance",
+         "topology": {"kind": "ula", "n": 4, "d": 10 ** 400},
+         "bands": 2, "base_seed": 1, "replicas": 4, "scheduler": P,
+         "horizon": -10 ** 400, "rates": [0.1]},
+        ['config.horizon: expected a number within the float range',
+         'topology.d: expected a number within the float range']),
     "variance_no_rates": (
         {"experiment": "variance",
          "topology": {"kind": "ula", "n": 6, "d": 1.0},
@@ -258,3 +269,35 @@ def test_parse_error_list_is_pinned(name):
     with pytest.raises(ConfigError) as exc:
         parse_config(doc)
     assert sorted(exc.value.errors) == expected
+
+
+# topology.d literals that Python cannot hold as a float, and one longer
+# than its int-to-string digit limit, which cannot be read at all
+_LIMIT = sys.get_int_max_str_digits()
+_OVERSIZED = {
+    "beyond_float": (
+        "1" + "0" * 400,
+        'topology.d: expected a number within the float range'),
+    "too_many_digits": (
+        "1" + "0" * _LIMIT,
+        f'config: invalid JSON: Exceeds the limit ({_LIMIT} digits) for '
+        f'integer string conversion: value has {_LIMIT + 1} digits'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERSIZED))
+def test_oversized_integer_is_a_config_error(tmp_path, capsys, name):
+    d, line = _OVERSIZED[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"experiment": "converge", "bands": 2, "base_seed": 1, '
+        '"scheduler": {"kind": "poisson", "delta_t": 0.05}, '
+        '"topology": {"kind": "ula", "n": 4, "d": %s}}' % d,
+        encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is False
+    assert report["errors"] == [line]
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {line}" in capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "out").exists()

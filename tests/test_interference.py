@@ -264,37 +264,6 @@ def test_cache_rebuild_restores_consistency():
     assert cache.aggregate() == pytest.approx(before, rel=1e-15)
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
-def test_draws_peek_of_several_blocks_matches_next_calls(monkeypatch, block):
-    monkeypatch.setattr(interference, "DRAW_BLOCK", block)
-    sizes = []
-
-    def draws(seed):
-        rng = np.random.default_rng(seed)
-
-        def draw(k):
-            sizes.append(k)
-            return rng.standard_exponential(k)
-        return interference._Draws(draw)
-
-    ahead = draws(4)
-    ahead.use(3)
-    held = sizes[0] - 3  # drawn but not yet used
-    k = 3 * block + 2
-    peeked = ahead.peek(k).copy()
-    # the shortfall is drawn in one call, rounded up to whole blocks
-    assert sizes == [-(-3 // block) * block, -(-(k - held) // block) * block]
-    assert [ahead.use(1).item(0) for _ in range(k)] == peeked.tolist()
-    sizes.clear()
-    one_by_one = draws(4)
-    assert [one_by_one.use(1).item(0) for _ in range(3 + k)][3:] == \
-        peeked.tolist()
-    assert sizes == [block] * len(sizes)
-    scalar = np.random.default_rng(4)
-    assert [scalar.standard_exponential() for _ in range(3 + k)][3:] == \
-        peeked.tolist()
-
-
 def test_weight_matrix_cached_read_only():
     top = make_rectangular_lattice(3, 3, 1.0)
     w = weight_matrix(top)
@@ -343,10 +312,11 @@ def test_copy_is_a_fresh_build(shape, r):
     asg = uniform_random_assignment(n, r, rng)
     act = rng.random(n) < 0.7
     source = InterferenceCache(top, asg, act, rng=np.random.default_rng(1))
-    # a cached active list, a used stream or a clock on the source is not
+    # a cached active list, used streams or a clock on the source are not
     # copied
     source.active_list()
-    source.gaps.use(1)
+    source.rng.standard_exponential(1)
+    source.pick_uniforms(1)
     source.time = 0.5
     copy = source.copy(np.random.default_rng(5))
     fresh = InterferenceCache(top, asg, act, rng=np.random.default_rng(5))
@@ -354,15 +324,19 @@ def test_copy_is_a_fresh_build(shape, r):
     assert copy.active is not source.active
     # the copy's gap and pick draws are the fresh cache's on the same seed
     for _ in range(3):
-        assert copy.gaps.use(1).item(0) == fresh.gaps.use(1).item(0)
-        assert copy.picks_of(copy.picks.use(1)) \
-            == fresh.picks_of(fresh.picks.use(1))
-    assert copy.gaps.peek(100).tobytes() == fresh.gaps.peek(100).tobytes()
-    assert copy.picks.use(100).tobytes() == fresh.picks.use(100).tobytes()
+        assert copy.rng.standard_exponential() \
+            == fresh.rng.standard_exponential()
+        assert copy.picks_of(copy.pick_uniforms(1)) \
+            == fresh.picks_of(fresh.pick_uniforms(1))
+    assert copy.rng.standard_exponential(100).tobytes() \
+        == fresh.rng.standard_exponential(100).tobytes()
+    assert copy.pick_uniforms(100).tobytes() \
+        == fresh.pick_uniforms(100).tobytes()
     # switches and flips on the copy leave the source as it was built
     built = InterferenceCache(top, asg, act, rng=np.random.default_rng(1))
     built.active_list()
-    built.gaps.use(1)
+    built.rng.standard_exponential(1)
+    built.pick_uniforms(1)
     built.time = 0.5
     for i in range(0, n, 3):
         copy.set_band(i, r + 1 - copy.bands[i])

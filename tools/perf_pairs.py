@@ -40,13 +40,12 @@ from pathlib import Path
 MIN_PAIRS = 10
 
 
-def run_bench(checkout: Path, workload: str, seed: int,
-              seconds: float) -> dict | None:
-    """Metric name -> value of one ``perfbench/run.py`` measurement in
-    checkout; None when it failed or was not correct."""
-    cmd = [sys.executable, str(checkout / "perfbench" / "run.py"),
-           "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}"]
+def run_perfbench(checkout: Path, args: list[str]
+                  ) -> tuple[dict | None, list[str]]:
+    """Run ``perfbench/run.py ARGS`` in checkout: its result (the last line
+    of its standard output, parsed), None when it failed or was not
+    correct, and every line of its standard output."""
+    cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), *args]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -56,6 +55,18 @@ def run_bench(checkout: Path, workload: str, seed: int,
     if proc.returncode != 0 or not result or not result.get("correct"):
         print(f"# run failed in {checkout}: {proc.stderr.strip()[-2000:]}",
               file=sys.stderr)
+        return None, lines
+    return result, lines
+
+
+def run_bench(checkout: Path, workload: str, seed: int,
+              seconds: float) -> dict | None:
+    """Metric name -> value of one ``perfbench/run.py`` measurement in
+    checkout; None when it failed or was not correct."""
+    result, _ = run_perfbench(checkout, [
+        "--workload", workload, "--seed", str(seed),
+        "--seconds", f"{seconds:g}"])
+    if result is None:
         return None
     return {name: m["value"] for name, m in result["metrics"].items()}
 
