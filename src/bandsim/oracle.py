@@ -39,6 +39,9 @@ __all__ = [
 
 # Largest search space r^n_active the exhaustive oracle takes on.
 ORACLE_CAP = 2 ** 20
+# Float terms in one working array of the oracle: a scoring block of
+# (head, tail) code pairs, or a chunk of (pair, code) terms in _pair_sums.
+_BLOCK_TERMS = 2 ** 14
 # Codes within this relative distance of the oracle's running minimum are
 # re-scored exactly; rounding in the blocked sums is far below it.
 _TIE_REL = 1e-9
@@ -110,8 +113,10 @@ def brute_force_optimal(top: Topology, act: np.ndarray | None, r: int
       digits, the pinned one included) and a tail L, so that
       agg = A_H[h] + A_L[l] + sum_b onehot_H(b) @ (2 W_HL) @ onehot_L(b)^T.
       A_H and A_L are pair sums within each part.  Head codes go in blocks
-      of about 2^16 (head, tail) pairs, each block costing k matrix
-      products, so memory stays a few MB up to the cap.  Row-major order
+      of about _BLOCK_TERMS (2^14) (head, tail) pairs, each block costing
+      k matrix products, and pair sums go in chunks of as many terms, so
+      the working set stays fixed up to the cap: one call peaks at 0.65 MB
+      traced at n=19 and 0.78 MB at n=20 (unit ULA, r=2).  Row-major order
       over (head, tail) is lexicographic order.
     - Tie re-scoring.  Every code within 1e-9 relative of the running
       minimum is kept and re-scored by one pairwise sum over all active
@@ -144,7 +149,7 @@ def brute_force_optimal(top: Topology, act: np.ndarray | None, r: int
              for b in range(bands)]
 
     n_tail_codes = tail_agg.size
-    block = max(1, (1 << 16) // n_tail_codes)
+    block = max(1, _BLOCK_TERMS // n_tail_codes)
     best = math.inf
     kept = []
     for start in range(0, head_agg.size, block):
@@ -172,12 +177,22 @@ def _digits(codes: np.ndarray, width: int, r: int) -> np.ndarray:
 def _pair_sums(digits: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Sum of w[i, j] over the pairs i < j that share a digit, per row.
 
-    Pairs are added one at a time in (i, j) order, so a row's value does
-    not depend on the other rows scored with it.
+    Rows go in chunks of about _BLOCK_TERMS (pair, row) terms.  A chunk is
+    one C-ordered array: a row of zeros, then one row of terms per pair in
+    (i, j) order.  A running sum down its outer axis adds the pairs one at
+    a time in that order, so a row's value does not depend on the other
+    rows scored with it.  (np.add.reduce would do the same on two or more
+    rows, but sums a single row pairwise, which changes its bits.)
     """
-    sums = np.zeros(digits.shape[0])
-    for i, j in zip(*np.triu_indices(digits.shape[1], k=1)):
-        sums += (digits[:, i] == digits[:, j]) * w[i, j]
+    i, j = np.triu_indices(digits.shape[1], k=1)
+    w_pairs = w[i, j][:, None]
+    chunk = max(1, _BLOCK_TERMS // max(1, i.size))
+    sums = np.empty(digits.shape[0])
+    for start in range(0, digits.shape[0], chunk):
+        d = digits[start:start + chunk].T
+        terms = np.zeros((i.size + 1, d.shape[1]))
+        np.multiply(d[i] == d[j], w_pairs, out=terms[1:])
+        sums[start:start + chunk] = np.add.accumulate(terms, out=terms)[-1]
     return sums
 
 

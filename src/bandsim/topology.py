@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -143,6 +144,7 @@ def make_uniform_linear_array(n: int, d: float, p0: float = 1.0,
         raise TopologyError(f"uniform linear array needs n >= 2, got {n}")
     if not (d > 0):
         raise TopologyError(f"spacing d must be > 0, got {d}")
+    _check_size(n)
     idx = np.arange(n)
     positions = (idx * d).reshape(n, 1).astype(float)
     dist = np.abs(idx[:, None] - idx[None, :]) * float(d)
@@ -164,6 +166,7 @@ def make_random_linear_array(n: int, d: float, min_sep: float,
         raise TopologyError(f"mean spacing d must be > 0, got {d}")
     if not (min_sep > 0):
         raise TopologyError(f"min_sep must be > 0, got {min_sep}")
+    _check_size(n)
     span = (n - 1) * d
     if n * min_sep > span + min_sep:
         raise TopologyError(
@@ -204,6 +207,20 @@ def _check_lattice(rows: int, cols: int, d: float) -> None:
         raise TopologyError(f"degenerate lattice size {rows}x{cols}")
     if not (d > 0):
         raise TopologyError(f"spacing d must be > 0, got {d}")
+    _check_size(rows * cols)
+
+
+def _check_size(n: int) -> None:
+    """Reject n clusters whose n x n float64 matrices numpy cannot hold."""
+    if n * n * 8 > np.iinfo(np.intp).max:
+        raise TopologyError(
+            "too many clusters: an n x n float64 matrix exceeds the largest "
+            "array numpy can hold")
+
+
+def _beyond_float(v) -> bool:
+    """An int that would overflow when converted to float."""
+    return type(v) is int and abs(v) > sys.float_info.max
 
 
 def topology_to_json(top: Topology) -> str:
@@ -224,6 +241,10 @@ def topology_from_json(text: str) -> Topology:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TopologyError(f"invalid topology JSON: {exc}") from exc
+    except ValueError as exc:
+        # an integer literal past Python's int-to-string digit limit
+        raise TopologyError(
+            f"invalid topology JSON: {str(exc).split(';')[0]}") from exc
     if not isinstance(doc, dict):
         raise TopologyError("topology JSON must be an object")
     for key in ("positions", "p0", "eta"):
@@ -239,9 +260,13 @@ def topology_from_json(text: str) -> Topology:
     # JSON numbers load as int or float; true and false are not numbers
     if any(type(v) not in (int, float) for p in positions for v in p):
         raise TopologyError("positions must hold numbers")
+    if any(_beyond_float(v) for p in positions for v in p):
+        raise TopologyError("positions must lie within the float range")
     for key in ("p0", "eta"):
         if type(doc[key]) not in (int, float):
             raise TopologyError(f"'{key}' must be a number, got {doc[key]!r}")
+        if _beyond_float(doc[key]):
+            raise TopologyError(f"'{key}' must lie within the float range")
     return topology_from_positions(positions, doc["p0"], doc["eta"])
 
 

@@ -301,3 +301,25 @@ def test_oversized_integer_is_a_config_error(tmp_path, capsys, name):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert f"config error: {line}" in capsys.readouterr().err.splitlines()
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("topology", [
+    {"kind": "ula", "n": 10 ** 400, "d": 1.0},
+    {"kind": "random_linear", "n": 10 ** 400, "d": 1.0, "min_sep": 0.5},
+    {"kind": "rect", "rows": 2, "cols": 10 ** 400, "d": 1.0},
+    {"kind": "hex", "rows": 10 ** 400, "cols": 2, "d": 1.0}])
+def test_topology_beyond_numpy_array_size_is_a_config_error(
+        tmp_path, capsys, topology):
+    line = ("topology: too many clusters: an n x n float64 matrix exceeds "
+            "the largest array numpy can hold")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {"experiment": "converge", "bands": 2, "base_seed": 1,
+         "scheduler": P, "topology": topology}), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is False
+    assert report["errors"] == [line]
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {line}" in capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "out").exists()

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -1161,6 +1162,14 @@ def test_cli_run_rejects_non_finite_number(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# an integer literal one digit past Python's int-to-string limit
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+_TOO_MANY_DIGITS = (
+    f"topology.path: invalid topology JSON: Exceeds the limit "
+    f"({_DIGIT_LIMIT} digits) for integer string conversion: value has "
+    f"{_DIGIT_LIMIT + 1} digits")
+
+
 @pytest.mark.parametrize("saved,line", [
     ({"positions": [[0.0], [1.0], [1.0]], "p0": 1.0, "eta": 2.0},
      "topology.path: coincident clusters (zero pairwise distance)"),
@@ -1173,7 +1182,17 @@ def test_cli_run_rejects_non_finite_number(tmp_path, capsys):
     ({"positions": [[0.0], ["1"]], "p0": 1.0, "eta": 2.0},
      "topology.path: positions must hold numbers"),
     (b'\xff\xfe{"positions": [[0.0], [1.0]]}',
-     "topology.path: not UTF-8 (invalid start byte)")])
+     "topology.path: not UTF-8 (invalid start byte)"),
+    ({"positions": [[0.0], [1.0]], "p0": 10 ** 400, "eta": 2.0},
+     "topology.path: 'p0' must lie within the float range"),
+    ({"positions": [[0.0], [-10 ** 400]], "p0": 1.0, "eta": 2.0},
+     "topology.path: positions must lie within the float range"),
+    pytest.param(b'{"positions": [[0.0], [1.0]], "p0": 1'
+                 + b"0" * _DIGIT_LIMIT + b', "eta": 2.0}',
+                 _TOO_MANY_DIGITS, id="p0_too_many_digits"),
+    pytest.param(b'{"positions": [[0.0], [1' + b"0" * _DIGIT_LIMIT
+                 + b']], "p0": 1.0, "eta": 2.0}',
+                 _TOO_MANY_DIGITS, id="positions_too_many_digits")])
 def test_file_topology_that_fails_to_load_is_a_config_error(
         tmp_path, capsys, saved, line):
     top = tmp_path / "top.json"

@@ -1,8 +1,9 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bandsim.allocation import run_to_convergence
 from bandsim.interference import (Assignment, InterferenceCache,
@@ -13,6 +14,7 @@ from bandsim.oracle import (BoundReport, OracleCapacityError,
                             bound_report, brute_force_optimal,
                             canonical_relabel, lattice_reuse_assignment,
                             reference, riemann_zeta)
+from bandsim.oracle import _BLOCK_TERMS, _pair_sums
 from bandsim.topology import (make_hexagonal_lattice,
                               make_rectangular_lattice,
                               make_uniform_linear_array,
@@ -117,6 +119,60 @@ def test_brute_force_default_cap_refuses_2_to_the_21_states():
     with pytest.raises(OracleCapacityError,
                        match=r"2\^21 assignments exceed the cap of 1048576"):
         brute_force_optimal(top, None, 2)
+
+
+def _pair_sums_loop(digits, w):
+    """Reference for _pair_sums: one pass over all rows per pair i < j,
+    in (i, j) order."""
+    sums = np.zeros(digits.shape[0])
+    for i, j in itertools.combinations(range(digits.shape[1]), 2):
+        sums += (digits[:, i] == digits[:, j]) * w[i, j]
+    return sums
+
+
+# chunk size of _pair_sums at m = 20 (190 pairs)
+_CHUNK_20 = _BLOCK_TERMS // 190
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 20), rows=st.integers(0, 1200),
+       k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+@example(m=1, rows=7, k=2, seed=1)              # no pairs
+@example(m=6, rows=0, k=2, seed=2)              # no rows
+@example(m=19, rows=1, k=2, seed=3)             # one row: no pairwise sum
+@example(m=20, rows=3 * _CHUNK_20 + 1, k=2, seed=4)   # last chunk: one row
+@example(m=20, rows=2 * _CHUNK_20 + 57, k=3, seed=5)
+def test_pair_sums_match_the_per_pair_loop_bit_for_bit(m, rows, k, seed):
+    rng = np.random.default_rng(seed)
+    digits = rng.integers(0, k, (rows, m))
+    # weights spread over ten decades, so the order of the additions shows
+    w = rng.random((m, m)) * 10.0 ** rng.uniform(-5.0, 5.0, (m, m))
+    assert (_pair_sums(digits, w).tobytes()
+            == _pair_sums_loop(digits, w).tobytes())
+
+
+@pytest.mark.parametrize("n, r, value, bands", [
+    (19, 2, "0x1.798ff9d96b337p+3", "1212121212121212121"),
+    (20, 2, "0x1.9232dd5677f18p+3", "12121212121212121212"),
+    (10, 4, "0x1.a000000000000p-1", "1234123412"),
+    (12, 3, "0x1.3425ed097b426p+1", "123123123123")])
+def test_brute_force_value_and_bands_are_pinned_at_the_cap(n, r, value, bands):
+    asg, got = brute_force_optimal(make_uniform_linear_array(n, 1.0), None, r)
+    assert got.hex() == value
+    assert "".join(map(str, asg.bands)) == bands
+
+
+def test_brute_force_working_set_stays_under_one_mb():
+    # its blocks and pair-sum chunks are bounded by _BLOCK_TERMS terms,
+    # whatever the size of the search
+    top = make_uniform_linear_array(20, 1.0)
+    tracemalloc.start()
+    try:
+        brute_force_optimal(top, None, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def _enumerated_optimum(top, active, r):
