@@ -117,56 +117,45 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    pad = " " * indent
+def dumps_canonical(obj) -> str:
+    """Deterministic JSON: sorted keys, floats at 17 significant digits,
+    numpy scalars and arrays as their Python values, NaN and +-inf as null;
+    raises TypeError on any other type."""
+    return _dumps(obj, "")
+
+
+def _dumps(obj, pad: str) -> str:
+    """dumps_canonical of obj, a value nested at the indentation pad."""
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+        f = float(obj)
+        return format(f, ".17g") if math.isfinite(f) else "null"
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [dumps_canonical(v, indent + 2) for v in obj]
-        if not items:
-            return "[]"
-        inner = " " * (indent + 2)
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
+    inner = pad + "  "
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = " " * (indent + 2)
-        parts = []
-        for k in sorted(obj):
-            parts.append(f"{inner}{json.dumps(str(k))}: "
-                         f"{dumps_canonical(obj[k], indent + 2)}")
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _jsonable(obj):
-    """Recursively coerce to JSON-safe values; non-finite floats -> null."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return None if (math.isnan(f) or math.isinf(f)) else f
-    return obj
+        items = [f"{json.dumps(str(k))}: {_dumps(obj[k], inner)}"
+                 for k in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = [_dumps(v, inner) for v in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if not items:
+        return brackets
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{pad}{brackets[1]}")
 
 
 def _write_json(path: Path, doc) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_canonical(_jsonable(doc)) + "\n")
+        fh.write(dumps_canonical(doc) + "\n")
 
 
 def _csv_cell(v) -> str:
@@ -732,32 +721,86 @@ class RunResult:
 
 def _build_topology(cfg: ExperimentConfig, size=None) -> tuple[Topology, tuple | None]:
     """Topology plus (rows, cols) when a lattice (for the reuse reference);
-    a geometry that cannot be built is a ConfigError on topology, a file
-    that holds no valid topology one on topology.path."""
+    a geometry that cannot be built, or that the host's memory cannot
+    hold, is a ConfigError on topology, a file that holds no valid
+    topology one on topology.path.  Then checks the run's scales on it
+    (_check_scales)."""
     p = cfg.topology_params
     kind = cfg.topology_kind
+    dims = None
     try:
         if kind == "file":
-            return load_topology(p["path"]), None
-        if kind == "ula":
+            top = load_topology(p["path"])
+        elif kind == "ula":
             n = size if size is not None else p["n"]
-            return make_uniform_linear_array(n, p["d"], cfg.p0, cfg.eta), None
-        if kind == "random_linear":
+            top = make_uniform_linear_array(n, p["d"], cfg.p0, cfg.eta)
+        elif kind == "random_linear":
             n = size if size is not None else p["n"]
             # a stream of its own: replica seeds start at base_seed itself
             rng = np.random.default_rng(
                 np.random.SeedSequence((cfg.base_seed, 2)))
-            return make_random_linear_array(n, p["d"], p["min_sep"], rng,
-                                            cfg.p0, cfg.eta), None
-        if kind in ("rect", "hex"):
-            rows, cols = size if size is not None else (p["rows"], p["cols"])
+            top = make_random_linear_array(n, p["d"], p["min_sep"], rng,
+                                           cfg.p0, cfg.eta)
+        elif kind in ("rect", "hex"):
+            dims = tuple(size) if size is not None \
+                else (p["rows"], p["cols"])
             maker = make_rectangular_lattice if kind == "rect" \
                 else make_hexagonal_lattice
-            return maker(rows, cols, p["d"], cfg.p0, cfg.eta), (rows, cols)
+            top = maker(*dims, p["d"], cfg.p0, cfg.eta)
+        else:
+            raise ValueError(f"unhandled topology kind {kind}")
     except TopologyError as exc:
         where = "topology.path" if kind == "file" else "topology"
         raise ConfigError([f"{where}: {exc}"]) from exc
-    raise ValueError(f"unhandled topology kind {kind}")
+    except MemoryError as exc:
+        raise ConfigError([f"topology: does not fit in memory: {exc}"]) \
+            from exc
+    _check_scales(cfg, top.n)
+    return top, dims
+
+
+def _check_scales(cfg: ExperimentConfig, n: int) -> None:
+    """Raise ConfigError unless a run on n clusters stays within numpy's
+    array size and the float range.  A replica's cache holds a 2N x bands
+    float64 table, bounded as topology bounds its N x N matrices.  A run to
+    convergence takes about 2*N events at the fewest, 2*N quiet Poisson
+    events or a first round and a quiet one, so its event times reach about
+    2*tau (tau = N*delta_t); a dynamics run needs tau, its expected event
+    count horizon/delta_t, and at each switching rate lambda and the
+    stability margin."""
+    errors = []
+    if 2 * n * cfg.bands * 8 > np.iinfo(np.intp).max:
+        errors.append("bands: too many bands: a 2N x bands float64 table "
+                      "exceeds the largest array numpy can hold")
+    tau = time_scale(n, cfg.delta_t)
+    if cfg.horizon is None:
+        scales = {"2*N*delta_t (the span of 2*N events, about the fewest a "
+                  "run to convergence takes)": 2.0 * tau}
+    else:
+        scales = {"tau = N*delta_t": tau,
+                  "horizon/delta_t (the expected event count)":
+                  cfg.horizon / cfg.delta_t}
+    for q in cfg.rates or ():
+        scales[f"lambda at switching rate {q}"] = \
+            lambda_from_alpha(1.0 - q, n, tau)
+    errors += [f"scheduler.delta_t: {what} lies beyond the float range"
+               for what, value in scales.items() if not math.isfinite(value)]
+    errors += [f"rho: the stability margin at switching rate {q} lies "
+               "beyond the float range" for q in cfg.rates or ()
+               if not math.isfinite(stability_margin(1.0 - q, cfg.rho))]
+    if errors:
+        raise ConfigError(errors)
+
+
+def _start_cache(top: Topology, asg: Assignment,
+                 rng: np.random.Generator | None = None) -> InterferenceCache:
+    """InterferenceCache(top, asg, rng=rng); a cache that the host's memory
+    cannot hold is a ConfigError on bands."""
+    try:
+        return InterferenceCache(top, asg, rng=rng)
+    except MemoryError as exc:
+        raise ConfigError([f"bands: the interference cache does not fit "
+                           f"in memory: {exc}"]) from exc
 
 
 def _reference(cfg: ExperimentConfig, size=None) -> tuple[Reference, tuple]:
@@ -796,19 +839,23 @@ def _converge_one(cfg: ExperimentConfig, top: Topology,
     drawn, like the scheduler's clock, from SeedSequence(seed); returns
     (records, converged cache, a0).  When levels is a list it gets
     the own-band interference row of the initial state and of the state
-    after each switch."""
+    after each switch.  Event times beyond the float range are a
+    ConfigError on scheduler.delta_t."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if cfg.initial_assignment == "uniform_random":
         initial = uniform_random_assignment(top.n, cfg.bands, rng)
     else:
         initial = all_band_one(top.n, cfg.bands)
-    cache = InterferenceCache(top, initial, rng=rng)
+    cache = _start_cache(top, initial, rng)
     a0 = cache.aggregate()
     if levels is not None:
         levels.append(cache.own_band_interference())
     scheduler = (PoissonClock(cfg.delta_t) if cfg.scheduler_kind == "poisson"
                  else RandomPermutationRounds(cfg.delta_t))
     cache, records = run_to_convergence(cache, scheduler, levels=levels)
+    if records and not math.isfinite(records[-1].time):
+        raise ConfigError([f"scheduler.delta_t: the event times of seed "
+                           f"{seed} run beyond the float range"])
     return records, cache, a0
 
 
@@ -992,7 +1039,8 @@ def _run_relaxation(cfg: ExperimentConfig) -> tuple[dict, list]:
     top, _ = _build_topology(cfg)
     dyn = DynamicsConfig(delta_t=cfg.delta_t, horizon=cfg.horizon,
                          replicas=cfg.replicas)
-    traces = run_ensemble(top, dyn, cfg.bands, cfg.base_seed)
+    start = _start_cache(top, all_band_one(top.n, cfg.bands))
+    traces = run_ensemble(top, dyn, cfg.bands, cfg.base_seed, initial=start)
     i_w = worst_case_interference(top)
     i_a = float(np.mean([tr.aggregates[-1] for tr in traces]))
     grid = np.arange(0.0, cfg.horizon, cfg.delta_t)

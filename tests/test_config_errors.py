@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from bandsim import experiments
 from bandsim.cli import main
 from bandsim.experiments import ConfigError, parse_config
 
@@ -323,3 +324,123 @@ def test_topology_beyond_numpy_array_size_is_a_config_error(
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert f"config error: {line}" in capsys.readouterr().err.splitlines()
     assert not (tmp_path / "out").exists()
+
+
+def _ula(experiment, n, delta_t, **settings):
+    return {"experiment": experiment, "bands": 2, "base_seed": 1,
+            "topology": {"kind": "ula", "n": n, "d": 1.0},
+            "scheduler": {"kind": "poisson", "delta_t": delta_t},
+            **settings}
+
+
+def _check_line(path, what):
+    return f"{path}: {what} lies beyond the float range"
+
+
+_QUIET = _check_line(
+    "scheduler.delta_t", "2*N*delta_t (the span of 2*N events, about the "
+    "fewest a run to convergence takes)")
+_COUNT = _check_line("scheduler.delta_t",
+                     "horizon/delta_t (the expected event count)")
+_BANDS = ("bands: too many bands: a 2N x bands float64 table exceeds the "
+          "largest array numpy can hold")
+# configs whose time scales or sizes leave the float range or numpy's
+# largest array; each is a config error of both commands, and no file is
+# written
+_BEYOND = {
+    "converge_delta_t_1e306": (_ula("converge", 100, 1e306), [_QUIET]),
+    "converge_delta_t_1e307": (_ula("converge", 100, 1e307), [_QUIET]),
+    "relaxation_delta_t_1e-320": (
+        _ula("relaxation", 20, 1e-320, horizon=1.0), [_COUNT]),
+    "variance_delta_t_1e-320": (
+        _ula("variance", 20, 1e-320, horizon=1.0, rates=[0.5], warmup=0.5,
+             replicas=2),
+        [_COUNT, _check_line("scheduler.delta_t",
+                             "lambda at switching rate 0.5")]),
+    "variance_rho_1e-320": (
+        _ula("variance", 20, 0.05, horizon=1.0, rates=[0.01], warmup=0.5,
+             replicas=2, rho=1e-320),
+        [_check_line("rho", "the stability margin at switching rate 0.01")]),
+    "bands_1e20": (_ula("converge", 10, 0.05, bands=10 ** 20), [_BANDS]),
+    "bands_2_62": (_ula("converge", 10, 0.05, bands=2 ** 62), [_BANDS]),
+}
+
+
+def _validate_and_run(tmp_path, capsys, doc):
+    """(validate's exit code, its report, run's exit code, run's stderr
+    lines) of doc; asserts that run wrote no output directory."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["validate", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    run_code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "out").exists()
+    return code, report, run_code, err
+
+
+@pytest.mark.parametrize("name", sorted(_BEYOND))
+def test_scale_beyond_float_or_numpy_is_a_config_error(tmp_path, capsys,
+                                                       name):
+    doc, lines = _BEYOND[name]
+    code, report, run_code, err = _validate_and_run(tmp_path, capsys, doc)
+    assert code == 1
+    assert report["valid"] is False
+    assert report["errors"] == lines
+    assert run_code == 1
+    assert [f"config error: {line}" for line in lines] \
+        == [e for e in err if e.startswith("config error:")]
+
+
+def test_event_times_beyond_float_range_fail_the_converge_run(tmp_path,
+                                                             capsys):
+    # 2*tau = 1e308 is finite, but replica 0 (seed 1) runs to about
+    # 6.8*tau, and its event times overflow before it converges
+    doc = _ula("converge", 100, 5e305)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, report, run_code, err = _validate_and_run(tmp_path, capsys,
+                                                        doc)
+    assert code == 0 and report["valid"] is True
+    assert run_code == 1
+    assert err[-1] == ("config error: scheduler.delta_t: the event times of "
+                       "seed 1 run beyond the float range")
+
+
+# builders that stand in for an allocation beyond the host's memory
+_NO_MEMORY = "Unable to allocate 74.5 GiB for an array with shape (100000, "\
+             "100000) and data type int64"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError(_NO_MEMORY)
+
+
+@pytest.mark.parametrize("experiment,settings", [
+    ("converge", {}), ("relaxation", {"horizon": 1.0}),
+    ("variance", {"horizon": 1.0, "rates": [0.01], "replicas": 2})])
+def test_topology_beyond_memory_is_a_config_error(tmp_path, capsys,
+                                                   monkeypatch, experiment,
+                                                   settings):
+    monkeypatch.setattr(experiments, "make_uniform_linear_array",
+                        _out_of_memory)
+    line = f"topology: does not fit in memory: {_NO_MEMORY}"
+    code, report, run_code, err = _validate_and_run(
+        tmp_path, capsys, _ula(experiment, 10, 0.05, **settings))
+    assert (code, report["errors"]) == (1, [line])
+    assert run_code == 1 and err == [f"config error: {line}"]
+
+
+@pytest.mark.parametrize("experiment,settings", [
+    ("converge", {}), ("relaxation", {"horizon": 1.0}),
+    ("variance", {"horizon": 1.0, "rates": [0.01], "replicas": 2})])
+def test_cache_beyond_memory_is_a_config_error(tmp_path, capsys,
+                                               monkeypatch, experiment,
+                                               settings):
+    monkeypatch.setattr(experiments, "InterferenceCache", _out_of_memory)
+    line = ("bands: the interference cache does not fit in memory: "
+            + _NO_MEMORY)
+    code, report, run_code, err = _validate_and_run(
+        tmp_path, capsys, _ula(experiment, 10, 0.05, **settings))
+    # validate builds no cache
+    assert (code, report["valid"]) == (0, True)
+    assert run_code == 1 and err == [f"config error: {line}"]

@@ -23,7 +23,7 @@ from bandsim.experiments import (EXPERIMENTS, OUTPUT_DIR_ENV, PRESET_NAMES,
                                  run_experiment, validate_config,
                                  _block_cells, _build_topology,
                                  _capacity_series, _converge_one, _csv_cell,
-                                 _emit, _jsonable, _write_csv)
+                                 _emit, _write_csv)
 from bandsim.interference import (Assignment, InterferenceCache,
                                   worst_case_interference)
 from bandsim.metrics import link_capacity, link_powers
@@ -452,21 +452,43 @@ def test_dumps_canonical_is_key_order_independent():
 
 def test_dumps_canonical_numpy_values():
     doc = {"i": np.int64(3), "f": np.float64(0.5), "b": np.bool_(True),
-           "v": np.array([1.0, 2.0])}
-    text = dumps_canonical(_jsonable(doc))
-    assert json.loads(text) == {"i": 3, "f": 0.5, "b": True, "v": [1.0, 2.0]}
+           "c": np.bool_(False), "g": np.float32(0.25), "u": np.uint8(7),
+           "v": np.array([1.0, 2.0]), "m": np.array([[1, 2], [3, 4]]),
+           "t": (np.int32(-1), "x")}
+    text = dumps_canonical(doc)
+    assert json.loads(text) == {"i": 3, "f": 0.5, "b": True, "c": False,
+                                "g": 0.25, "u": 7, "v": [1.0, 2.0],
+                                "m": [[1, 2], [3, 4]], "t": [-1, "x"]}
+    assert '"b": true' in text and '"c": false' in text
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        dumps_canonical({"x": [{1, 2}]})
 
 
-def test_dumps_canonical_rejects_non_finite():
-    with pytest.raises(ValueError):
-        dumps_canonical(float("nan"))
-    with pytest.raises(ValueError):
-        dumps_canonical({"x": math.inf})
+def test_dumps_canonical_writes_non_finite_as_null():
+    assert dumps_canonical(float("nan")) == "null"
+    assert dumps_canonical(np.float64("-inf")) == "null"
+    doc = {"x": float("nan"), "y": [np.float64(2.0), np.inf, -np.inf],
+           "z": {"a": np.array([np.nan, 1.5, -np.inf]),
+                 "b": [[math.inf]]}}
+    assert json.loads(dumps_canonical(doc)) == {
+        "x": None, "y": [2.0, None, None],
+        "z": {"a": [None, 1.5, None], "b": [[None]]}}
 
 
-def test_jsonable_scrubs_non_finite():
-    doc = {"x": float("nan"), "y": [np.float64(2.0), np.inf, -np.inf]}
-    assert _jsonable(doc) == {"x": None, "y": [2.0, None, None]}
+def test_undefined_summary_value_writes_null(tmp_path):
+    # log2(1 + S/(N0 + I)) rounds to 0 when S is far below N0, so every
+    # capacity fraction against the reference is undefined (NaN)
+    cfg = parse_config(_tiny_doc(
+        link={"signal_power": 1e-300, "noise_power": 1.0}))
+    result = run_experiment(cfg, out_dir=str(tmp_path))
+    text = (tmp_path / "converge_summary.json").read_text(encoding="utf-8")
+    summary = json.loads(text)
+    assert summary["reference"]["normalized_capacity"] == 0.0
+    assert [d["capacity_fraction"] for d in summary["replicas_detail"]] \
+        == [None]
+    assert '"capacity_fraction": null,' in text
+    assert math.isnan(result.summary["replicas_detail"][0]
+                      ["capacity_fraction"])
 
 
 @pytest.mark.parametrize("value,text", [

@@ -6,13 +6,20 @@ Imports bandsim from CHECKOUT/src and the benchmark's workload configs from
 CHECKOUT/perfbench/workloads.py, then runs each built-in preset and each
 workload at seeds 1 and 7919 into a temporary directory.  Prints one
 ``sha256  run  file`` line per output file, sorted, so that the outputs of
-two checkouts compare with ``diff``.  Writes nothing into CHECKOUT.
+two checkouts compare with ``diff``.  The same lines cover what the
+command line prints, run in-process through ``bandsim.cli.main``:
+``bandsim preset NAME`` of each preset (file ``stdout:preset``) and
+``bandsim validate`` of each run's config (file ``stdout:validate``).
+Writes nothing into CHECKOUT.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
+import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -28,7 +35,7 @@ def main(argv: list[str]) -> int:
     checkout = Path(argv[0]).resolve()
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(checkout / "src"))
-    from bandsim import experiments
+    from bandsim import cli, experiments
 
     origin = Path(experiments.__file__).resolve()
     if checkout not in origin.parents:
@@ -54,8 +61,22 @@ def main(argv: list[str]) -> int:
             for path in out.iterdir():
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 lines.append(f"{digest}  {run}  {path.name}")
+            config = Path(tmp) / f"{run}.json"
+            config.write_text(json.dumps(doc), encoding="utf-8")
+            lines.append(f"{_printed(cli, 'validate', str(config))}  {run}  "
+                         "stdout:validate")
+        for name in experiments.PRESET_NAMES:
+            lines.append(f"{_printed(cli, 'preset', name)}  {name}  "
+                         "stdout:preset")
     print("\n".join(sorted(lines)))
     return 0
+
+
+def _printed(cli, *argv: str) -> str:
+    """The sha256 of what ``cli.main(argv)`` prints to stdout."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.main(list(argv))
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
 if __name__ == "__main__":
