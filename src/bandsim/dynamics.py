@@ -344,7 +344,8 @@ def fit_exponential_decay(times: np.ndarray, mean: np.ndarray, i_a: float,
 
     Least-squares line through log((mean(t) - i_a)/(i_w - i_a)) on the
     initial stretch where that bracket exceeds FIT_FLOOR; the slope is
-    -rho_hat/tau.
+    -rho_hat/tau, taken in closed form with math.fsum sums, so no LAPACK
+    kernel moves its last bits.
     """
     if not (i_w > i_a):
         raise FitError(f"need i_w > i_a, got i_w={i_w}, i_a={i_a}")
@@ -355,7 +356,10 @@ def fit_exponential_decay(times: np.ndarray, mean: np.ndarray, i_a: float,
         raise FitError(
             "degenerate trace: bracket is below the fit floor from the start")
     y = np.log(bracket[:stop])
-    slope = np.polyfit(times[:stop], y, 1)[0]
+    t = times[:stop]
+    dt = t - math.fsum(t) / stop
+    dy = y - math.fsum(y) / stop
+    slope = math.fsum(dt * dy) / math.fsum(dt * dt)
     return float(-slope * tau)
 
 

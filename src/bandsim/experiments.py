@@ -720,14 +720,14 @@ class RunResult:
 
 
 def _build_topology(cfg: ExperimentConfig, size=None) -> tuple[Topology, tuple | None]:
-    """Topology plus (rows, cols) when a lattice (for the reuse reference);
-    a geometry that cannot be built, or that the host's memory cannot
-    hold, is a ConfigError on topology, a file that holds no valid
+    """Topology plus (kind, rows, cols) when a lattice (for the reuse
+    reference); a geometry that cannot be built, or that the host's memory
+    cannot hold, is a ConfigError on topology, a file that holds no valid
     topology one on topology.path.  Then checks the run's scales on it
     (_check_scales)."""
     p = cfg.topology_params
     kind = cfg.topology_kind
-    dims = None
+    lattice = None
     try:
         if kind == "file":
             top = load_topology(p["path"])
@@ -742,11 +742,11 @@ def _build_topology(cfg: ExperimentConfig, size=None) -> tuple[Topology, tuple |
             top = make_random_linear_array(n, p["d"], p["min_sep"], rng,
                                            cfg.p0, cfg.eta)
         elif kind in ("rect", "hex"):
-            dims = tuple(size) if size is not None \
-                else (p["rows"], p["cols"])
+            rows, cols = size if size is not None else (p["rows"], p["cols"])
             maker = make_rectangular_lattice if kind == "rect" \
                 else make_hexagonal_lattice
-            top = maker(*dims, p["d"], cfg.p0, cfg.eta)
+            top = maker(rows, cols, p["d"], cfg.p0, cfg.eta)
+            lattice = (kind, rows, cols)
         else:
             raise ValueError(f"unhandled topology kind {kind}")
     except TopologyError as exc:
@@ -756,7 +756,7 @@ def _build_topology(cfg: ExperimentConfig, size=None) -> tuple[Topology, tuple |
         raise ConfigError([f"topology: does not fit in memory: {exc}"]) \
             from exc
     _check_scales(cfg, top.n)
-    return top, dims
+    return top, lattice
 
 
 def _check_scales(cfg: ExperimentConfig, n: int) -> None:
@@ -807,9 +807,9 @@ def _reference(cfg: ExperimentConfig, size=None) -> tuple[Reference, tuple]:
     """Build the topology (at `size` in a sweep) and its Reference, plus its
     link levels: the powers s, n0 and the reference assignment's capacity
     (None without one)."""
-    top, lattice_dims = _build_topology(cfg, size)
+    top, lattice = _build_topology(cfg, size)
     ref = reference(top, None, cfg.bands, cfg.topology_params.get("d"),
-                    lattice=lattice_dims)
+                    lattice=lattice)
     s, n0 = link_powers(top, cfg.signal_power, cfg.noise_power)
     if ref.asg is None:
         return ref, (s, n0, None)
@@ -840,7 +840,7 @@ def _converge_one(cfg: ExperimentConfig, top: Topology,
     (records, converged cache, a0).  When levels is a list it gets
     the own-band interference row of the initial state and of the state
     after each switch.  Event times beyond the float range are a
-    ConfigError on scheduler.delta_t."""
+    ConfigError on scheduler.delta_t, with no numpy overflow warning."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if cfg.initial_assignment == "uniform_random":
         initial = uniform_random_assignment(top.n, cfg.bands, rng)
@@ -852,7 +852,8 @@ def _converge_one(cfg: ExperimentConfig, top: Topology,
         levels.append(cache.own_band_interference())
     scheduler = (PoissonClock(cfg.delta_t) if cfg.scheduler_kind == "poisson"
                  else RandomPermutationRounds(cfg.delta_t))
-    cache, records = run_to_convergence(cache, scheduler, levels=levels)
+    with np.errstate(over="ignore"):
+        cache, records = run_to_convergence(cache, scheduler, levels=levels)
     if records and not math.isfinite(records[-1].time):
         raise ConfigError([f"scheduler.delta_t: the event times of seed "
                            f"{seed} run beyond the float range"])

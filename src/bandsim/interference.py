@@ -60,9 +60,6 @@ class Assignment:
     def n(self) -> int:
         return self.bands.size
 
-    def copy(self) -> "Assignment":
-        return Assignment(self.bands.copy(), self.r)
-
 
 def all_band_one(n: int, r: int) -> Assignment:
     return Assignment(np.ones(n, dtype=np.int64), r)

@@ -8,7 +8,7 @@ are free parameters of the model and are echoed in every report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +43,6 @@ class CapacityReport:
     undefined_fraction: bool
     signal_power: float
     noise_power: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _per_cluster_interference(top: Topology, asg: Assignment,

@@ -62,19 +62,26 @@ def alternating_assignment(n: int, r: int) -> Assignment:
     return Assignment(np.arange(n, dtype=np.int64) % r + 1, r)
 
 
-def lattice_reuse_assignment(rows: int, cols: int, r: int) -> Assignment:
-    """1:r frequency reuse on a rows x cols lattice (row-major indexing).
+def lattice_reuse_assignment(rows: int, cols: int, r: int,
+                             lattice: str = "rect") -> Assignment:
+    """1:r frequency reuse on a rows x cols "rect" or "hex" lattice
+    (row-major indexing).
 
-    r=2 is the checkerboard, r=4 tiles 2x2 blocks.  A near-optimal
-    reference pattern, not a certified optimum.
+    r=2 is the checkerboard.  r=4 tiles 2x2 blocks on rect; on hex it is
+    the triangular 4-colouring, the blocks shifted one column every two
+    rows.  Either way co-band clusters are at least 2d apart.  A
+    near-optimal reference pattern, not a certified optimum.
     """
     if rows < 1 or cols < 1:
         raise ValueError("degenerate lattice size")
+    if lattice not in ("rect", "hex"):
+        raise ValueError(f"unknown lattice kind {lattice!r}")
     i, j = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     if r == 2:
         bands = (i + j) % 2 + 1
     elif r == 4:
-        bands = 2 * (i % 2) + j % 2 + 1
+        shift = i // 2 if lattice == "hex" else 0
+        bands = 2 * (i % 2) + (j - shift) % 2 + 1
     else:
         raise ValueError(f"no 1:{r} reuse pattern defined (r must be 2 or 4)")
     return Assignment(bands.ravel().astype(np.int64), r)
@@ -265,12 +272,13 @@ class Reference:
 
 def reference(top: Topology, act: np.ndarray | None, r: int,
               d_ref: float | None = None,
-              lattice: tuple[int, int] | None = None) -> Reference:
+              lattice: tuple[str, int, int] | None = None) -> Reference:
     """The bounds and references of one topology with r bands.
 
-    The reference assignment is 1:r reuse on a `lattice` of (rows, cols)
-    when r is 2 or 4, alternating on a 1-D array, else none.  The ratio cap
-    is r^(eta-1), on a 1-D array scaled by its min/max adjacent gaps
+    The reference assignment is 1:r reuse on a `lattice` of (kind, rows,
+    cols), kind "rect" or "hex", when r is 2 or 4, alternating on a 1-D
+    array, else none.  The ratio cap is r^(eta-1), on a 1-D array scaled
+    by its min/max adjacent gaps
     against d_ref (default: the mean adjacent gap), which is also the
     spacing of the N -> infinity limit.
     """
@@ -279,7 +287,9 @@ def reference(top: Topology, act: np.ndarray | None, r: int,
         act = activity_mask(top, act).copy()
     asg, kind, aggregate = None, None, None
     if lattice is not None and r in (2, 4):
-        asg, kind = lattice_reuse_assignment(*lattice, r), f"reuse_1_{r}"
+        lattice_kind, rows, cols = lattice
+        asg = lattice_reuse_assignment(rows, cols, r, lattice_kind)
+        kind = f"reuse_1_{r}"
     elif top.dim == 1:
         asg, kind = alternating_assignment(n, r), "alternating"
     if asg is not None:
@@ -322,10 +332,6 @@ class BoundReport:
     upper_bound_ok: bool
     ratio_cap_ok: bool | None
     ordering_ok: bool | None
-
-    def to_dict(self) -> dict:
-        """The per-replica values (everything but `ref`)."""
-        return {k: v for k, v in vars(self).items() if k != "ref"}
 
 
 def bound_report(ref: Reference, converged: Assignment) -> BoundReport:

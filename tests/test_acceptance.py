@@ -271,7 +271,7 @@ def test_acceptance_07_capacity_fraction(capsys):
         ("rect10x10/r4", make_rectangular_lattice(10, 10, 1.0), 4,
          lattice_reuse_assignment(10, 10, 4)),
         ("hex10x10/r4", make_hexagonal_lattice(10, 10, 1.0), 4,
-         lattice_reuse_assignment(10, 10, 4)),
+         lattice_reuse_assignment(10, 10, 4, "hex")),
     ]
     ok = True
     fixed = []

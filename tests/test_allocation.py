@@ -79,6 +79,15 @@ def test_best_band_rejects_inactive():
         best_band(state, 1)
 
 
+def test_apply_update_rejects_inactive():
+    # the inactive middle cluster would gain by leaving its neighbours' band
+    top = make_uniform_linear_array(3, 1.0)
+    state = _state(top, [1, 1, 1], 2, active=[True, False, True])
+    with pytest.raises(ValueError, match="cluster 1 is inactive"):
+        apply_update(state, 1)
+    assert state.bands.tolist() == [1, 1, 1]
+
+
 def test_apply_update_records_potential_change():
     top = make_uniform_linear_array(3, 1.0)
     state = _state(top, [1, 1, 1], 2)

@@ -405,6 +405,17 @@ def test_fit_uses_only_the_early_bracket():
         rho, abs=1e-6)
 
 
+def test_fit_is_the_least_squares_slope():
+    # a noisy decay that stays above the fit floor: the closed-form slope
+    # agrees with a LAPACK fit
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 1.0, 201)
+    mean = 50.0 * np.exp(-2.0 * t) * np.exp(rng.normal(0.0, 0.05, t.size))
+    slope = np.polyfit(t, np.log(mean / 50.0), 1)[0]
+    assert fit_exponential_decay(t, mean, 0.0, 50.0, 4.0) == pytest.approx(
+        -4.0 * slope, rel=1e-12)
+
+
 def test_fit_error_cases():
     t = np.linspace(0.0, 1.0, 11)
     flat = np.full_like(t, 5.0)

@@ -1124,6 +1124,13 @@ def test_cli_preset_write(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == str(target)
 
 
+def test_cli_preset_write_to_a_directory(tmp_path, capsys):
+    assert main(["preset", "fig2a", "--write", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error:")
+    assert captured.out == ""
+
+
 def test_cli_validate_ok(tmp_path, capsys):
     path = _write_config(tmp_path, _tiny_doc())
     assert main(["validate", path]) == 0

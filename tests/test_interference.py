@@ -35,13 +35,6 @@ def test_assignment_validation():
         Assignment(np.array([1, 3]), 2)
 
 
-def test_assignment_copy_is_independent():
-    a = Assignment(np.array([1, 2]), 2)
-    b = a.copy()
-    b.bands[0] = 2
-    assert a.bands[0] == 1
-
-
 def test_activity_validation():
     top = make_uniform_linear_array(2, 1.0)
     assert activity_mask(top, [1, 0]).tolist() == [True, False]

@@ -78,8 +78,7 @@ def test_comparison_identical_is_unity():
     assert not rep.undefined_fraction
     assert rep.normalized_aggregate == rep.reference_normalized
     assert len(rep.per_cluster) == 5
-    d = rep.to_dict()
-    assert d["signal_power"] == 1.0 and d["noise_power"] == pytest.approx(0.1)
+    assert rep.signal_power == 1.0 and rep.noise_power == pytest.approx(0.1)
 
 
 def test_comparison_better_reference_below_unity():

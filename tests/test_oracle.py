@@ -65,6 +65,39 @@ def test_lattice_reuse_patterns():
         lattice_reuse_assignment(4, 4, 3)
     with pytest.raises(ValueError):
         lattice_reuse_assignment(0, 4, 2)
+    with pytest.raises(ValueError, match="lattice kind"):
+        lattice_reuse_assignment(4, 4, 4, "square")
+
+
+def _min_coband_distance(top, asg):
+    co = asg.bands[:, None] == asg.bands[None, :]
+    np.fill_diagonal(co, False)
+    return float(top.dist[co].min())
+
+
+@pytest.mark.parametrize("make,lattice,r,spacing", [
+    (make_rectangular_lattice, "rect", 2, np.sqrt(2.0)),
+    (make_rectangular_lattice, "rect", 4, 2.0),
+    (make_hexagonal_lattice, "hex", 4, 2.0),
+])
+def test_lattice_reuse_coband_distance(make, lattice, r, spacing):
+    # the nearest co-band pair, in units of the lattice spacing d
+    top = make(10, 10, 1.5)
+    asg = lattice_reuse_assignment(10, 10, r, lattice)
+    assert sorted(set(asg.bands.tolist())) == list(range(1, r + 1))
+    assert _min_coband_distance(top, asg) == pytest.approx(1.5 * spacing)
+
+
+def test_hex_reuse_beats_the_rect_blocks_on_hex():
+    top = make_hexagonal_lattice(10, 10, 1.0)
+    rect = lattice_reuse_assignment(10, 10, 4)
+    hexa = lattice_reuse_assignment(10, 10, 4, "hex")
+    assert _min_coband_distance(top, rect) == pytest.approx(np.sqrt(3.0))
+    assert aggregate_interference(top, hexa) \
+        < aggregate_interference(top, rect)
+    ref = reference(top, None, 4, lattice=("hex", 10, 10))
+    assert ref.kind == "reuse_1_4"
+    assert np.array_equal(ref.asg.bands, hexa.bands)
 
 
 def test_canonical_relabel():
@@ -112,6 +145,12 @@ def test_brute_force_guard():
     top = make_uniform_linear_array(30, 1.0)
     with pytest.raises(OracleCapacityError):
         brute_force_optimal(top, None, 2)
+
+
+def test_brute_force_needs_a_band():
+    top = make_uniform_linear_array(3, 1.0)
+    with pytest.raises(ValueError, match="^r must be >= 1$"):
+        brute_force_optimal(top, None, 0)
 
 
 def test_brute_force_default_cap_refuses_2_to_the_21_states():
@@ -318,17 +357,19 @@ def test_bound_report_oracle_branch():
     assert rep.ratio_ao >= 1.0
     assert ref.gap_convention == "adjacent"
     assert ref.limit == pytest.approx(np.pi ** 2 / 12.0, abs=1e-12)
-    d = rep.to_dict()
-    assert d["i_a"] == rep.i_a and d["upper_bound_ok"] is True
 
 
 def test_reference_keeps_its_own_copy_of_the_mask():
     top = make_uniform_linear_array(6, 1.0)
     mask = np.array([True, True, False, True, True, False])
     ref = reference(top, mask, 2)
-    before = bound_report(ref, all_band_one(6, 2)).to_dict()
+    fields = ("i_a", "ratio_aw", "ratio_ao", "upper_bound_ok",
+              "ratio_cap_ok", "ordering_ok")
+    before = bound_report(ref, all_band_one(6, 2))
     mask[:] = True
-    assert bound_report(ref, all_band_one(6, 2)).to_dict() == before
+    after = bound_report(ref, all_band_one(6, 2))
+    assert [getattr(after, f) for f in fields] \
+        == [getattr(before, f) for f in fields]
 
 
 def test_bound_report_reference_branch():
@@ -350,7 +391,7 @@ def test_bound_report_supplied_reference():
     state = InterferenceCache(top, all_band_one(25, 2),
                               rng=np.random.default_rng(4))
     state, _ = run_to_convergence(state)
-    ref = reference(top, None, 2, d_ref=1.0, lattice=(5, 5))
+    ref = reference(top, None, 2, d_ref=1.0, lattice=("rect", 5, 5))
     rep = bound_report(ref, state.assignment())
     assert ref.kind == "reuse_1_2"
     assert ref.aggregate == aggregate_interference(

@@ -132,6 +132,9 @@ def test_random_linear_array_bad_args():
         make_random_linear_array(1, 1.0, 0.1, rng)
     with pytest.raises(TopologyError):
         make_random_linear_array(5, 1.0, 0.0, rng)
+    for d in (0.0, -1.0):
+        with pytest.raises(TopologyError, match="mean spacing d must be > 0"):
+            make_random_linear_array(5, d, 0.1, rng)
 
 
 def test_rect_lattice_geometry():
@@ -212,3 +215,6 @@ def test_topology_from_json_malformed():
             {"p0": 1.0, "eta": 2.0, "positions": [[0.0], [1.0, 0.0]]}))
     with pytest.raises(TopologyError):
         topology_from_json("not json")
+    with pytest.raises(TopologyError, match="'positions' must be a non-empty"):
+        topology_from_json(json.dumps({"p0": 1.0, "eta": 2.0,
+                                       "positions": []}))
