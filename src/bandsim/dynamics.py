@@ -7,10 +7,10 @@ as one apply_flips update, then one uniformly chosen active cluster applies
 the best-band rule.  The ensemble mean of the aggregate relaxes exponentially
 with rate rho/tau (tau = N*delta_t), and in steady state the variance
 follows a closed-form prediction gated by the stability margin
-8*(1-alpha)/rho < 1.  Every replica starts with all clusters active, and
-the activity relaxes to the stationary half-active split only with time
-constant delta_t/(2*(1-alpha)): at low switching rates a short horizon
-ends well before it (about 91% active at t=1 for 1-alpha=0.001 and
+8*(1-alpha)/rho < 1.  The runners start every replica with all clusters
+active, and the activity relaxes to the stationary half-active split only
+with time constant delta_t/(2*(1-alpha)): at low switching rates a short
+horizon ends well before it (about 91% active at t=1 for 1-alpha=0.001 and
 delta_t=0.01).
 
 A replica starts only from a start InterferenceCache: it runs a copy
@@ -30,8 +30,10 @@ Poisson engine driven by the scheduling stream alone.
 Neither the clock nor the churn reads the bands, so a replica reads its
 events ahead in blocks, as many as the horizon is known to need: the
 expected count up to the horizon plus four standard deviations of that
-Poisson count, at least interference.DRAW_BLOCK, and at most AHEAD_CELLS // N
-events, which bounds a block's flip draw.  One block nearly always reaches
+Poisson count, at least interference.DRAW_BLOCK, and at most
+max(DRAW_BLOCK, AHEAD_CELLS // N) events.  A block's flip draw thus stays
+within AHEAD_CELLS cells up to N = AHEAD_CELLS / DRAW_BLOCK = 2048; above
+that a full block draws DRAW_BLOCK * N cells.  One block nearly always reaches
 the horizon; one that falls short is followed by another sized the same
 way.  The running sums of a block's gaps, cut at the horizon with one
 searchsorted, give the event times, and the flip rows of its events,
@@ -45,14 +47,13 @@ found an active cluster.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import interference
 from .allocation import UpdateRecord, apply_update
-from .interference import InterferenceCache, all_band_one
+from .interference import InterferenceCache
 from .topology import Topology
 
 __all__ = [
@@ -83,8 +84,10 @@ NEAR_EQUILIBRIUM_RATE = 0.1
 # Fraction of the initial gap below which the decay fit stops trusting the
 # ensemble mean (noise floor).
 FIT_FLOOR = 0.05
-# Most cells (events x clusters) of one read-ahead block of
-# simulate_time_varying, so that its flip draw stays within 1 MiB of float64.
+# Cells (events x clusters) one read-ahead block of simulate_time_varying
+# draws at most, 1 MiB of float64, while N <= AHEAD_CELLS / DRAW_BLOCK: a
+# block never holds fewer than DRAW_BLOCK events, so above N = 2048 a full
+# block draws DRAW_BLOCK * N cells.
 AHEAD_CELLS = 1 << 17
 
 
@@ -183,16 +186,15 @@ def stability_margin(alpha: float, rho: float) -> float:
     return 8.0 * (1.0 - alpha) / rho
 
 
-def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
-                          seed: int, initial: InterferenceCache | None = None
-                          ) -> SimTrace:
+def simulate_time_varying(top: Topology, cfg: DynamicsConfig, seed: int,
+                          initial: InterferenceCache) -> SimTrace:
     """Event-driven run over [0, horizon] with Markov activity churn.
 
     The replica runs a copy, on its scheduling stream, of the start cache
-    initial, built on top with r bands and never written; None is the
-    all-band-one start with every cluster active.  A copy runs bit for bit
-    as a fresh build would.  A cluster switched off keeps its band and
-    resumes with it.
+    initial, built on top and never written; its bands and activity are the
+    start, and initial.r is the band count.  A copy runs bit for bit as a
+    fresh build would.  A cluster switched off keeps its band and resumes
+    with it.
 
     The activity relaxes toward the stationary half-active split with
     time constant delta_t/(2*(1-alpha)), so at low switching rates the
@@ -201,13 +203,9 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, r: int,
     horizon of 1 about 91% of clusters are still active.  Deterministic
     per seed.
     """
-    sched_rng, act_rng = replica_streams(seed)
-    if initial is None:
-        initial = InterferenceCache(top, all_band_one(top.n, r), rng=sched_rng)
-    elif initial.r != r:
-        raise ValueError(f"initial has r={initial.r}, expected {r}")
-    elif initial.topology is not top:
+    if initial.topology is not top:
         raise ValueError("initial cache was built on another topology")
+    sched_rng, act_rng = replica_streams(seed)
     cache = initial.copy(sched_rng)
     n = top.n
     rate = 1.0 - cfg.alpha
@@ -306,17 +304,14 @@ def replica_trace(records: list[UpdateRecord], a0: float, active_counts,
         **fields)
 
 
-def run_ensemble(top: Topology, cfg: DynamicsConfig, r: int,
-                 base_seed: int,
-                 initial: InterferenceCache | None = None) -> list[SimTrace]:
+def run_ensemble(top: Topology, cfg: DynamicsConfig, base_seed: int,
+                 initial: InterferenceCache) -> list[SimTrace]:
     """Independent replicas with seeds base_seed + k, k = 0..replicas-1.
 
     Each replica runs a copy of the start cache initial, which callers may
-    share across ensembles; None builds the all-band-one start once.
+    share across ensembles.
     """
-    if initial is None:
-        initial = InterferenceCache(top, all_band_one(top.n, r))
-    return [simulate_time_varying(top, cfg, r, base_seed + k, initial=initial)
+    return [simulate_time_varying(top, cfg, base_seed + k, initial)
             for k in range(cfg.replicas)]
 
 
@@ -369,15 +364,9 @@ def predicted_variance(i_a: float, alpha: float,
 
     With m = stability_margin(alpha, rho), sigma_ss_sq = i_a^2*m/(1 - m)
     while m < 1; at or beyond the boundary it is +inf and the divergent
-    flag is set.  A RuntimeWarning flags 1 - alpha > NEAR_EQUILIBRIUM_RATE.
+    flag is set.
     """
     margin = stability_margin(alpha, rho)
-    if (1.0 - alpha) > NEAR_EQUILIBRIUM_RATE:
-        warnings.warn(
-            f"alpha={alpha}: expected toggles per slot exceed "
-            f"{NEAR_EQUILIBRIUM_RATE:.0%} of the network; the "
-            "near-equilibrium variance prediction is strained",
-            RuntimeWarning, stacklevel=2)
     sigma = (i_a * i_a * margin / (1.0 - margin) if margin < 1.0
              else math.inf)
     return DynamicsPrediction(rho=rho, margin=margin, sigma_ss_sq=sigma)

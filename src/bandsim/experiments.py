@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -1041,7 +1040,7 @@ def _run_relaxation(cfg: ExperimentConfig) -> tuple[dict, list]:
     dyn = DynamicsConfig(delta_t=cfg.delta_t, horizon=cfg.horizon,
                          replicas=cfg.replicas)
     start = _start_cache(top, all_band_one(top.n, cfg.bands))
-    traces = run_ensemble(top, dyn, cfg.bands, cfg.base_seed, initial=start)
+    traces = run_ensemble(top, dyn, cfg.base_seed, start)
     i_w = worst_case_interference(top)
     i_a = float(np.mean([tr.aggregates[-1] for tr in traces]))
     grid = np.arange(0.0, cfg.horizon, cfg.delta_t)
@@ -1087,7 +1086,7 @@ def _run_variance(cfg: ExperimentConfig) -> tuple[dict, list]:
     # parse_config holds a variance run to the Poisson clock
     _, init_cache, _ = _converge_one(cfg, top, (cfg.base_seed, 1))
     # every rate's replicas copy this one start
-    start = InterferenceCache(top, init_cache.assignment())
+    start = _start_cache(top, init_cache.assignment())
     points = []
     kept = []
     for qi, q in enumerate(cfg.rates):
@@ -1095,15 +1094,12 @@ def _run_variance(cfg: ExperimentConfig) -> tuple[dict, list]:
         dyn = DynamicsConfig(delta_t=cfg.delta_t, horizon=cfg.horizon,
                              alpha=alpha, replicas=cfg.replicas)
         seed = cfg.base_seed + qi * cfg.replicas
-        traces = run_ensemble(top, dyn, cfg.bands, seed, initial=start)
+        traces = run_ensemble(top, dyn, seed, start)
         if cfg.write_trace:
             kept.extend(traces)
         stats = steady_state_stats(traces, warmup)
         lam = lambda_from_alpha(alpha, top.n, tau)
-        # parse_config lists a fast rate among cfg.warnings already
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            pred = predicted_variance(stats.mean, alpha, cfg.rho)
+        pred = predicted_variance(stats.mean, alpha, cfg.rho)
         ratio = (stats.variance / pred.sigma_ss_sq
                  if (not pred.divergent and pred.sigma_ss_sq > 0) else None)
         points.append({

@@ -251,8 +251,11 @@ class Reference:
     asg, kind and aggregate describe the structured reference assignment
     (None without one).  i_o is the exhaustive optimum (i_o_kind "oracle")
     when r^n_active is within the oracle cap, else the reference aggregate
-    ("reference"), else None.  ratio_cap bounds i_a / i_o; limit is the
-    N -> infinity per-cluster aggregate of the alternating pattern (1-D).
+    ("reference"), else None.  ratio_cap is the paper's asymptotic cap on
+    i_a / i_o, an N -> infinity bound that small arrays can exceed (a
+    best-response fixed point of the r=2, eta=2 uniform line reaches
+    i_a / i_o = 20/9 at n=4); limit is the N -> infinity per-cluster
+    aggregate of the alternating pattern (1-D).
     act is a copy of the activity mask it was built with (None: all active).
     """
 
@@ -278,9 +281,10 @@ def reference(top: Topology, act: np.ndarray | None, r: int,
     The reference assignment is 1:r reuse on a `lattice` of (kind, rows,
     cols), kind "rect" or "hex", when r is 2 or 4, alternating on a 1-D
     array, else none.  The ratio cap is r^(eta-1), on a 1-D array scaled
-    by its min/max adjacent gaps
-    against d_ref (default: the mean adjacent gap), which is also the
-    spacing of the N -> infinity limit.
+    by its min/max adjacent gaps against d_ref (default: the mean adjacent
+    gap), which is also the spacing of the N -> infinity limit.  The cap
+    is asymptotic and is checked at every N, so bound_report can flag a
+    small array's fixed point.
     """
     n = top.n
     if act is not None:  # checked before any work, kept apart from the caller

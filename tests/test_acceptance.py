@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from bandsim.allocation import (REL_TOL, PoissonClock,
-                                RandomPermutationRounds,
+from bandsim.allocation import (PoissonClock, RandomPermutationRounds,
                                 default_update_guard, run_to_convergence)
 from bandsim.dynamics import stability_margin
 from bandsim.experiments import parse_config, preset, run_experiment
@@ -30,6 +28,8 @@ from bandsim.topology import (make_hexagonal_lattice,
                               make_random_linear_array,
                               make_rectangular_lattice,
                               make_uniform_linear_array)
+
+from fixed_point import fixed_point
 
 SUITE_SEED = 20260815
 N_SCENARIOS = 200
@@ -220,20 +220,6 @@ def test_acceptance_05_asymptotic_floor(capsys):
     assert abs(gap - gap_identity) <= 1e-12
 
 
-def _fixed_point(top, state) -> tuple[bool, float]:
-    """Best-response certificate of an all-active state, recomputed from the
-    weight matrix rather than read from the cache: (no cluster can lower its
-    interference by more than REL_TOL*level, smallest margin from a
-    cluster's band to any other band).
-    """
-    cols = state.bands[:, None] == np.arange(1, state.r + 1)[None, :]
-    powers = weight_matrix(top) @ cols
-    level = powers[cols]
-    fixed = level - powers.min(axis=1) <= REL_TOL * level
-    margin = np.where(cols, np.inf, powers).min(axis=1) - level
-    return bool(fixed.all()), float(margin.min())
-
-
 def _same_band_neighbours(state) -> int:
     return int(np.count_nonzero(state.bands[1:] == state.bands[:-1]))
 
@@ -248,7 +234,8 @@ def test_acceptance_06_db_gap_vs_alternating(capsys):
                                       np.random.SeedSequence(SUITE_SEED + k)))
         state, _ = run_to_convergence(state)
         gaps.append(db_gap(state.aggregate(), ref))
-        is_fixed, margin = _fixed_point(top, state)
+        is_fixed, margin = fixed_point(top, state.bands, state.active,
+                                       state.r)
         fixed.append(is_fixed)
         margins.append(margin)
         pairs.append(_same_band_neighbours(state))
@@ -286,7 +273,7 @@ def test_acceptance_07_capacity_fraction(capsys):
             state, _ = run_to_convergence(state)
             rep = capacity_comparison(top, None, state.assignment(), ref)
             fractions.append(rep.achieved_fraction)
-            fixed.append(_fixed_point(top, state)[0])
+            fixed.append(fixed_point(top, state.bands, state.active, r)[0])
             pairs.append(_same_band_neighbours(state))
         leg_ok = min(fractions) >= 0.90
         ok = ok and leg_ok
@@ -314,7 +301,6 @@ def test_acceptance_08_relaxation_rate(capsys, tmp_path):
     assert ok
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_acceptance_09_steady_state_variance(capsys, tmp_path):
     result = run_experiment(parse_config(preset("fig6")),
                             out_dir=str(tmp_path))
@@ -374,7 +360,6 @@ def test_acceptance_10_cache_consistency(capsys):
     assert ok
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_acceptance_11_preset_determinism(capsys, tmp_path):
     names = ("fig2a", "fig2b", "fig2c", "fig6")
     ok = True

@@ -17,6 +17,8 @@ from bandsim.topology import (make_hexagonal_lattice, make_rectangular_lattice,
                               make_uniform_linear_array,
                               topology_from_positions)
 
+from fixed_point import fixed_point
+
 
 def _state(top, bands, r, active=None, seed=0):
     asg = Assignment(np.asarray(bands), r)
@@ -189,22 +191,6 @@ def test_converged_state_is_nash():
                 assert band_interference(top, asg, act, i, k) >= cur - 1e-9
 
 
-def _is_fixed_point(top, bands, active, r) -> bool:
-    """Best-response certificate recomputed from the positions, not read
-    from a cache: no active cluster could lower its interference by more
-    than REL_TOL times its current level."""
-    diff = top.positions[:, None, :] - top.positions[None, :, :]
-    with np.errstate(divide="ignore"):
-        w = top.p0 / np.sqrt((diff * diff).sum(axis=-1)) ** top.eta
-    np.fill_diagonal(w, 0.0)
-    on_band = (bands[:, None] == np.arange(1, r + 1)[None, :]) \
-        & active[:, None]
-    powers = w @ on_band
-    level = powers[np.arange(bands.size), bands - 1]
-    fixed = level - powers.min(axis=1) <= REL_TOL * level
-    return bool(fixed[active].all())
-
-
 @st.composite
 def _instances(draw):
     """(topology, r, activity) on a random line or a rect/hex lattice."""
@@ -234,7 +220,7 @@ def test_permutation_rounds_stop_on_a_fixed_point(instance, seed):
     cache = InterferenceCache(top, uniform_random_assignment(top.n, r, rng),
                               active, rng=rng)
     cache, _ = run_to_convergence(cache, RandomPermutationRounds())
-    assert _is_fixed_point(top, cache.bands, cache.active, r)
+    assert fixed_point(top, cache.bands, cache.active, r)[0]
 
 
 def _run_with_round_counter(cache, scheduler):
@@ -341,7 +327,7 @@ def test_poisson_clock_stops_on_a_fixed_point():
     cache = InterferenceCache(top, uniform_random_assignment(100, 2, rng),
                               rng=rng)
     cache, _ = run_to_convergence(cache, PoissonClock(0.01))
-    assert _is_fixed_point(top, cache.bands, cache.active, 2)
+    assert fixed_point(top, cache.bands, cache.active, 2)[0]
 
 
 def test_permutation_round_visits_each_active_once():

@@ -20,6 +20,8 @@ from bandsim.topology import (make_hexagonal_lattice,
                               make_uniform_linear_array,
                               topology_from_positions)
 
+from fixed_point import fixed_point
+
 mpmath = pytest.importorskip("mpmath")
 
 
@@ -338,6 +340,46 @@ def test_normalized_optimum_approaches_asymptote():
         values.append(opt / n)
         assert opt / n < limit
     assert values == sorted(values)
+
+
+# Worst best-response fixed point over the exhaustive optimum, i_a/i_o, on
+# the uniform line with r=2 and eta=2 (cap r^(eta-1) = 2), from a census of
+# every labeling with the first band pinned.  The cap is an N -> infinity
+# bound: n = 4, 6 and 8 exceed it, with the labelings given.
+_WORST_RATIO = {3: 1.0, 4: 20.0 / 9.0, 5: 1.8120, 6: 2.0864, 7: 1.8673,
+                8: 2.0181, 9: 1.8751, 10: 1.9749, 11: 1.8797, 12: 1.9451}
+_ABOVE_THE_CAP = {4: [1, 2, 2, 1], 6: [1, 2, 2, 1, 1, 2],
+                  8: [1, 2, 2, 1, 1, 2, 2, 1]}
+
+
+def test_nash_census_exceeds_the_ratio_cap_at_small_n():
+    for n, ratio in _WORST_RATIO.items():
+        top = make_uniform_linear_array(n, 1.0)
+        active = np.ones(n, dtype=bool)
+        _, i_o = brute_force_optimal(top, None, 2)
+        labelings = (np.array((1,) + tail)
+                     for tail in itertools.product((1, 2), repeat=n - 1))
+        worst = max(aggregate_interference(top, Assignment(bands, 2))
+                    for bands in labelings
+                    if fixed_point(top, bands, active, 2)[0])
+        assert worst / i_o == pytest.approx(ratio, abs=5e-5), n
+        assert (worst / i_o > 2.0) == (n in _ABOVE_THE_CAP), n
+        if n in _ABOVE_THE_CAP:
+            bands = np.array(_ABOVE_THE_CAP[n])
+            assert fixed_point(top, bands, active, 2)[0]
+            assert aggregate_interference(top, Assignment(bands, 2)) \
+                == pytest.approx(worst, rel=1e-12)
+    # bound_report flags the n=4 fixed point, and best response lands on it
+    top = make_uniform_linear_array(4, 1.0)
+    ref = reference(top, None, 2)
+    rep = bound_report(ref, Assignment(np.array([1, 2, 2, 1]), 2))
+    assert ref.i_o_kind == "oracle" and ref.ratio_cap == 2.0
+    assert rep.ratio_ao == pytest.approx(20.0 / 9.0, rel=1e-12)
+    assert rep.ratio_cap_ok is False
+    landed = [run_to_convergence(InterferenceCache(
+        top, all_band_one(4, 2), rng=np.random.default_rng(seed)))[0]
+        .bands.tolist() for seed in range(20)]
+    assert [1, 2, 2, 1] in landed or [2, 1, 1, 2] in landed
 
 
 def test_bound_report_oracle_branch():

@@ -13,6 +13,10 @@ benchmark's default run length.  Then writes OUT, one JSON object:
   cpu_features    the CPU features numpy's SIMD dispatch has enabled
   blas            the BLAS section of ``np.show_config(mode="dicts")``
   output_digests  the lines of ``tools/output_digests.py`` on the checkout
+  tree            the checkout's ``git rev-parse HEAD`` as ``commit`` and,
+                  as ``dirty``, whether ``git status --porcelain`` lists
+                  any change: a record made on uncommitted changes names
+                  their base commit and says so
 
 Bit-exact outputs hold only on the same numpy build, SIMD dispatch and
 BLAS kernel, so a record names all three beside its timings.  Exits 1 when
@@ -46,10 +50,22 @@ def output_digests(checkout: Path) -> list[str]:
     return proc.stdout.splitlines()
 
 
+def tree_state(checkout: Path) -> dict:
+    """{"commit", "dirty"} of the git checkout: its HEAD commit and whether
+    its working tree differs from it."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True,
+                              check=True).stdout.strip()
+    return {"commit": git("rev-parse", "HEAD"),
+            "dirty": bool(git("status", "--porcelain"))}
+
+
 def record(checkout: Path, runner=run_perfbench,
-           digests=output_digests) -> dict:
-    """The record of checkout: runner and digests as run_perfbench and
-    output_digests take and return."""
+           digests=output_digests, tree=tree_state) -> dict:
+    """The record of checkout: runner, digests and tree as run_perfbench,
+    output_digests and tree_state take and return."""
+    state = tree(checkout)  # the tree as the runs find it
     runs = {}
     for seed in SEEDS:
         result, lines = runner(checkout, ["--workload", "all",
@@ -63,15 +79,17 @@ def record(checkout: Path, runner=run_perfbench,
             "cpu_features": sorted(k for k, on in __cpu_features__.items()
                                    if on),
             "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
-            "output_digests": digests(checkout)}
+            "output_digests": digests(checkout),
+            "tree": state}
 
 
-def main(argv=None, runner=run_perfbench, digests=output_digests) -> int:
+def main(argv=None, runner=run_perfbench, digests=output_digests,
+         tree=tree_state) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
         print("usage: python3 tools/bench_record.py OUT", file=sys.stderr)
         return 2
-    doc = record(ROOT, runner, digests)
+    doc = record(ROOT, runner, digests, tree)
     Path(argv[0]).write_text(json.dumps(doc, indent=1, sort_keys=True)
                              + "\n", encoding="utf-8")
     return 0 if all(run["result"] for run in doc["runs"].values()) else 1
