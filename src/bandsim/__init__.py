@@ -10,8 +10,7 @@ stochastic behavior under random on/off cluster activity.
 __version__ = "0.1.0"
 
 from .allocation import (PoissonClock, RandomPermutationRounds,
-                         UpdateRecord, apply_update, best_band,
-                         run_to_convergence)
+                         UpdateRecord, apply_update, run_to_convergence)
 from .dynamics import (DynamicsConfig, DynamicsPrediction, SimTrace,
                        SteadyStateStats, ensemble_mean_trace,
                        fit_exponential_decay, lambda_from_alpha,
@@ -23,31 +22,29 @@ from .experiments import (ConfigError, ExperimentConfig, RunResult,
                           parse_config, preset, resolve_out_dir,
                           run_experiment, validate_config)
 from .interference import (Assignment, InterferenceCache,
-                           aggregate_interference, band_interference,
-                           cluster_interference, worst_case_interference)
+                           aggregate_interference, worst_case_interference)
 from .metrics import CapacityReport, capacity_comparison, db_gap, \
     shannon_capacity
 from .oracle import (BoundReport, Reference, alternating_assignment,
                      alternating_limit, bound_report,
-                     brute_force_optimal, canonical_relabel,
-                     lattice_reuse_assignment, reference, riemann_zeta)
+                     brute_force_optimal, lattice_reuse_assignment,
+                     reference, riemann_zeta)
 from .topology import (Topology, make_hexagonal_lattice,
                        make_random_linear_array, make_rectangular_lattice,
                        make_uniform_linear_array, topology_from_json,
-                       topology_from_positions, topology_to_json)
+                       topology_from_positions)
 
 __all__ = [
     "__version__",
     "Topology", "make_uniform_linear_array", "make_random_linear_array",
     "make_rectangular_lattice", "make_hexagonal_lattice",
-    "topology_from_positions", "topology_to_json", "topology_from_json",
+    "topology_from_positions", "topology_from_json",
     "Assignment", "InterferenceCache",
-    "band_interference", "cluster_interference", "aggregate_interference",
-    "worst_case_interference",
+    "aggregate_interference", "worst_case_interference",
     "UpdateRecord", "PoissonClock", "RandomPermutationRounds",
-    "best_band", "apply_update", "run_to_convergence",
+    "apply_update", "run_to_convergence",
     "BoundReport", "alternating_assignment", "lattice_reuse_assignment",
-    "canonical_relabel", "brute_force_optimal", "riemann_zeta",
+    "brute_force_optimal", "riemann_zeta",
     "alternating_limit", "Reference", "reference", "bound_report",
     "DynamicsConfig", "DynamicsPrediction", "SimTrace", "SteadyStateStats",
     "lambda_from_alpha", "stability_margin",

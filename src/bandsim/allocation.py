@@ -32,7 +32,6 @@ __all__ = [
     "UpdateRecord",
     "PoissonClock",
     "RandomPermutationRounds",
-    "best_band",
     "apply_update",
     "default_update_guard",
     "run_to_convergence",
@@ -50,13 +49,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(slots=True)
 class UpdateRecord:
-    """One event: who moved where and the potential before/after."""
+    """One event: who moved where and the potential after it."""
 
     time: float
     cluster: int
     old_band: int
     new_band: int
-    aggregate_before: float
     aggregate_after: float
 
     @property
@@ -65,7 +63,12 @@ class UpdateRecord:
 
 
 def _choose(powers: list[float], current: int) -> int:
-    """best_band's rule over the band powers of a cluster on band current."""
+    """The band a cluster on band current moves to, given its band powers.
+
+    The current band wins unless a strictly better one exists (beyond
+    REL_TOL); among strictly better bands the lowest-interference one is
+    chosen, ties broken by lowest band index.
+    """
     cur_val = powers[current - 1]
     low = min(powers)
     if cur_val - low <= REL_TOL * cur_val:
@@ -73,30 +76,16 @@ def _choose(powers: list[float], current: int) -> int:
     return powers.index(low) + 1
 
 
-def best_band(cache: InterferenceCache, i: int) -> int:
-    """Band with the least measured interference for active cluster i.
-
-    The current band wins unless a strictly better one exists (beyond
-    REL_TOL); among strictly better bands the lowest-interference one is
-    chosen, ties broken by lowest band index.
-    """
-    if not cache.active.item(i):
-        raise ValueError(f"cluster {i} is inactive")
-    return _choose(cache.band_powers(i).tolist(), cache.bands.item(i))
-
-
 def apply_update(cache: InterferenceCache, i: int) -> UpdateRecord:
     """Apply the best-band rule at active cluster i and log the potential
-    change; the cache is written only when the band changes."""
+    after it; the cache is written only when the band changes."""
     if not cache.active.item(i):
         raise ValueError(f"cluster {i} is inactive")
-    before = cache._aggregate
     old = cache.bands.item(i)
     new = _choose(cache._band_power[i].tolist(), old)
-    if new == old:
-        return UpdateRecord(cache.time, i, old, old, before, before)
-    cache.set_band(i, new)
-    return UpdateRecord(cache.time, i, old, new, before, cache._aggregate)
+    if new != old:
+        cache.set_band(i, new)
+    return UpdateRecord(cache.time, i, old, new, cache._aggregate)
 
 
 def _positive_delta_t(self) -> None:
@@ -131,7 +120,6 @@ def default_update_guard(n: int, eta: float) -> int:
 
 
 def run_to_convergence(cache: InterferenceCache, scheduler=None,
-                       max_updates: int | None = None,
                        levels: list | None = None
                        ) -> tuple[InterferenceCache, list[UpdateRecord]]:
     """Run updates under a fixed activity pattern until no cluster moves;
@@ -141,7 +129,8 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     Poisson scheduling after a streak of 2 * n_active events that apply
     none (each event hits any given cluster with chance 1/n_active, so a
     full coverage cannot be certified by a single round).  Raises
-    ConvergenceError beyond max_updates (default 10*N^(eta+2)).
+    ConvergenceError beyond default_update_guard(N, eta) = 10*N^(eta+2)
+    updates.
 
     The scheduler is a setting; the run reads its events from the cache a
     block at a time.  A permutation block is one round,
@@ -162,8 +151,7 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     trace: list[UpdateRecord] = []
     if n_active == 0:
         return cache, trace
-    if max_updates is None:
-        max_updates = default_update_guard(cache.n, cache.topology.eta)
+    guard = default_update_guard(cache.n, cache.topology.eta)
 
     rounds = isinstance(scheduler, RandomPermutationRounds)
     quiet_needed = n_active if rounds else 2 * n_active
@@ -171,19 +159,19 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     update, append = apply_update, trace.append
     while quiet_streak < quiet_needed:
         done = len(trace)
-        if done >= max_updates:
+        if done >= guard:
             raise ConvergenceError(
-                f"no convergence within {max_updates} updates "
+                f"no convergence within {guard} updates "
                 f"(n={cache.n}, eta={cache.topology.eta})")
         if rounds:
             # each round counts its own quiet events: only a whole quiet
-            # round stops the run, never one cut short by max_updates
+            # round stops the run, never one cut short by the guard
             quiet_streak = 0
             clusters = cache.rng.permutation(
-                cache.active_list())[:max_updates - done].tolist()
+                cache.active_list())[:guard - done].tolist()
             gaps = np.full(len(clusters), scheduler.delta_t)
         else:
-            k = min(max_updates - done,
+            k = min(guard - done,
                     max(quiet_needed - quiet_streak, interference.DRAW_BLOCK))
             gaps = scheduler.delta_t * cache.rng.standard_exponential(k)
             clusters = cache.picks_of(cache.pick_uniforms(k))

@@ -154,7 +154,6 @@ class SimTrace:
 class DynamicsPrediction:
     """Steady-state prediction at a given operating level i_a."""
 
-    rho: float
     margin: float
     sigma_ss_sq: float
 
@@ -237,7 +236,7 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, seed: int,
                 cache.apply_flips(cols[lo:hi], flip_rows[lo:hi], masks[e])
             i = picks[e]
             records.append(apply_update(cache, i) if i >= 0
-                           else UpdateRecord(t, -1, 0, 0, 0.0, 0.0))
+                           else UpdateRecord(t, -1, 0, 0, 0.0))
         active_counts += counts
 
     return replica_trace(records, a0, active_counts, n, cfg.delta_t,
@@ -369,7 +368,7 @@ def predicted_variance(i_a: float, alpha: float,
     margin = stability_margin(alpha, rho)
     sigma = (i_a * i_a * margin / (1.0 - margin) if margin < 1.0
              else math.inf)
-    return DynamicsPrediction(rho=rho, margin=margin, sigma_ss_sq=sigma)
+    return DynamicsPrediction(margin=margin, sigma_ss_sq=sigma)
 
 
 @dataclass
@@ -387,8 +386,6 @@ class SteadyStateStats:
     mean: float
     variance: float
     within: float
-    replicas: int
-    samples_per_replica: int
 
 
 def steady_state_stats(traces: list[SimTrace],
@@ -414,7 +411,4 @@ def steady_state_stats(traces: list[SimTrace],
     grand = float(rep_means.mean())
     within = float(np.mean(rows.var(axis=1)))
     between = float(np.mean((rep_means - grand) ** 2))
-    return SteadyStateStats(mean=grand, variance=between,
-                            within=within,
-                            replicas=len(traces),
-                            samples_per_replica=int(grid.size))
+    return SteadyStateStats(mean=grand, variance=between, within=within)

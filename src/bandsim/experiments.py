@@ -485,6 +485,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
                            strict_min=0.0)
         if scheduler_kind == "permutation":
             ctx.err("scheduler.kind", "dynamics experiments need 'poisson'")
+    if experiment == "relaxation" and bands == 1:
+        # with one band the worst case is the converged state: no decay
+        ctx.err("bands", "a relaxation run needs at least 2 bands")
     if experiment == "variance":
         warmup = _get_num(ctx, doc, "config", "warmup", minimum=0.0)
         raw_rates = doc.get("rates")
@@ -722,8 +725,9 @@ def _build_topology(cfg: ExperimentConfig, size=None) -> tuple[Topology, tuple |
     """Topology plus (kind, rows, cols) when a lattice (for the reuse
     reference); a geometry that cannot be built, or that the host's memory
     cannot hold, is a ConfigError on topology, a file that holds no valid
-    topology one on topology.path.  Then checks the run's scales on it
-    (_check_scales)."""
+    topology one on topology.path.  A relaxation run on fewer than 2
+    clusters has no decay to fit: a ConfigError on topology.  Then checks
+    the run's scales on it (_check_scales)."""
     p = cfg.topology_params
     kind = cfg.topology_kind
     lattice = None
@@ -754,6 +758,9 @@ def _build_topology(cfg: ExperimentConfig, size=None) -> tuple[Topology, tuple |
     except MemoryError as exc:
         raise ConfigError([f"topology: does not fit in memory: {exc}"]) \
             from exc
+    if cfg.experiment == "relaxation" and top.n < 2:
+        raise ConfigError([f"topology: a relaxation run needs at least 2 "
+                           f"clusters, got {top.n}"])
     _check_scales(cfg, top.n)
     return top, lattice
 

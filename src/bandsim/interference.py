@@ -26,8 +26,6 @@ __all__ = [
     "activity_mask",
     "check_assignment",
     "weight_matrix",
-    "band_interference",
-    "cluster_interference",
     "aggregate_interference",
     "worst_case_interference",
     "DRAW_BLOCK",
@@ -98,29 +96,10 @@ def check_assignment(top: Topology, asg: Assignment) -> None:
         raise ValueError(f"assignment length {asg.n} != topology size {top.n}")
 
 
-def band_interference(top: Topology, asg: Assignment, act: np.ndarray | None,
-                      i: int, k: int) -> float:
-    """Power cluster i would receive on band k from active co-band others."""
-    check_assignment(top, asg)
-    active = activity_mask(top, act)
-    if not 0 <= i < top.n:
-        raise ValueError(f"cluster index {i} out of range")
-    if not 1 <= k <= asg.r:
-        raise ValueError(f"band {k} out of range 1..{asg.r}")
-    mask = active & (asg.bands == k)
-    mask[i] = False
-    return float(weight_matrix(top)[i][mask].sum())
-
-
-def cluster_interference(top: Topology, asg: Assignment,
-                         act: np.ndarray | None, i: int) -> float:
-    """Interference cluster i experiences on its own band."""
-    return band_interference(top, asg, act, i, int(asg.bands[i]))
-
-
 def aggregate_interference(top: Topology, asg: Assignment,
                            act: np.ndarray | None = None) -> float:
-    """Sum of cluster_interference over active clusters.
+    """Sum over active clusters of the power each receives on its own band
+    from active co-band others.
 
     By reciprocity this is twice the sum over unordered active co-band pairs.
     """
@@ -156,7 +135,7 @@ class InterferenceCache:
     equals onehot[j] * -1.0 bit for bit.  Activity changes only through
     apply_flips, which adds the flipped clusters' weights in one product
     with their signed band rows, O(N*k*r) for k flips, and adopts the new
-    mask; set_active and toggle_active call it.  The aggregate is kept
+    mask; set_active flips one cluster through it.  The aggregate is kept
     as a running value: by reciprocity a switch of active cluster i changes
     it by 2*(P[i,new] - P[i,old]).  Activity changes and rebuild() re-sum it
     exactly.  The ascending list of active indices is cached between
@@ -314,17 +293,13 @@ class InterferenceCache:
         self._activity_changed()
 
     def set_active(self, i: int, on: bool) -> None:
-        if self.active.item(i) != bool(on):
-            self.toggle_active(np.array([i]))
-
-    def toggle_active(self, idx: np.ndarray) -> None:
-        """Flip the activity of the clusters at the indices idx (distinct)
-        as one apply_flips update."""
-        if idx.size == 0:
-            return
-        mask = self.active.copy()
-        mask[idx] = ~mask[idx]
-        self.apply_flips(idx, np.where(mask[idx], idx, idx + self.n), mask)
+        """Turn cluster i on or off as a one-flip apply_flips update."""
+        on = bool(on)
+        if self.active.item(i) != on:
+            mask = self.active.copy()
+            mask[i] = on
+            self.apply_flips(np.array([i]),
+                             np.array([i if on else i + self.n]), mask)
 
     def assignment(self) -> Assignment:
         return Assignment(self.bands.copy(), self.r)

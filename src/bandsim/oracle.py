@@ -27,7 +27,6 @@ __all__ = [
     "OracleCapacityError",
     "alternating_assignment",
     "lattice_reuse_assignment",
-    "canonical_relabel",
     "brute_force_optimal",
     "riemann_zeta",
     "alternating_limit",
@@ -85,19 +84,6 @@ def lattice_reuse_assignment(rows: int, cols: int, r: int,
     else:
         raise ValueError(f"no 1:{r} reuse pattern defined (r must be 2 or 4)")
     return Assignment(bands.ravel().astype(np.int64), r)
-
-
-def canonical_relabel(asg: Assignment) -> Assignment:
-    """Relabel bands by first occurrence so equivalent assignments compare
-    equal (band names carry no physics)."""
-    mapping: dict[int, int] = {}
-    out = np.empty_like(asg.bands)
-    for pos, b in enumerate(asg.bands):
-        key = int(b)
-        if key not in mapping:
-            mapping[key] = len(mapping) + 1
-        out[pos] = mapping[key]
-    return Assignment(out, asg.r)
 
 
 def brute_force_optimal(top: Topology, act: np.ndarray | None, r: int

@@ -24,9 +24,7 @@ __all__ = [
     "make_rectangular_lattice",
     "make_hexagonal_lattice",
     "topology_from_positions",
-    "topology_to_json",
     "topology_from_json",
-    "save_topology",
     "load_topology",
 ]
 
@@ -223,19 +221,6 @@ def _beyond_float(v) -> bool:
     return type(v) is int and abs(v) > sys.float_info.max
 
 
-def topology_to_json(top: Topology) -> str:
-    """Serialize as {"positions": [[...], ...], "p0": f, "eta": f}.
-
-    The distance matrix is never stored; it is recomputed on load.
-    """
-    doc = {
-        "positions": [[float(v) for v in row] for row in top.positions],
-        "p0": top.p0,
-        "eta": top.eta,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
 def topology_from_json(text: str) -> Topology:
     try:
         doc = json.loads(text)
@@ -268,12 +253,6 @@ def topology_from_json(text: str) -> Topology:
         if _beyond_float(doc[key]):
             raise TopologyError(f"'{key}' must lie within the float range")
     return topology_from_positions(positions, doc["p0"], doc["eta"])
-
-
-def save_topology(top: Topology, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(topology_to_json(top))
-        fh.write("\n")
 
 
 def load_topology(path) -> Topology:

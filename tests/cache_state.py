@@ -1,4 +1,5 @@
-"""One rule for comparing the state of `InterferenceCache` objects in tests."""
+"""Rules for comparing and flipping the state of `InterferenceCache`
+objects in tests."""
 
 import numpy as np
 
@@ -30,3 +31,13 @@ def assert_same_state(got, want):
     assert got.keys() == want.keys()
     for name, value in want.items():
         assert got[name] == value, name
+
+
+def toggle_active(cache, idx) -> None:
+    """Flip the activity of cache's clusters at the indices idx (distinct)
+    as one apply_flips update."""
+    if idx.size == 0:
+        return
+    mask = cache.active.copy()
+    mask[idx] = ~mask[idx]
+    cache.apply_flips(idx, np.where(mask[idx], idx, idx + cache.n), mask)

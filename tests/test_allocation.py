@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandsim import interference
+from bandsim import allocation, interference
 from bandsim.allocation import (REL_TOL, ConvergenceError, PoissonClock,
-                                RandomPermutationRounds,
-                                apply_update, best_band,
+                                RandomPermutationRounds, apply_update,
                                 default_update_guard, run_to_convergence)
 from bandsim.interference import (Assignment, InterferenceCache,
-                                  aggregate_interference,
-                                  all_band_one, band_interference,
+                                  aggregate_interference, all_band_one,
                                   uniform_random_assignment)
 from bandsim.topology import (make_hexagonal_lattice, make_rectangular_lattice,
                               make_uniform_linear_array,
                               topology_from_positions)
 
 from fixed_point import fixed_point
+from reference import band_interference
 
 
 def _state(top, bands, r, active=None, seed=0):
@@ -30,7 +29,7 @@ def test_best_band_moves_off_crowded_band():
     top = make_uniform_linear_array(3, 1.0)
     state = _state(top, [1, 1, 1], 2)
     # middle cluster sees 2 units on band 1, none on band 2
-    assert best_band(state, 1) == 2
+    assert apply_update(state, 1).new_band == 2
 
 
 def test_best_band_keeps_current_on_exact_tie():
@@ -38,23 +37,23 @@ def test_best_band_keeps_current_on_exact_tie():
     top = make_uniform_linear_array(3, 1.0)
     state = _state(top, [1, 1, 2], 2)
     # cluster 1: band 1 has cluster 0 at d=1, band 2 has cluster 2 at d=1
-    assert best_band(state, 1) == 1
+    assert apply_update(state, 1).new_band == 1
     state = _state(top, [2, 1, 1], 2)
-    assert best_band(state, 1) == 1
+    assert apply_update(state, 1).new_band == 1
 
 
 def test_best_band_requires_strict_improvement():
     # a tiny sub-tolerance advantage must not trigger a switch
     top = topology_from_positions([[0.0], [1.0], [2.0 + 1e-13]])
     state = _state(top, [1, 1, 2], 2)
-    assert best_band(state, 1) == 1
+    assert apply_update(state, 1).new_band == 1
 
 
 def test_best_band_prefers_lowest_index_among_ties():
     # bands 2 and 3 are both empty; band 1 is crowded
     top = make_uniform_linear_array(3, 1.0)
     state = _state(top, [1, 1, 1], 3)
-    assert best_band(state, 1) == 2
+    assert apply_update(state, 1).new_band == 2
 
 
 def test_best_band_ties_at_high_power():
@@ -65,20 +64,14 @@ def test_best_band_ties_at_high_power():
     top = topology_from_positions([[0.0], [1.0], [-1.5], [-2.0], [2.0]],
                                   p0=p0)
     state = _state(top, [4, 4, 1, 2, 3], 4)
-    assert best_band(state, 0) == 2
+    assert apply_update(state, 0).new_band == 2
     # band 2 beats the current band by 0.5*REL_TOL relative: keep band 1;
     # by 2*REL_TOL: switch
     for gain, expected in ((0.5 * REL_TOL, 1), (2.0 * REL_TOL, 2)):
         d = (1.0 - gain) ** -0.5
         top = topology_from_positions([[0.0], [1.0], [-d]], p0=p0)
-        assert best_band(_state(top, [1, 1, 2], 2), 0) == expected
-
-
-def test_best_band_rejects_inactive():
-    top = make_uniform_linear_array(3, 1.0)
-    state = _state(top, [1, 1, 1], 2, active=[True, False, True])
-    with pytest.raises(ValueError, match="inactive"):
-        best_band(state, 1)
+        rec = apply_update(_state(top, [1, 1, 2], 2), 0)
+        assert rec.new_band == expected
 
 
 def test_apply_update_rejects_inactive():
@@ -98,9 +91,8 @@ def test_apply_update_records_potential_change():
     assert rec.switched
     assert rec.old_band == 1
     assert rec.new_band == 2
-    assert rec.aggregate_before == pytest.approx(before)
     assert rec.aggregate_after == pytest.approx(state.aggregate())
-    assert rec.aggregate_after < rec.aggregate_before
+    assert rec.aggregate_after < before
 
 
 def test_apply_update_quiet_leaves_the_cache_bitwise_unchanged():
@@ -138,7 +130,7 @@ def test_single_active_cluster_never_switches():
     top = make_uniform_linear_array(4, 1.0)
     state = _state(top, [1, 2, 2, 2], 2,
                    active=[True, False, False, False])
-    assert best_band(state, 0) == 1
+    assert apply_update(state, 0).new_band == 1
 
 
 def test_every_switch_lowers_the_aggregate():
@@ -160,15 +152,15 @@ def test_every_switch_lowers_the_aggregate():
             top, asg, active,
             rng=np.random.default_rng(int(rng.integers(1 << 30))))
         sched = (PoissonClock(0.1) if trial % 2 else RandomPermutationRounds())
+        # the potential before each event is the previous row's, or the
+        # cache's before the run for the first
+        agg = state.aggregate()
         state, records = run_to_convergence(state, sched)
-        agg = None
         for rec in records:
             if rec.switched:
-                assert rec.aggregate_after < rec.aggregate_before
+                assert rec.aggregate_after < agg
             else:
-                assert rec.aggregate_after == pytest.approx(rec.aggregate_before)
-            if agg is not None:
-                assert rec.aggregate_before == pytest.approx(agg)
+                assert rec.aggregate_after == agg
             agg = rec.aggregate_after
 
 
@@ -379,14 +371,15 @@ def test_scheduler_validation():
         RandomPermutationRounds(0.0)
 
 
-def test_permutation_rounds_reused_after_a_convergence_error():
-    # a scheduler is a setting: a round cut short by max_updates is not
-    # resumed on the next cache
+def test_permutation_rounds_reused_after_a_convergence_error(monkeypatch):
+    # a scheduler is a setting: a round cut short by the update guard is
+    # not resumed on the next cache
     top = make_uniform_linear_array(10, 1.0)
     sched = RandomPermutationRounds()
-    with pytest.raises(ConvergenceError):
-        run_to_convergence(_state(top, [1] * 10, 2, seed=3), sched,
-                           max_updates=3)
+    with monkeypatch.context() as m:
+        m.setattr(allocation, "default_update_guard", lambda n, eta: 3)
+        with pytest.raises(ConvergenceError):
+            run_to_convergence(_state(top, [1] * 10, 2, seed=3), sched)
     active = [True, True] + [False] * 8
     runs = [run_to_convergence(_state(top, [1] * 10, 2, active=active,
                                       seed=1), s)[1]
@@ -413,11 +406,14 @@ def test_run_to_convergence_poisson_quiet_streak():
     assert any(rec.switched for rec in records)
 
 
-def test_run_to_convergence_guard_raises():
+def test_run_to_convergence_guard_raises(monkeypatch):
+    monkeypatch.setattr(allocation, "default_update_guard",
+                        lambda n, eta: 3)
     top = make_uniform_linear_array(10, 1.0)
     state = _state(top, [1] * 10, 2, seed=5)
-    with pytest.raises(ConvergenceError):
-        run_to_convergence(state, max_updates=3)
+    with pytest.raises(ConvergenceError,
+                       match="no convergence within 3 updates"):
+        run_to_convergence(state)
 
 
 def test_default_update_guard_value():

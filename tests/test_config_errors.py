@@ -217,6 +217,11 @@ CASES = {
          "alpha": 1.0, "horizon": 0},
         ['config.alpha: unknown key',
          'config.horizon: must be > 0.0, got 0']),
+    "relaxation_one_band": (
+        {"experiment": "relaxation",
+         "topology": {"kind": "ula", "n": 6, "d": 1.0},
+         "bands": 1, "base_seed": 1, "scheduler": P, "horizon": 1.0},
+        ['bands: a relaxation run needs at least 2 bands']),
     "variance": (
         {"experiment": "variance",
          "topology": {"kind": "ula", "n": 6, "d": 1.0},
@@ -447,4 +452,35 @@ def test_cache_beyond_memory_is_a_config_error(tmp_path, capsys,
         tmp_path, capsys, _ula(experiment, 10, 0.05, **settings))
     # validate builds no cache
     assert (code, report["valid"]) == (0, True)
+    assert run_code == 1 and err == [f"config error: {line}"]
+
+
+def _one_cluster_file(tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"positions": [[0.0]], "p0": 1.0,
+                                "eta": 2.0}), encoding="utf-8")
+    return {"kind": "file", "path": str(path)}
+
+
+# relaxation configs whose worst case is already converged, so the decay
+# has nothing to fit: one band, or one cluster
+_NO_DECAY = {
+    "one_band": (
+        lambda tmp_path: _ula("relaxation", 10, 0.05, bands=1, replicas=3,
+                              horizon=0.5),
+        "bands: a relaxation run needs at least 2 bands"),
+    "one_cluster": (
+        lambda tmp_path: {**_ula("relaxation", 10, 0.05, replicas=3,
+                                 horizon=0.5),
+                          "topology": _one_cluster_file(tmp_path)},
+        "topology: a relaxation run needs at least 2 clusters, got 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NO_DECAY))
+def test_relaxation_without_decay_is_a_config_error(tmp_path, capsys, name):
+    make, line = _NO_DECAY[name]
+    code, report, run_code, err = _validate_and_run(tmp_path, capsys,
+                                                    make(tmp_path))
+    assert (code, report["valid"], report["errors"]) == (1, False, [line])
     assert run_code == 1 and err == [f"config error: {line}"]

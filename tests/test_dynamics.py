@@ -438,8 +438,6 @@ def test_steady_state_stats_hand_case():
     assert stats.mean == pytest.approx(2.0)
     assert stats.variance == pytest.approx(1.0)
     assert stats.within == 0.0
-    assert stats.replicas == 2
-    assert stats.samples_per_replica == 10
 
 
 def test_steady_state_stats_normalizes_by_n():

@@ -1,15 +1,19 @@
-"""The package's export lists name only what exists, and every name the
-package re-exports from a module is one that module exports itself."""
+"""The package's export lists name only what exists, every name the
+package re-exports from a module is one that module exports itself, and
+every exported name has a reader outside the tests."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import bandsim
 
+_ROOT = Path(__file__).resolve().parents[1]
 _MODULES = [importlib.import_module(f"bandsim.{info.name}")
             for info in pkgutil.iter_modules(bandsim.__path__)]
 
@@ -31,3 +35,39 @@ def test_reexports_are_exported_by_their_home_module():
                       if alias.name in bandsim.__all__
                       and alias.name not in home.__all__]
     assert stray == []
+
+
+def _reads(code: str) -> set[str]:
+    """Every name that code reads: its Name ids and Attribute names.  A
+    def, a class or an __all__ string is no read, nor is an import."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(code))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _readers() -> set[str]:
+    """Names read by the library code, by a README python block, or by
+    the benchmark tracer's SPANS (which wraps them by name)."""
+    names = set()
+    for path in Path(bandsim.__file__).parent.glob("*.py"):
+        names |= _reads(path.read_text(encoding="utf-8"))
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    for code in re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S):
+        names |= _reads(code)
+    spec = importlib.util.spec_from_file_location(
+        "tracer", _ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for entries in tracer.SPANS.values():
+        for _, attr in entries:  # methods are "Class.method"
+            names.update(attr.split("."))
+    return names
+
+
+def test_every_exported_name_has_a_reader_outside_the_tests():
+    readers = _readers()
+    unread = sorted({f"{mod.__name__}.{name}"
+                     for mod in [bandsim] + _MODULES
+                     for name in getattr(mod, "__all__", ())
+                     if name not in readers})
+    assert unread == []

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from bandsim import interference, metrics, oracle
 from bandsim.interference import (Assignment, InterferenceCache,
                                   activity_mask, aggregate_interference,
-                                  all_band_one, band_interference,
-                                  cluster_interference,
+                                  all_band_one,
                                   uniform_random_assignment, weight_matrix,
                                   worst_case_interference)
 from bandsim.metrics import capacity_comparison, shannon_capacity
@@ -14,7 +13,8 @@ from bandsim.topology import (make_rectangular_lattice,
                               make_uniform_linear_array,
                               topology_from_positions)
 
-from cache_state import assert_same_state
+from cache_state import assert_same_state, toggle_active
+from reference import band_interference
 
 # frozen reference values for the 100-cluster unit-spacing line, eta = 2
 I_ALT_100 = 76.75743134274704
@@ -75,7 +75,7 @@ def test_aggregate_is_sum_of_cluster_terms():
     rng = np.random.default_rng(3)
     asg = uniform_random_assignment(9, 3, rng)
     act = rng.random(9) < 0.7
-    total = sum(cluster_interference(top, asg, act, i)
+    total = sum(band_interference(top, asg, act, i, int(asg.bands[i]))
                 for i in range(9) if act[i])
     assert aggregate_interference(top, asg, act) == pytest.approx(total)
 
@@ -97,7 +97,7 @@ def test_inactive_clusters_do_not_interfere():
     asg = all_band_one(3, 2)
     act = np.array([True, False, True])
     # cluster 1 is off: cluster 0 only sees cluster 2 at distance 2
-    assert cluster_interference(top, asg, act, 0) == pytest.approx(0.25)
+    assert band_interference(top, asg, act, 0, 1) == pytest.approx(0.25)
     assert aggregate_interference(top, asg, act) == pytest.approx(0.5)
 
 
@@ -120,8 +120,6 @@ def test_activity_mask():
 
 
 _MASK_USERS = {
-    "band_interference": lambda top, asg, act:
-        band_interference(top, asg, act, 0, 1),
     "aggregate_interference": aggregate_interference,
     "worst_case_interference": lambda top, asg, act:
         worst_case_interference(top, act),
@@ -163,16 +161,10 @@ def test_activity_of_the_wrong_length_is_rejected_before_any_work(
     assert work == []
 
 
-def test_band_interference_argument_checks():
+def test_aggregate_rejects_an_assignment_of_the_wrong_length():
     top = make_uniform_linear_array(3, 1.0)
-    asg = all_band_one(3, 2)
-    with pytest.raises(ValueError):
-        band_interference(top, asg, None, 3, 1)
-    with pytest.raises(ValueError):
-        band_interference(top, asg, None, 0, 3)
-    with pytest.raises(ValueError):
-        band_interference(top, asg, None, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="assignment length 4 != topology "
+                                         "size 3"):
         aggregate_interference(top, all_band_one(4, 2))
 
 
@@ -211,7 +203,8 @@ def test_cache_matches_full_recompute_under_mutation():
             aggregate_interference(top, ref_asg, ref_act), rel=1e-12, abs=1e-12)
         j = int(rng.integers(0, 16))
         assert cache.own_band_interference()[j] == pytest.approx(
-            cluster_interference(top, ref_asg, ref_act, j),
+            band_interference(top, ref_asg, ref_act, j,
+                              int(ref_asg.bands[j])),
             rel=1e-12, abs=1e-12)
         k = int(rng.integers(1, 4))
         assert cache.band_powers(j)[k - 1] == pytest.approx(
@@ -236,7 +229,8 @@ def test_cache_own_band_vector():
     asg = Assignment(np.array([1, 1, 2, 2]), 2)
     cache = InterferenceCache(top, asg)
     own = cache.own_band_interference()
-    expected = [cluster_interference(top, asg, None, i) for i in range(4)]
+    expected = [band_interference(top, asg, None, i, int(asg.bands[i]))
+                for i in range(4)]
     assert np.allclose(own, expected)
 
 
@@ -278,7 +272,7 @@ def _assert_matches_recompute(cache, top, tol=1e-12):
             assert abs(cache.band_powers(j)[k - 1] - ref) \
                 <= tol * max(1.0, abs(ref))
         if cache.active[j]:
-            ref = cluster_interference(top, asg, act, j)
+            ref = band_interference(top, asg, act, j, int(asg.bands[j]))
             assert abs(cache.own_band_interference()[j] - ref) \
                 <= tol * max(1.0, abs(ref))
     # the per-band state set_band keeps and the cached active list are
@@ -369,7 +363,7 @@ def test_cache_interleaved_updates_match_recompute(cells, bands, active, ops):
         elif op[0] == "active":
             cache.set_active(op[1], op[2])
         else:
-            cache.toggle_active(np.flatnonzero(op[1]))
+            toggle_active(cache, np.flatnonzero(op[1]))
         _assert_matches_recompute(cache, top)
 
 
@@ -382,7 +376,7 @@ def test_batched_flips_equal_single_toggles():
     single = InterferenceCache(top, asg, act)
     for _ in range(50):
         flips = rng.random(30) < 0.2
-        batched.toggle_active(np.flatnonzero(flips))
+        toggle_active(batched, np.flatnonzero(flips))
         for j in np.flatnonzero(flips):
             single.set_active(int(j), not single.active[j])
         assert np.array_equal(batched.active, single.active)
@@ -393,7 +387,7 @@ def test_batched_flips_equal_single_toggles():
         assert batched.aggregate() == pytest.approx(single.aggregate(),
                                                     rel=1e-12, abs=1e-12)
         _assert_matches_recompute(batched, top)
-    batched.toggle_active(np.array([], dtype=np.int64))
+    toggle_active(batched, np.array([], dtype=np.int64))
     assert np.array_equal(batched.active, single.active)
 
 
@@ -468,7 +462,7 @@ def test_flip_step_is_bitwise_the_column_gather_product(data, r, cells):
         else:
             idx = np.flatnonzero(op[1])
             if op[0] == "toggle":
-                cache.toggle_active(idx)
+                toggle_active(cache, idx)
             else:
                 mask = cache.active ^ np.array(op[1])
                 cache.apply_flips(idx, np.where(mask[idx], idx, idx + n),
@@ -478,7 +472,7 @@ def test_flip_step_is_bitwise_the_column_gather_product(data, r, cells):
         assert _same_bits(cache._band_power, ref.power)
         assert cache.aggregate() == ref.aggregate
     full = np.arange(n)
-    cache.toggle_active(full)
+    toggle_active(cache, full)
     ref.flip(full)
     assert _same_bits(cache._band_power, ref.power)
     assert cache.aggregate() == ref.aggregate

@@ -12,8 +12,8 @@ from bandsim.interference import (Assignment, InterferenceCache,
 from bandsim.oracle import (BoundReport, OracleCapacityError,
                             alternating_assignment, alternating_limit,
                             bound_report, brute_force_optimal,
-                            canonical_relabel, lattice_reuse_assignment,
-                            reference, riemann_zeta)
+                            lattice_reuse_assignment, reference,
+                            riemann_zeta)
 from bandsim.oracle import _BLOCK_TERMS, _pair_sums
 from bandsim.topology import (make_hexagonal_lattice,
                               make_rectangular_lattice,
@@ -21,6 +21,7 @@ from bandsim.topology import (make_hexagonal_lattice,
                               topology_from_positions)
 
 from fixed_point import fixed_point
+from reference import canonical_relabel
 
 mpmath = pytest.importorskip("mpmath")
 
