@@ -1,9 +1,7 @@
 """Cluster geometry: linear arrays, lattices, random placements.
 
-A Topology is an immutable set of cluster positions with a precomputed dense
-distance matrix and the path-loss parameters attached.  O(N^2) memory is
-deliberate: the update inner loops need O(1) distance lookups and N stays in
-the thousands at most.
+A Topology is an immutable set of cluster positions with the path-loss
+parameters and one dense N x N weight matrix, which the update loops read.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,21 +38,21 @@ class Topology:
     """Immutable cluster placement.
 
     positions : (n, dim) array, dim 1 or 2
-    dist      : (n, n) symmetric distance matrix, zero diagonal
+    weights   : (n, n) path-loss weights p0/dist**eta, zero diagonal
     p0        : reference received power at unit distance, > 0
     eta       : path-loss exponent, >= 1
-    min_sep   : smallest pairwise distance (inf for a single cluster)
 
-    The path-loss weight matrix is derived from these when the topology is
-    built, checked to stay in the float range, and kept with it (see
-    ``weights``).
+    Both arrays are read-only; the weights are checked to stay in the float
+    range.  They are exactly symmetric, w[i, j] == w[j, i] bit for bit,
+    because the distances are: floating-point a - b is exactly -(b - a), so
+    a distance and its mirror square and sum the same values.
+    InterferenceCache relies on this when it reads rows for columns.
     """
 
     positions: np.ndarray
-    dist: np.ndarray
+    weights: np.ndarray
     p0: float
     eta: float
-    min_sep: float
 
     @property
     def n(self) -> int:
@@ -65,34 +62,33 @@ class Topology:
     def dim(self) -> int:
         return self.positions.shape[1]
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Read-only path-loss weights p0/dist**eta with a zero diagonal,
-        computed once per topology.
-
-        The matrix is exactly symmetric, w[i, j] == w[j, i] bit for bit,
-        because dist is: floating-point a - b is exactly -(b - a), so a
-        distance and its mirror square and sum the same values.
-        InterferenceCache relies on this when it reads weight rows in place
-        of weight columns."""
-        with np.errstate(divide="ignore"):
-            w = self.p0 / self.dist ** self.eta
-        np.fill_diagonal(w, 0.0)
-        w.setflags(write=False)
-        return w
+    @property
+    def dist(self) -> np.ndarray:
+        """Pairwise distances, recomputed from the positions on each read
+        (a ULA's weights use exact index gaps |i-j|*d instead)."""
+        return _pairwise_distances(self.positions)
 
 
 def _pairwise_distances(positions: np.ndarray) -> np.ndarray:
+    """|x_i - x_j| in 1-D, else the root of the summed squares, in a new
+    array."""
+    x = positions[:, 0]
+    dist = np.subtract.outer(x, x)
     if positions.shape[1] == 1:
-        x = positions[:, 0]
-        return np.abs(x[:, None] - x[None, :])
-    diff = positions[:, None, :] - positions[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+        return np.abs(dist, out=dist)
+    dist *= dist
+    y = positions[:, 1]
+    dy = np.subtract.outer(y, y)
+    dy *= dy
+    dist += dy
+    return np.sqrt(dist, out=dist)
 
 
-def _build(positions: np.ndarray, p0: float, eta: float,
+def _build(positions, p0: float, eta: float,
            dist: np.ndarray | None = None) -> Topology:
-    positions = np.asarray(positions, dtype=float)
+    # a copy, so no array of the caller's can move the frozen positions; a
+    # given dist is a new float64 array that becomes the weights in place
+    positions = np.array(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] not in (1, 2):
         raise TopologyError("positions must be an (n, 1) or (n, 2) array")
     n = positions.shape[0]
@@ -104,39 +100,41 @@ def _build(positions: np.ndarray, p0: float, eta: float,
         raise TopologyError(f"p0 must be finite and > 0, got {p0}")
     if not (1 <= eta < math.inf):
         raise TopologyError(f"eta must be finite and >= 1, got {eta}")
-    if dist is None:
-        dist = _pairwise_distances(positions)
-    off_diag = dist[~np.eye(n, dtype=bool)]
-    min_sep = float(off_diag.min()) if off_diag.size else math.inf
-    if off_diag.size and min_sep <= 0:
+    p0, eta = float(p0), float(eta)
+    w = _pairwise_distances(positions) if dist is None else dist
+    farthest = w.max()
+    # an infinite self-distance gives the exact zero self-weight below
+    np.fill_diagonal(w, math.inf)
+    if not w.min() > 0:
         raise TopologyError("coincident clusters (zero pairwise distance)")
-    positions.setflags(write=False)
-    dist.setflags(write=False)
-    top = Topology(positions, dist, float(p0), float(eta), min_sep)
     # every aggregate is a partial sum of the weights: a finite total keeps
     # them all finite, and a positive farthest weight keeps each pair in
     with np.errstate(over="ignore", divide="ignore"):
-        if off_diag.size and not (p0 / off_diag.max() ** eta > 0):
+        if n > 1 and not (p0 / farthest ** eta > 0):
             raise TopologyError(
                 f"path-loss weight p0/dist**eta underflows to 0 at the "
-                f"largest distance {float(off_diag.max())}")
-        if not np.isfinite(top.weights.sum()):
+                f"largest distance {float(farthest)}")
+        w **= eta
+        np.divide(p0, w, out=w)
+        if not np.isfinite(w.sum()):
             raise TopologyError(
                 "path-loss weights p0/dist**eta sum beyond the float range")
-    return top
+    positions.setflags(write=False)
+    w.setflags(write=False)
+    return Topology(positions, w, p0, eta)
 
 
 def topology_from_positions(positions, p0: float = 1.0, eta: float = 2.0) -> Topology:
     """Build a Topology from explicit coordinates (list of 1-D or 2-D points)."""
-    return _build(np.asarray(positions, dtype=float), p0, eta)
+    return _build(positions, p0, eta)
 
 
 def make_uniform_linear_array(n: int, d: float, p0: float = 1.0,
                               eta: float = 2.0) -> Topology:
     """Collinear clusters at 0, d, 2d, ..., (n-1)d.
 
-    dist[i][j] equals |i-j|*d exactly (computed from integer index gaps, not
-    from coordinate differences).
+    Weight w[i][j] is p0/(|i-j|*d)**eta with |i-j|*d exact: the distance is
+    computed from integer index gaps, not from coordinate differences.
     """
     if n < 2:
         raise TopologyError(f"uniform linear array needs n >= 2, got {n}")
@@ -145,7 +143,8 @@ def make_uniform_linear_array(n: int, d: float, p0: float = 1.0,
     _check_size(n)
     idx = np.arange(n)
     positions = (idx * d).reshape(n, 1).astype(float)
-    dist = np.abs(idx[:, None] - idx[None, :]) * float(d)
+    dist = _pairwise_distances(idx.reshape(n, 1).astype(float))
+    dist *= d
     return _build(positions, p0, eta, dist=dist)
 
 

@@ -4,6 +4,8 @@ import numpy as np
 
 from bandsim.allocation import REL_TOL
 
+from reference import path_loss_weights
+
 
 def fixed_point(top, bands, active, r) -> tuple[bool, float]:
     """(certified, margin) of the labeling bands (1..r) under the activity
@@ -12,10 +14,7 @@ def fixed_point(top, bands, active, r) -> tuple[bool, float]:
     cluster could lower its interference by more than REL_TOL times its
     current level.  margin: the smallest gap, over active clusters, from a
     cluster's own band power up to any other band's (inf when none)."""
-    diff = top.positions[:, None, :] - top.positions[None, :, :]
-    with np.errstate(divide="ignore"):
-        w = top.p0 / np.sqrt((diff * diff).sum(axis=-1)) ** top.eta
-    np.fill_diagonal(w, 0.0)
+    w = path_loss_weights(top)
     cols = np.asarray(bands)[:, None] == np.arange(1, r + 1)[None, :]
     powers = w @ (cols & active[:, None])
     level = powers[cols]

@@ -21,7 +21,7 @@ from bandsim.topology import (make_hexagonal_lattice,
                               topology_from_positions)
 
 from fixed_point import fixed_point
-from reference import canonical_relabel
+from reference import canonical_relabel, pairwise_distances
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -75,7 +75,7 @@ def test_lattice_reuse_patterns():
 def _min_coband_distance(top, asg):
     co = asg.bands[:, None] == asg.bands[None, :]
     np.fill_diagonal(co, False)
-    return float(top.dist[co].min())
+    return float(pairwise_distances(top.positions)[co].min())
 
 
 @pytest.mark.parametrize("make,lattice,r,spacing", [

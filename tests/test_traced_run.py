@@ -5,7 +5,8 @@ result, the `(state, records)` pair of `run_to_convergence`, the
 `events`, `aggregates` and `final_bands` of each `SimTrace`, the positional
 `(top, act, r)` of each `brute_force_optimal` call and the `ordering_ok` of
 each bound report, and times the statistics and the output writer by
-name.  Each test runs
+name.  Its cache-drift probe reads `Topology.dist`, `positions`, `p0` and
+`eta` to recompute the aggregate.  Each test runs
 `perfbench/child.py --trace` on one workload's smoke config, as the
 benchmark's first run does, and checks the counts against the outputs.
 """
@@ -59,6 +60,13 @@ def _traced_run(name: str, tmp_path: Path,
     return result["layers"], out, result["checks"]
 
 
+def _assert_no_drift(layers: dict) -> None:
+    """The probe ran, and the cached aggregates match its recompute within
+    perfbench's DRIFT_TOL."""
+    assert layers["trace.probe_s"] > 0
+    assert layers["interference.cache_drift_rel"] <= 1e-12
+
+
 def test_traced_converge_counts_every_update(tmp_path):
     layers, out, _ = _traced_run("converge_lattice", tmp_path)
     summary = json.loads(
@@ -70,6 +78,7 @@ def test_traced_converge_counts_every_update(tmp_path):
     assert layers["interference.cache_builds"] == summary["replicas"]
     assert layers["interference.set_band_calls"] == sum(
         d["switches"] for d in summary["replicas_detail"])
+    _assert_no_drift(layers)
 
 
 @pytest.mark.parametrize("name,replicas", [("relax_ula", 3),
@@ -86,6 +95,7 @@ def test_traced_dynamics_counts_every_replica(tmp_path, name, replicas):
         assert layers["interference.cache_builds"] == 1
         # the ensemble mean and the decay fit
         assert layers["dynamics.stats_s"] > 0
+        _assert_no_drift(layers)
     else:
         # the variance run also converges its starting state once
         cfg = experiments.parse_config(_build_config(name))
