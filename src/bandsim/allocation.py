@@ -130,12 +130,12 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     none (each event hits any given cluster with chance 1/n_active, so a
     full coverage cannot be certified by a single round).  Raises
     ConvergenceError beyond default_update_guard(N, eta) = 10*N^(eta+2)
-    updates.
+    updates, and ValueError on a cache without a scheduling stream.
 
     The scheduler is a setting; the run reads its events from the cache a
     block at a time.  A permutation block is one round,
-    cache.rng.permutation(cache.active_list()), delta_t apart.  A Poisson
-    block draws its gaps from cache.rng and its picks from
+    cache.rng.permutation(np.flatnonzero(cache.active)), delta_t apart.  A
+    Poisson block draws its gaps from cache.rng and its picks from
     cache.pick_uniforms, as many as the quiet streak still needs (those
     events are sure to run) but at least DRAW_BLOCK; a block runs whole
     unless the run stops in it.  Event times are the running sums of the
@@ -145,6 +145,9 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     (own_band_interference()) after every switch: the states a capacity
     series needs.
     """
+    if cache.rng is None:
+        raise ValueError("the cache has no scheduling stream: build it "
+                         "with rng, or run a copy(rng) of it")
     if scheduler is None:
         scheduler = RandomPermutationRounds()
     n_active = int(cache.active.sum())
@@ -168,7 +171,7 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
             # round stops the run, never one cut short by the guard
             quiet_streak = 0
             clusters = cache.rng.permutation(
-                cache.active_list())[:guard - done].tolist()
+                np.flatnonzero(cache.active))[:guard - done].tolist()
             gaps = np.full(len(clusters), scheduler.delta_t)
         else:
             k = min(guard - done,

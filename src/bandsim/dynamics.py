@@ -125,7 +125,7 @@ class DynamicsConfig:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
 
 
-@dataclass
+@dataclass(eq=False)
 class SimTrace:
     """Aggregate-interference time series of one replica.
 
@@ -210,7 +210,7 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, seed: int,
     rate = 1.0 - cfg.alpha
     a0 = cache.aggregate()
     records = []
-    active_counts = [len(cache.active_list())]
+    active_counts = [int(cache.active.sum())]
 
     # most events one block may read: bounds its rows x N flip draw
     cap = max(interference.DRAW_BLOCK, AHEAD_CELLS // n)
@@ -257,14 +257,14 @@ def _churn_block(cache: InterferenceCache, act_rng: np.random.Generator,
     table: the cluster j where it turns on, j + N where it turns off.  The
     best-response steps never touch activity, so a whole block is read
     ahead of them.  A block without flips keeps the current mask (masks is
-    then None) and picks from the cache's active list.
+    then None) and picks through the cache's picks_of.
     """
     n = cache.n
     u = cache.pick_uniforms(rows)
     flips = act_rng.random((rows, n)) < rate if rate > 0.0 else None
     hits = np.flatnonzero(flips) if flips is not None else np.empty(0, int)
     if hits.size == 0:
-        counts = [len(cache.active_list())] * rows
+        counts = [int(cache.active.sum())] * rows
         return None, counts, cache.picks_of(u), hits, None, [0] * (rows + 1)
     # XOR-accumulate the flip rows onto the current mask
     masks = np.bitwise_xor.accumulate(flips.view(np.uint8), axis=0).view(bool)

@@ -6,9 +6,12 @@ Conventions, used everywhere downstream:
   * every per-band quantity excludes the receiving cluster's own emission.
 
 Plain functions recompute from scratch (the O(N^2) oracle path); the
-InterferenceCache is the mutable state of one simulated replica.  It keeps
-per-cluster per-band sums updated in O(N) per band switch and O(N*k) per
-event that flips k clusters, and the aggregate updated in O(1) per switch.
+InterferenceCache is the mutable state of one simulated replica and holds
+nothing else.  It keeps per-cluster per-band sums updated in O(N) per band
+switch and O(N*k) per event that flips k clusters, and the aggregate
+updated in O(1) per switch.  Its build peaks at one N x N array beyond the
+topology's weights.  A start cache, built without a stream, only seeds the
+replicas that run copies of it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ __all__ = [
 DRAW_BLOCK = 64
 
 
-@dataclass
+@dataclass(eq=False)
 class Assignment:
     """Band choice per cluster: entries in {1..r}."""
 
@@ -121,8 +124,7 @@ def worst_case_interference(top: Topology,
 class InterferenceCache:
     """Mutable state of one replica: the band vector bands, the activity
     mask active (a copy of act), per-cluster per-band interference sums with
-    O(N) event updates (read through band_powers and own_band_interference),
-    the scheduling stream rng and the clock time.
+    O(N) event updates, the scheduling stream rng and the clock time.
 
     _band_power[j, k] is the power cluster j would receive on band k+1 from
     the currently active transmitters (excluding j itself, whose weight to
@@ -138,14 +140,14 @@ class InterferenceCache:
     mask; set_active flips one cluster through it.  The aggregate is kept
     as a running value: by reciprocity a switch of active cluster i changes
     it by 2*(P[i,new] - P[i,old]).  Activity changes and rebuild() re-sum it
-    exactly.  The ascending list of active indices is cached between
-    activity changes.
+    exactly.
 
     A block of Poisson events draws its gaps from rng (which then serves
     only gaps) and its pick uniforms from pick_uniforms, which picks_of maps
     to active clusters; the engines draw the events they read, no more.
-    copy(rng) starts another replica from this state on its own stream.
-    Not thread-safe.
+    Without rng the cache holds no stream (rng is None) and no engine runs
+    on it: it is a start, and copy(rng) starts a replica from its state on
+    a stream of the replica's own.  Not thread-safe.
     """
 
     def __init__(self, top: Topology, asg: Assignment,
@@ -156,14 +158,14 @@ class InterferenceCache:
         self.topology = top
         self.r = asg.r
         self.bands = asg.bands.copy()
-        self._start(rng if rng is not None else np.random.default_rng())
+        self._start(rng)
         self.weights = weight_matrix(top)
         self._band_power = np.zeros((top.n, asg.r))
         self.rebuild()
 
-    def _start(self, rng: np.random.Generator) -> None:
-        """Take rng as the scheduling stream, with no pick stream yet and
-        the clock at 0."""
+    def _start(self, rng: np.random.Generator | None) -> None:
+        """Take rng as the scheduling stream (None for none), with no pick
+        stream yet and the clock at 0."""
         self.rng = rng
         self._pick_rng = None
         self.time = 0.0
@@ -185,7 +187,6 @@ class InterferenceCache:
         new._band_power = self._band_power.copy()
         new._signed = self._signed.copy()
         new._own = self._own.copy()
-        new._active_list = None
         new._aggregate = self._aggregate
         return new
 
@@ -194,28 +195,27 @@ class InterferenceCache:
         return self.bands.size
 
     def rebuild(self) -> None:
-        """Full O(N^2) recompute of the cached sums and per-band state."""
+        """Full O(N^2) recompute of the cached sums and per-band state, at
+        a peak of one N x N temporary."""
         n = self.n
         idx = np.arange(n)
         self._signed = np.zeros((2 * n, self.r))
         self._signed[idx, self.bands - 1] = 1.0
         np.negative(self._signed[:n], out=self._signed[n:])
         self._own = idx * self.r + self.bands - 1
-        masked = self.weights * self.active[None, :]
         for k in range(self.r):
             cols = self.bands == k + 1
-            self._band_power[:, k] = masked[:, cols].sum(axis=1)
-        self._activity_changed()
+            # a gathered copy of band k's weight columns, times their
+            # activity in place: at most one N x N temporary
+            gathered = self.weights[:, cols]
+            gathered *= self.active[cols]
+            self._band_power[:, k] = gathered.sum(axis=1)
+        self._sum_aggregate()
 
-    def _activity_changed(self) -> None:
-        """Drop the cached active list and re-sum the aggregate in O(N)."""
-        self._active_list = None
+    def _sum_aggregate(self) -> None:
+        """Re-sum the aggregate exactly, in O(N)."""
         self._aggregate = float(np.add.reduce(self.own_band_interference(),
                                               where=self.active))
-
-    def band_powers(self, i: int) -> np.ndarray:
-        """All r band sums for cluster i (do not mutate)."""
-        return self._band_power[i]
 
     def own_band_interference(self) -> np.ndarray:
         """Per-cluster interference on each cluster's own band."""
@@ -223,13 +223,6 @@ class InterferenceCache:
 
     def aggregate(self) -> float:
         return self._aggregate
-
-    def active_list(self) -> list[int]:
-        """Indices of the active clusters, ascending, as a list cached
-        between activity changes (do not mutate)."""
-        if self._active_list is None:
-            self._active_list = np.flatnonzero(self.active).tolist()
-        return self._active_list
 
     def event_times(self, gaps: np.ndarray) -> np.ndarray:
         """The values `time += gap` reaches for each gap in turn, bit for
@@ -246,12 +239,12 @@ class InterferenceCache:
         return self._pick_rng.random(k)
 
     def picks_of(self, u: np.ndarray) -> list[int]:
-        """active_list()[floor(u*m)] of the m active clusters for each
+        """The floor(u*m)-th of the m active clusters, ascending, for each
         uniform in u; -1 for each when none is active."""
-        idx = self.active_list()
-        if not idx:
+        idx = np.flatnonzero(self.active)
+        if not idx.size:
             return [-1] * u.size
-        return [idx[j] for j in (u * len(idx)).astype(np.int64).tolist()]
+        return idx[(u * idx.size).astype(np.int64)].tolist()
 
     def set_band(self, i: int, band: int) -> None:
         old = self.bands.item(i)
@@ -290,7 +283,7 @@ class InterferenceCache:
         self._band_power += self.weights.take(idx, axis=0).T \
             @ self._signed.take(rows, axis=0)
         self.active = mask
-        self._activity_changed()
+        self._sum_aggregate()
 
     def set_active(self, i: int, on: bool) -> None:
         """Turn cluster i on or off as a one-flip apply_flips update."""

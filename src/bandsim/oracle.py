@@ -41,9 +41,6 @@ ORACLE_CAP = 2 ** 20
 # Float terms in one working array of the oracle: a scoring block of
 # (head, tail) code pairs, or a chunk of (pair, code) terms in _pair_sums.
 _BLOCK_TERMS = 2 ** 14
-# Codes within this relative distance of the oracle's running minimum are
-# re-scored exactly; rounding in the blocked sums is far below it.
-_TIE_REL = 1e-9
 _ZETA_TERMS = 12
 # B_2k / (2k)! for k = 1..7: the Euler-Maclaurin corrections of riemann_zeta.
 _EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600,
@@ -111,9 +108,9 @@ def brute_force_optimal(top: Topology, act: np.ndarray | None, r: int
       the working set stays fixed up to the cap: one call peaks at 0.65 MB
       traced at n=19 and 0.78 MB at n=20 (unit ULA, r=2).  Row-major order
       over (head, tail) is lexicographic order.
-    - Tie re-scoring.  Every code within 1e-9 relative of the running
-      minimum is kept and re-scored by one pairwise sum over all active
-      pairs, the same sum for every code.  Assignments equal up to band
+    - Tie re-scoring.  Every code within REL_TOL (1e-9) relative of the
+      running minimum is kept and re-scored by one pairwise sum over all
+      active pairs, the same sum for every code.  Assignments equal up to band
       labels then score bit-identically, and the lexicographically smallest
       of the exact minima is returned with that value.
     """
@@ -151,7 +148,8 @@ def brute_force_optimal(top: Topology, act: np.ndarray | None, r: int
         for b in range(bands):
             agg += head_hot[b][rows] @ cross[b]
         best = min(best, float(agg.min()))
-        close = np.flatnonzero(agg.ravel() <= best * (1.0 + _TIE_REL))
+        # rounding in the blocked sums is far below REL_TOL
+        close = np.flatnonzero(agg.ravel() <= best * (1.0 + REL_TOL))
         kept.append(start * n_tail_codes + close)
     codes = np.concatenate(kept)
     digits = _digits(codes, m, bands)
@@ -230,7 +228,7 @@ def alternating_limit(r: int, eta: float, p0: float = 1.0,
     return 2.0 * riemann_zeta(eta) * p0 / (r ** eta * d ** eta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reference:
     """What every converged replica of one topology is scored against.
 
@@ -309,7 +307,7 @@ def reference(top: Topology, act: np.ndarray | None, r: int,
         gap_convention=gap_convention, limit=limit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
     """One converged aggregate i_a checked against its topology's `ref`;
     ratio_ao, ratio_cap_ok and ordering_ok are None where i_o allows no

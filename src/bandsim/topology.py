@@ -33,7 +33,7 @@ class TopologyError(ValueError):
     """Invalid geometry parameters or an infeasible placement."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """Immutable cluster placement.
 

@@ -226,7 +226,8 @@ def _run_with_round_counter(cache, scheduler):
     if isinstance(scheduler, RandomPermutationRounds):
         while True:
             switches_in_round = 0
-            for i in cache.rng.permutation(cache.active_list()).tolist():
+            order = cache.rng.permutation(np.flatnonzero(cache.active))
+            for i in order.tolist():
                 cache.time += scheduler.delta_t
                 rec = apply_update(cache, i)
                 records.append(rec)
@@ -478,11 +479,28 @@ def test_final_aggregate_matches_recompute():
         rel=1e-12)
 
 
+@pytest.mark.parametrize("scheduler", [RandomPermutationRounds(),
+                                       PoissonClock(0.1)])
+def test_a_cache_built_without_rng_has_no_stream_to_run_on(scheduler):
+    top = make_uniform_linear_array(4, 1.0)
+    cache = InterferenceCache(top, all_band_one(4, 2))
+    assert cache.rng is None
+    with pytest.raises(ValueError, match="no scheduling stream"):
+        run_to_convergence(cache, scheduler)
+    assert cache.rng is None and cache._pick_rng is None
+    assert cache.time == 0.0 and np.array_equal(cache.bands, [1, 1, 1, 1])
+    # a copy on a stream runs as a cache built on that stream does
+    ran, _ = run_to_convergence(cache.copy(np.random.default_rng(2)),
+                                scheduler)
+    built, _ = run_to_convergence(InterferenceCache(
+        top, all_band_one(4, 2), rng=np.random.default_rng(2)), scheduler)
+    assert np.array_equal(ran.bands, built.bands) and ran.time == built.time
+
+
 def test_simstate_default_activity_all_on():
     top = make_uniform_linear_array(4, 1.0)
     state = InterferenceCache(top, all_band_one(4, 2))
     assert state.active.all()
-    assert state.active_list() == [0, 1, 2, 3]
     assert state.n == 4
     assert state.r == 2
 

@@ -183,7 +183,7 @@ def _per_flip_reference(top, cfg, r, seed, initial):
             rows.append((t, -1, 0, 0, 0, 0.0))
             continue
         i = int(idx[int(u * idx.size)])
-        powers = cache.band_powers(i)
+        powers = cache._band_power[i]
         old = int(cache.bands[i])
         best = int(np.argmin(powers))
         new = old if (powers[old - 1] - powers[best]

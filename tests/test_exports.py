@@ -1,17 +1,24 @@
 """The package's export lists name only what exists, every name the
-package re-exports from a module is one that module exports itself, and
-every exported name has a reader outside the tests."""
+package re-exports from a module is one that module exports itself, every
+exported name and every public method or property of an exported class
+has a reader outside the tests, and the exported records that hold arrays
+compare by identity."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
 import re
+import types
 from pathlib import Path
 
 import pytest
 
 import bandsim
+from bandsim.dynamics import replica_trace
+from bandsim.interference import all_band_one
+from bandsim.oracle import bound_report, reference
+from bandsim.topology import make_uniform_linear_array
 
 _ROOT = Path(__file__).resolve().parents[1]
 _MODULES = [importlib.import_module(f"bandsim.{info.name}")
@@ -71,3 +78,36 @@ def test_every_exported_name_has_a_reader_outside_the_tests():
                      for name in getattr(mod, "__all__", ())
                      if name not in readers})
     assert unread == []
+
+
+def test_every_public_member_of_an_exported_class_has_a_reader():
+    readers = _readers()
+    classes = {getattr(mod, name) for mod in _MODULES
+               for name in getattr(mod, "__all__", ())
+               if isinstance(getattr(mod, name), type)}
+    unread = sorted(f"{cls.__module__}.{cls.__name__}.{name}"
+                    for cls in classes
+                    for name, member in vars(cls).items()
+                    if not name.startswith("_")
+                    and isinstance(member, (types.FunctionType, property,
+                                            classmethod, staticmethod))
+                    and name not in readers)
+    assert unread == []
+
+
+def _records():
+    """One of each exported record that holds arrays, built afresh."""
+    top = make_uniform_linear_array(3, 1.0)
+    asg = all_band_one(3, 2)
+    ref = reference(top, None, 2)
+    return (top, asg, replica_trace([], 0.0, [3], 3, 0.1), ref,
+            bound_report(ref, asg))
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    # equal contents, built twice: a generated __eq__ over array fields
+    # would raise on ==, and a generated __hash__ on hash()
+    for record, twin in zip(_records(), _records()):
+        assert record == record
+        assert record != twin
+        assert len({record, twin, record}) == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,16 +209,16 @@ def test_cache_matches_full_recompute_under_mutation():
                               int(ref_asg.bands[j])),
             rel=1e-12, abs=1e-12)
         k = int(rng.integers(1, 4))
-        assert cache.band_powers(j)[k - 1] == pytest.approx(
+        assert cache._band_power[j, k - 1] == pytest.approx(
             band_interference(top, ref_asg, ref_act, j, k),
             rel=1e-12, abs=1e-12)
 
 
-def test_cache_band_powers_row():
+def test_cache_band_power_row():
     top = make_uniform_linear_array(5, 1.0)
     asg = Assignment(np.array([1, 2, 1, 2, 1]), 2)
     cache = InterferenceCache(top, asg)
-    powers = cache.band_powers(2)
+    powers = cache._band_power[2]
     assert powers.shape == (2,)
     assert powers[0] == pytest.approx(
         band_interference(top, asg, None, 2, 1))
@@ -261,6 +263,23 @@ def test_weight_matrix_cached_read_only():
     assert InterferenceCache(top, all_band_one(9, 2)).weights is w
 
 
+def test_rebuild_peaks_at_one_matrix_beyond_the_weights():
+    # every cluster on one band: that band's gathered weight columns are a
+    # whole N x N copy, and rebuild() makes no other array of that size
+    n = 1500
+    top = make_uniform_linear_array(n, 1.0)
+    cache = InterferenceCache(top, all_band_one(n, 2))
+    want = cache._band_power.copy()
+    tracemalloc.start()
+    try:
+        cache.rebuild()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * n * n * 8
+    assert cache._band_power.tobytes() == want.tobytes()
+
+
 def _assert_matches_recompute(cache, top, tol=1e-12):
     asg = cache.assignment()
     act = cache.active.copy()
@@ -269,14 +288,14 @@ def _assert_matches_recompute(cache, top, tol=1e-12):
     for j in range(top.n):
         for k in range(1, cache.r + 1):
             ref = band_interference(top, asg, act, j, k)
-            assert abs(cache.band_powers(j)[k - 1] - ref) \
+            assert abs(cache._band_power[j, k - 1] - ref) \
                 <= tol * max(1.0, abs(ref))
         if cache.active[j]:
             ref = band_interference(top, asg, act, j, int(asg.bands[j]))
             assert abs(cache.own_band_interference()[j] - ref) \
                 <= tol * max(1.0, abs(ref))
-    # the per-band state set_band keeps and the cached active list are
-    # those of a cache built afresh from the same bands and activity
+    # the per-band state set_band keeps is that of a cache built afresh
+    # from the same bands and activity
     fresh = InterferenceCache(top, asg, act)
     n = top.n
     assert np.array_equal(cache._signed, fresh._signed)
@@ -286,8 +305,6 @@ def _assert_matches_recompute(cache, top, tol=1e-12):
     assert not np.signbit(fresh._signed[:n]).any()
     assert np.signbit(fresh._signed[n:]).all()
     assert np.array_equal(cache._own, fresh._own)
-    assert cache.active_list() == fresh.active_list() \
-        == np.flatnonzero(act).tolist()
 
 
 @pytest.mark.parametrize("shape,r", [((1, 24), 2), ((5, 6), 3)])
@@ -299,9 +316,7 @@ def test_copy_is_a_fresh_build(shape, r):
     asg = uniform_random_assignment(n, r, rng)
     act = rng.random(n) < 0.7
     source = InterferenceCache(top, asg, act, rng=np.random.default_rng(1))
-    # a cached active list, used streams or a clock on the source are not
-    # copied
-    source.active_list()
+    # used streams or a clock on the source are not copied
     source.rng.standard_exponential(1)
     source.pick_uniforms(1)
     source.time = 0.5
@@ -321,7 +336,6 @@ def test_copy_is_a_fresh_build(shape, r):
         == fresh.pick_uniforms(100).tobytes()
     # switches and flips on the copy leave the source as it was built
     built = InterferenceCache(top, asg, act, rng=np.random.default_rng(1))
-    built.active_list()
     built.rng.standard_exponential(1)
     built.pick_uniforms(1)
     built.time = 0.5
@@ -380,10 +394,8 @@ def test_batched_flips_equal_single_toggles():
         for j in np.flatnonzero(flips):
             single.set_active(int(j), not single.active[j])
         assert np.array_equal(batched.active, single.active)
-        assert batched.active_list() == single.active_list()
-        for j in range(30):
-            assert np.allclose(batched.band_powers(j), single.band_powers(j),
-                               rtol=1e-12, atol=1e-12)
+        assert np.allclose(batched._band_power, single._band_power,
+                           rtol=1e-12, atol=1e-12)
         assert batched.aggregate() == pytest.approx(single.aggregate(),
                                                     rel=1e-12, abs=1e-12)
         _assert_matches_recompute(batched, top)
