@@ -14,7 +14,7 @@ and the dynamics do not depend on units.
 The schedulers are immutable settings that hold only delta_t.  Every
 event's cluster and time come from the cache's scheduling stream and its
 pick stream, so the InterferenceCache is the one owner of a run's mutable
-state.
+state.  A run to convergence ends only on a fixed point of the rule.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import interference
 from .interference import InterferenceCache
 
 __all__ = [
@@ -33,6 +32,7 @@ __all__ = [
     "PoissonClock",
     "RandomPermutationRounds",
     "apply_update",
+    "certified",
     "default_update_guard",
     "run_to_convergence",
 ]
@@ -119,27 +119,33 @@ def default_update_guard(n: int, eta: float) -> int:
     return max(1, int(10.0 * float(n) ** (eta + 2.0)))
 
 
+def certified(cache: InterferenceCache) -> bool:
+    """True when apply_update would keep every active cluster's band:
+    _choose's test on all rows at once.  Its argmin clause keeps a first
+    minimum, as _choose does, where sums drifted below zero defeat REL_TOL."""
+    powers = cache._band_power
+    own = cache.own_band_interference()
+    keep = (own - powers.min(axis=1) <= REL_TOL * own) \
+        | (powers.argmin(axis=1) == cache.bands - 1)
+    return bool(keep[cache.active].all())
+
+
 def run_to_convergence(cache: InterferenceCache, scheduler=None,
                        levels: list | None = None
                        ) -> tuple[InterferenceCache, list[UpdateRecord]]:
     """Run updates under a fixed activity pattern until no cluster moves;
     returns (cache, records), one apply_update record per event.
 
-    Permutation scheduling stops after a whole round applies no switch;
-    Poisson scheduling after a streak of 2 * n_active events that apply
-    none (each event hits any given cluster with chance 1/n_active, so a
-    full coverage cannot be certified by a single round).  Raises
-    ConvergenceError beyond default_update_guard(N, eta) = 10*N^(eta+2)
-    updates, and ValueError on a cache without a scheduling stream.
-
-    The scheduler is a setting; the run reads its events from the cache a
-    block at a time.  A permutation block is one round,
-    cache.rng.permutation(np.flatnonzero(cache.active)), delta_t apart.  A
-    Poisson block draws its gaps from cache.rng and its picks from
-    cache.pick_uniforms, as many as the quiet streak still needs (those
-    events are sure to run) but at least DRAW_BLOCK; a block runs whole
-    unless the run stops in it.  Event times are the running sums of the
-    gaps, as `time += gap` in turn gives them.
+    The run reads its events from the cache in blocks of
+    min(n_active, guard - done) events.  A permutation block is one round,
+    cache.rng.permutation(np.flatnonzero(cache.active)), delta_t apart, and
+    the run stops after a whole round that applied no switch.  A Poisson
+    block draws its gaps from cache.rng and its picks from
+    cache.pick_uniforms, and the run stops after a block that leaves the
+    cache certified().  Event times are the running sums of the gaps, as
+    `time += gap` in turn gives them.  Raises ConvergenceError beyond
+    default_update_guard(N, eta) = 10*N^(eta+2) updates, and ValueError on
+    a cache without a scheduling stream.
 
     When levels is a list, the run appends the own-band interference row
     (own_band_interference()) after every switch: the states a capacity
@@ -157,37 +163,30 @@ def run_to_convergence(cache: InterferenceCache, scheduler=None,
     guard = default_update_guard(cache.n, cache.topology.eta)
 
     rounds = isinstance(scheduler, RandomPermutationRounds)
-    quiet_needed = n_active if rounds else 2 * n_active
-    quiet_streak = 0
     update, append = apply_update, trace.append
-    while quiet_streak < quiet_needed:
+    while True:
         done = len(trace)
         if done >= guard:
             raise ConvergenceError(
                 f"no convergence within {guard} updates "
                 f"(n={cache.n}, eta={cache.topology.eta})")
+        k = min(n_active, guard - done)
         if rounds:
-            # each round counts its own quiet events: only a whole quiet
-            # round stops the run, never one cut short by the guard
-            quiet_streak = 0
             clusters = cache.rng.permutation(
-                np.flatnonzero(cache.active))[:guard - done].tolist()
-            gaps = np.full(len(clusters), scheduler.delta_t)
+                np.flatnonzero(cache.active))[:k].tolist()
+            gaps = np.full(k, scheduler.delta_t)
         else:
-            k = min(guard - done,
-                    max(quiet_needed - quiet_streak, interference.DRAW_BLOCK))
             gaps = scheduler.delta_t * cache.rng.standard_exponential(k)
             clusters = cache.picks_of(cache.pick_uniforms(k))
+        quiet = True
         for t, i in zip(cache.event_times(gaps).tolist(), clusters):
             cache.time = t
             rec = update(cache, i)
             append(rec)
             if rec.switched:
-                quiet_streak = 0
+                quiet = False
                 if levels is not None:
                     levels.append(cache.own_band_interference())
-            else:
-                quiet_streak += 1
-                if quiet_streak >= quiet_needed:
-                    break
-    return cache, trace
+        # a round cut short by the guard never stops a run
+        if (quiet and k == n_active) if rounds else certified(cache):
+            return cache, trace

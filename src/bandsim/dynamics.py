@@ -30,7 +30,7 @@ Poisson engine driven by the scheduling stream alone.
 Neither the clock nor the churn reads the bands, so a replica reads its
 events ahead in blocks, as many as the horizon is known to need: the
 expected count up to the horizon plus four standard deviations of that
-Poisson count, at least interference.DRAW_BLOCK, and at most
+Poisson count, at least DRAW_BLOCK, and at most
 max(DRAW_BLOCK, AHEAD_CELLS // N) events.  A block's flip draw thus stays
 within AHEAD_CELLS cells up to N = AHEAD_CELLS / DRAW_BLOCK = 2048; above
 that a full block draws DRAW_BLOCK * N cells.  One block nearly always reaches
@@ -51,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import interference
 from .allocation import UpdateRecord, apply_update
 from .interference import InterferenceCache
 from .topology import Topology
@@ -84,6 +83,9 @@ NEAR_EQUILIBRIUM_RATE = 0.1
 # Fraction of the initial gap below which the decay fit stops trusting the
 # ensemble mean (noise floor).
 FIT_FLOOR = 0.05
+# The fewest events a read-ahead block holds.  Each kind of draw has a
+# stream of its own, so the block size changes no drawn value.
+DRAW_BLOCK = 64
 # Cells (events x clusters) one read-ahead block of simulate_time_varying
 # draws at most, 1 MiB of float64, while N <= AHEAD_CELLS / DRAW_BLOCK: a
 # block never holds fewer than DRAW_BLOCK events, so above N = 2048 a full
@@ -213,13 +215,13 @@ def simulate_time_varying(top: Topology, cfg: DynamicsConfig, seed: int,
     active_counts = [int(cache.active.sum())]
 
     # most events one block may read: bounds its rows x N flip draw
-    cap = max(interference.DRAW_BLOCK, AHEAD_CELLS // n)
+    cap = max(DRAW_BLOCK, AHEAD_CELLS // n)
     ran = rows = 0
     while ran == rows:
         # the events expected up to the horizon and four standard deviations
         # more (the count is Poisson), so one block nearly always suffices
         mean = (cfg.horizon - cache.time) / cfg.delta_t
-        rows = min(cap, max(interference.DRAW_BLOCK,
+        rows = min(cap, max(DRAW_BLOCK,
                             math.ceil(mean + 4.0 * math.sqrt(mean))))
         # the events of the block that fall within the horizon
         times = cache.event_times(

@@ -769,11 +769,11 @@ def _check_scales(cfg: ExperimentConfig, n: int) -> None:
     """Raise ConfigError unless a run on n clusters stays within numpy's
     array size and the float range.  A replica's cache holds a 2N x bands
     float64 table, bounded as topology bounds its N x N matrices.  A run to
-    convergence takes about 2*N events at the fewest, 2*N quiet Poisson
-    events or a first round and a quiet one, so its event times reach about
-    2*tau (tau = N*delta_t); a dynamics run needs tau, its expected event
-    count horizon/delta_t, and at each switching rate lambda and the
-    stability margin."""
+    convergence reads blocks of N events and stops after a quiet round or a
+    Poisson block that ends on a fixed point, most often after two blocks
+    or more, so its event times reach about 2*tau (tau = N*delta_t); a
+    dynamics run needs tau, its expected event count horizon/delta_t, and
+    at each switching rate lambda and the stability margin."""
     errors = []
     if 2 * n * cfg.bands * 8 > np.iinfo(np.intp).max:
         errors.append("bands: too many bands: a 2N x bands float64 table "

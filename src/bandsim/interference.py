@@ -31,13 +31,8 @@ __all__ = [
     "weight_matrix",
     "aggregate_interference",
     "worst_case_interference",
-    "DRAW_BLOCK",
     "InterferenceCache",
 ]
-
-# The fewest events an engine reads ahead at a time.  Each kind of draw has
-# a stream of its own, so the block size changes no drawn value.
-DRAW_BLOCK = 64
 
 
 @dataclass(eq=False)

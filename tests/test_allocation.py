@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandsim import allocation, interference
+from bandsim import allocation, dynamics
 from bandsim.allocation import (REL_TOL, ConvergenceError, PoissonClock,
                                 RandomPermutationRounds, apply_update,
-                                default_update_guard, run_to_convergence)
+                                certified, default_update_guard,
+                                run_to_convergence)
 from bandsim.interference import (Assignment, InterferenceCache,
                                   aggregate_interference, all_band_one,
                                   uniform_random_assignment)
@@ -15,6 +16,7 @@ from bandsim.topology import (make_hexagonal_lattice, make_rectangular_lattice,
                               make_uniform_linear_array,
                               topology_from_positions)
 
+from cache_state import toggle_active
 from fixed_point import fixed_point
 from reference import band_interference
 
@@ -215,10 +217,18 @@ def test_permutation_rounds_stop_on_a_fixed_point(instance, seed):
     assert fixed_point(top, cache.bands, cache.active, r)[0]
 
 
+def _keeps_every_band(cache):
+    """True when the scalar rule keeps every active cluster's band."""
+    return all(allocation._choose(cache._band_power[j].tolist(),
+                                  cache.bands.item(j)) == cache.bands.item(j)
+               for j in np.flatnonzero(cache.active).tolist())
+
+
 def _run_with_round_counter(cache, scheduler):
     """The stop rule written out one draw at a time with a per-round switch
     counter: permutation scheduling stops after a full round applies no
-    switch, Poisson scheduling after 2 * n_active quiet events."""
+    switch, Poisson scheduling after an n_active-th event at which the
+    scalar rule keeps every active cluster's band."""
     n_active = int(cache.active.sum())
     records = []
     if n_active == 0:
@@ -234,13 +244,12 @@ def _run_with_round_counter(cache, scheduler):
                 switches_in_round += rec.switched
             if switches_in_round == 0:
                 return records
-    quiet_streak = 0
-    while quiet_streak < 2 * n_active:
+    while True:
         cache.time += scheduler.delta_t * cache.rng.standard_exponential()
         rec = apply_update(cache, cache.picks_of(cache.pick_uniforms(1))[0])
         records.append(rec)
-        quiet_streak = 0 if rec.switched else quiet_streak + 1
-    return records
+        if len(records) % n_active == 0 and _keeps_every_band(cache):
+            return records
 
 
 @st.composite
@@ -274,19 +283,18 @@ def test_stop_rule_matches_a_round_counter(instance, seed, make_scheduler):
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
-@pytest.mark.parametrize("make_scheduler,seed,events,mid_block", [
-    # ula20/r2 Poisson runs that stop on the end of their second 64-event
-    # read, and in the middle of one (82 events); a read of DRAW_BLOCK = 1
-    # or 7 is as long as the quiet streak still needs (at most 40), so
-    # there both stop on the end of a read
-    (PoissonClock, 166, 128, False),
-    (PoissonClock, 3, 82, True),
+@pytest.mark.parametrize("make_scheduler,seed,events,last_switch", [
+    # ula20/r2 Poisson runs whose last switch is event 88 and event 42:
+    # both stop on the end of the 20-event read that holds it
+    (PoissonClock, 166, 100, 88),
+    (PoissonClock, 3, 60, 42),
     (RandomPermutationRounds, 3, None, None)])
 @pytest.mark.parametrize("active", [None, [j % 3 != 1 for j in range(20)]])
 def test_block_loop_matches_the_per_event_loop(monkeypatch, block,
                                                 make_scheduler, seed, events,
-                                                mid_block, active):
-    monkeypatch.setattr(interference, "DRAW_BLOCK", block)
+                                                last_switch, active):
+    # the churn engine's read-ahead floor changes no run to convergence
+    monkeypatch.setattr(dynamics, "DRAW_BLOCK", block)
     top = make_uniform_linear_array(20, 1.0)
     runs = []
     for _ in range(2):
@@ -307,14 +315,16 @@ def test_block_loop_matches_the_per_event_loop(monkeypatch, block,
     assert np.array_equal(cache.bands, ref_cache.bands)
     if events is not None and active is None:
         assert len(records) == events
-        assert (sum(reads) > events) == (mid_block and block == 64)
+        assert max(k for k, rec in enumerate(records) if rec.switched) \
+            == last_switch - 1
+        # every read is one whole block of n_active events
+        assert reads == [20] * (events // 20)
 
 
-@pytest.mark.xfail(strict=True, reason="the Poisson stop after 2*n_active "
-                   "quiet events does not certify a fixed point")
 def test_poisson_clock_stops_on_a_fixed_point():
-    # seed 5 is the first ula100/r2 seed whose Poisson run stops early
-    # (6 of seeds 0-59 do: 5, 10, 32, 33, 36 and 53)
+    # seed 5 is the first ula100/r2 seed whose run holds 2*n_active quiet
+    # events in a row on a state that is not a fixed point (6 of seeds 0-59
+    # do: 5, 10, 32, 33, 36 and 53), so a quiet streak certifies nothing
     top = make_uniform_linear_array(100, 1.0)
     rng = np.random.default_rng(5)
     cache = InterferenceCache(top, uniform_random_assignment(100, 2, rng),
@@ -398,13 +408,79 @@ def test_run_to_convergence_empty_active_returns_immediately():
     assert records == []
 
 
-def test_run_to_convergence_poisson_quiet_streak():
+def test_run_to_convergence_poisson_stops_on_the_first_certificate():
     top = make_uniform_linear_array(10, 1.0)
     state = _state(top, [1] * 10, 2, seed=5)
     state, records = run_to_convergence(state, PoissonClock(0.01))
-    # last 2 * n_active events applied no switch
-    assert all(not rec.switched for rec in records[-20:])
     assert any(rec.switched for rec in records)
+    assert len(records) % 10 == 0
+    assert certified(state)
+    assert fixed_point(top, state.bands, state.active, 2)[0]
+    # replayed on a fresh cache, no earlier end of a 10-event block is a
+    # fixed point
+    replay = _state(top, [1] * 10, 2)
+    for k, rec in enumerate(records[:-10], 1):
+        replay.set_band(rec.cluster, rec.new_band)
+        if k % 10 == 0:
+            assert not fixed_point(top, replay.bands, replay.active, 2)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_instances(), _ula_instances()), st.data())
+def test_certified_is_the_scalar_rule_on_every_active_row(instance, data):
+    # random band moves, batched activity flips and best-response moves
+    # leave the incrementally kept band sums off their exact values
+    top, r, active = instance
+    bands = data.draw(st.lists(st.integers(1, r), min_size=top.n,
+                               max_size=top.n))
+    cache = InterferenceCache(top, Assignment(np.array(bands), r), active)
+    clusters = st.integers(0, top.n - 1)
+    for _ in range(data.draw(st.integers(0, 60))):
+        assert certified(cache) == _keeps_every_band(cache)
+        step = data.draw(st.sampled_from(["band", "flip", "best"]))
+        if step == "band":
+            cache.set_band(data.draw(clusters), data.draw(st.integers(1, r)))
+        elif step == "flip":
+            toggle_active(cache, np.array(sorted(data.draw(
+                st.sets(clusters, max_size=4)))))
+        elif cache.active.any():
+            apply_update(cache, data.draw(st.sampled_from(
+                np.flatnonzero(cache.active).tolist())))
+    assert certified(cache) == _keeps_every_band(cache)
+
+
+def test_certified_keeps_a_first_minimum_below_zero():
+    # moving the five other clusters of a 2x3 hex lattice off band 1 leaves
+    # cluster 1 alone there on a band sum that drifted below zero, where
+    # REL_TOL's relative test fails; the scalar rule keeps the band because
+    # it is the first minimum, and so does certified
+    top = make_hexagonal_lattice(2, 3, 1.0)
+    cache = InterferenceCache(top, all_band_one(6, 4))
+    for i, band in [(0, 4), (2, 4), (3, 3), (4, 2), (5, 3)]:
+        cache.set_band(i, band)
+    own = cache.own_band_interference()[1]
+    assert own < 0.0
+    assert not own - cache._band_power[1].min() <= REL_TOL * own
+    assert _keeps_every_band(cache)
+    assert certified(cache)
+    assert fixed_point(top, cache.bands, cache.active, 4)[0]
+
+
+@pytest.mark.parametrize("start", ["all_band_one", "uniform"])
+@pytest.mark.parametrize("top,r", [
+    (make_uniform_linear_array(100, 1.0), 2),
+    (make_hexagonal_lattice(10, 10, 1.0), 4)], ids=["ula100", "hex10x10"])
+def test_poisson_runs_stop_on_fixed_points_over_200_seeds(top, r, start):
+    uncertified = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        asg = all_band_one(top.n, r) if start == "all_band_one" \
+            else uniform_random_assignment(top.n, r, rng)
+        cache = InterferenceCache(top, asg, rng=rng)
+        cache, _ = run_to_convergence(cache, PoissonClock(0.01))
+        if not fixed_point(top, cache.bands, cache.active, r)[0]:
+            uncertified.append(seed)
+    assert uncertified == []
 
 
 def test_run_to_convergence_guard_raises(monkeypatch):

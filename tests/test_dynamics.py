@@ -229,7 +229,7 @@ def test_draw_block_size_changes_no_value(monkeypatch, n, alpha):
     want_tr, want_records = runs()
     assert want_tr.events > 100
     for block in (1, 7, 64):
-        monkeypatch.setattr(interference, "DRAW_BLOCK", block)
+        monkeypatch.setattr(dynamics, "DRAW_BLOCK", block)
         for cells in (dynamics.AHEAD_CELLS, 1):
             # at one cell no read passes DRAW_BLOCK events, so a replica
             # reaches its horizon block by block
@@ -274,9 +274,9 @@ def test_read_ahead_stays_within_the_cell_bound(monkeypatch):
     monkeypatch.setattr(dynamics, "AHEAD_CELLS", 1000)
     capped = simulate_time_varying(top, cfg, 9, _band_one(top, 2))
     assert capped.events == sum(rows) == tr.events
-    assert rows[:-1] == [interference.DRAW_BLOCK] * (len(rows) - 1)
-    assert rows[-1] <= interference.DRAW_BLOCK
-    assert interference.DRAW_BLOCK * n == 3200 > dynamics.AHEAD_CELLS
+    assert rows[:-1] == [dynamics.DRAW_BLOCK] * (len(rows) - 1)
+    assert rows[-1] <= dynamics.DRAW_BLOCK
+    assert dynamics.DRAW_BLOCK * n == 3200 > dynamics.AHEAD_CELLS
 
 
 def test_pick_index_stays_below_the_active_count():

@@ -1111,11 +1111,10 @@ def test_bound_violation_fails_the_run_before_any_file(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.xfail(strict=True, reason="the Poisson stop after 2*n_active "
-                   "quiet events does not certify a fixed point")
 def test_poisson_converge_run_passes_the_upper_bound(tmp_path, capsys):
-    # replica 1 stops after 7 events at bands [1, 1, 2], where clusters 0
-    # and 1 can still improve, and its aggregate 2.0 exceeds i_w/r = 1.5
+    # replica 1 picks cluster 2 six times in a row at bands [1, 1, 2],
+    # where clusters 0 and 1 can still improve and the aggregate 2.0
+    # exceeds i_w/r = 1.5
     doc = _tiny_doc(topology={"kind": "ula", "n": 3, "d": 1.0}, bands=3,
                     base_seed=3122766, replicas=2,
                     scheduler={"kind": "poisson", "delta_t": 0.05})
