@@ -110,12 +110,6 @@ class BoundViolationError(RuntimeError):
 # canonical serialization
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("non-finite float reached the canonical writer")
-    return format(x, ".17g")
-
-
 def dumps_canonical(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits,
     numpy scalars and arrays as their Python values, NaN and +-inf as null;
@@ -161,7 +155,9 @@ def _csv_cell(v) -> str:
     # floats and plain ints fill almost every cell, so they are tested first
     if isinstance(v, (float, np.floating)):
         f = float(v)
-        return "" if math.isnan(f) else _format_float(f)
+        if math.isinf(f):
+            raise ValueError("non-finite float reached the canonical writer")
+        return "" if math.isnan(f) else format(f, ".17g")
     if type(v) is int:
         return str(v)
     if v is None:

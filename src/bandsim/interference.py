@@ -5,13 +5,13 @@ Conventions, used everywhere downstream:
   * inactive clusters neither radiate nor count as receivers in aggregates;
   * every per-band quantity excludes the receiving cluster's own emission.
 
-Plain functions recompute from scratch (the O(N^2) oracle path); the
-InterferenceCache is the mutable state of one simulated replica and holds
-nothing else.  It keeps per-cluster per-band sums updated in O(N) per band
-switch and O(N*k) per event that flips k clusters, and the aggregate
-updated in O(1) per switch.  Its build peaks at one N x N array beyond the
-topology's weights.  A start cache, built without a stream, only seeds the
-replicas that run copies of it.
+Every from-scratch O(N^2) sum is _band_sums' per-cluster per-band table:
+a fresh InterferenceCache and the plain functions (aggregate_interference,
+metrics.shannon_capacity) agree bit for bit.  The InterferenceCache is the
+mutable state of one simulated replica and holds nothing else.  It keeps
+the table updated in O(N) per band switch and O(N*k) per event that flips
+k clusters, and the aggregate updated in O(1) per switch.  A start cache,
+built without a stream, only seeds the replicas that run copies of it.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "activity_mask",
     "check_assignment",
     "weight_matrix",
+    "own_band_sums",
     "aggregate_interference",
     "worst_case_interference",
     "InterferenceCache",
@@ -94,20 +95,37 @@ def check_assignment(top: Topology, asg: Assignment) -> None:
         raise ValueError(f"assignment length {asg.n} != topology size {top.n}")
 
 
+def _band_sums(weights: np.ndarray, bands: np.ndarray, r: int,
+               active: np.ndarray) -> np.ndarray:
+    """Entry [j, k] is the power cluster j receives on band k+1 from the
+    active others; peaks at one band's gathered N x n_k weight columns."""
+    table = np.empty((bands.size, r))
+    for k in range(r):
+        cols = bands == k + 1
+        gathered = weights[:, cols]
+        gathered *= active[cols]
+        table[:, k] = gathered.sum(axis=1)
+        del gathered  # before the next band's gather, so two never coexist
+    return table
+
+
+def own_band_sums(top: Topology, asg: Assignment,
+                  active: np.ndarray) -> np.ndarray:
+    """Per-cluster interference on its own band under active, a mask as
+    activity_mask returns it: a fresh cache's own_band_interference()."""
+    table = _band_sums(weight_matrix(top), asg.bands, asg.r, active)
+    return table[np.arange(asg.n), asg.bands - 1]
+
+
 def aggregate_interference(top: Topology, asg: Assignment,
                            act: np.ndarray | None = None) -> float:
     """Sum over active clusters of the power each receives on its own band
-    from active co-band others.
-
-    By reciprocity this is twice the sum over unordered active co-band pairs.
-    """
+    from active co-band others (by reciprocity, twice the sum over unordered
+    active co-band pairs), as a fresh InterferenceCache's aggregate()."""
     check_assignment(top, asg)
     active = activity_mask(top, act)
-    w = weight_matrix(top)
-    co = (asg.bands[:, None] == asg.bands[None, :]) \
-        & active[:, None] & active[None, :]
-    np.fill_diagonal(co, False)
-    return float(w[co].sum())
+    return float(np.add.reduce(own_band_sums(top, asg, active),
+                               where=active))
 
 
 def worst_case_interference(top: Topology,
@@ -155,7 +173,6 @@ class InterferenceCache:
         self.bands = asg.bands.copy()
         self._start(rng)
         self.weights = weight_matrix(top)
-        self._band_power = np.zeros((top.n, asg.r))
         self.rebuild()
 
     def _start(self, rng: np.random.Generator | None) -> None:
@@ -190,21 +207,15 @@ class InterferenceCache:
         return self.bands.size
 
     def rebuild(self) -> None:
-        """Full O(N^2) recompute of the cached sums and per-band state, at
-        a peak of one N x N temporary."""
+        """Full O(N^2) recompute of the cached sums and per-band state."""
         n = self.n
         idx = np.arange(n)
         self._signed = np.zeros((2 * n, self.r))
         self._signed[idx, self.bands - 1] = 1.0
         np.negative(self._signed[:n], out=self._signed[n:])
         self._own = idx * self.r + self.bands - 1
-        for k in range(self.r):
-            cols = self.bands == k + 1
-            # a gathered copy of band k's weight columns, times their
-            # activity in place: at most one N x N temporary
-            gathered = self.weights[:, cols]
-            gathered *= self.active[cols]
-            self._band_power[:, k] = gathered.sum(axis=1)
+        self._band_power = _band_sums(self.weights, self.bands, self.r,
+                                      self.active)
         self._sum_aggregate()
 
     def _sum_aggregate(self) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interference import (Assignment, activity_mask, check_assignment,
-                           weight_matrix)
+                           own_band_sums)
 from .topology import Topology
 
 __all__ = [
@@ -43,14 +43,6 @@ class CapacityReport:
     undefined_fraction: bool
     signal_power: float
     noise_power: float
-
-
-def _per_cluster_interference(top: Topology, asg: Assignment,
-                              active: np.ndarray) -> np.ndarray:
-    w = weight_matrix(top)
-    co = (asg.bands[:, None] == asg.bands[None, :]) & active[None, :]
-    np.fill_diagonal(co, False)
-    return (w * co).sum(axis=1)
 
 
 def link_powers(top: Topology, signal_power: float | None = None,
@@ -85,7 +77,7 @@ def shannon_capacity(top: Topology, asg: Assignment,
     signal_power, noise_power = link_powers(top, signal_power, noise_power)
     check_assignment(top, asg)
     active = activity_mask(top, act)
-    caps = link_capacity(_per_cluster_interference(top, asg, active),
+    caps = link_capacity(own_band_sums(top, asg, active),
                          signal_power, noise_power)
     caps[~active] = np.nan
     if active.any():

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandsim import interference, metrics, oracle
+from bandsim import interference, oracle
 from bandsim.interference import (Assignment, InterferenceCache,
                                   activity_mask, aggregate_interference,
                                   all_band_one,
                                   uniform_random_assignment, weight_matrix,
                                   worst_case_interference)
-from bandsim.metrics import capacity_comparison, shannon_capacity
-from bandsim.topology import (make_rectangular_lattice,
+from bandsim.metrics import (capacity_comparison, link_capacity,
+                             link_powers, shannon_capacity)
+from bandsim.topology import (make_hexagonal_lattice,
+                              make_rectangular_lattice,
                               make_uniform_linear_array,
                               topology_from_positions)
 
@@ -151,7 +153,7 @@ def test_activity_of_the_wrong_length_is_rejected_before_any_work(
             return fn(*args, **kwargs)
         return wrapped
 
-    for mod in (interference, metrics, oracle):
+    for mod in (interference, oracle):
         monkeypatch.setattr(mod, "weight_matrix", spy(weight_matrix))
     if name == "reference":
         monkeypatch.setattr(oracle, "brute_force_optimal",
@@ -184,6 +186,44 @@ def test_reciprocity_doubles_pair_sum():
     w = weight_matrix(top)
     # only the (0,1) pair is co-band
     assert aggregate_interference(top, asg) == pytest.approx(2.0 * w[0, 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["ula", "rect", "hex", "free"]),
+       r=st.integers(1, 4), d=st.floats(0.25, 4.0))
+def test_plain_functions_are_bitwise_a_fresh_cache(data, kind, r, d):
+    # the cache build, aggregate_interference and shannon_capacity read one
+    # from-scratch band-sum table, so they agree in every bit, under any
+    # mask and under the mask with no cluster active
+    if kind == "ula":
+        top = make_uniform_linear_array(data.draw(st.integers(2, 40)), d)
+    elif kind == "free":
+        cells = data.draw(st.lists(st.tuples(st.integers(0, 9),
+                                             st.integers(0, 9)),
+                                   min_size=2, max_size=40, unique=True))
+        top = topology_from_positions(d * np.array(cells, dtype=float))
+    else:
+        make = (make_rectangular_lattice if kind == "rect"
+                else make_hexagonal_lattice)
+        top = make(data.draw(st.integers(1, 6)), data.draw(st.integers(2, 6)),
+                   d)
+    n = top.n
+    asg = Assignment(np.array(data.draw(
+        st.lists(st.integers(1, r), min_size=n, max_size=n))), r)
+    drawn = np.array(data.draw(
+        st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    s, n0 = link_powers(top)
+    for act in (drawn, np.zeros(n, dtype=bool)):
+        cache = InterferenceCache(top, asg, act)
+        assert aggregate_interference(top, asg, act).hex() \
+            == cache.aggregate().hex()
+        caps, _ = shannon_capacity(top, asg, act)
+        want = link_capacity(cache.own_band_interference(), s, n0)
+        assert _same_bits(caps[act], want[act])
+        assert np.isnan(caps[~act]).all()
+        one_band = InterferenceCache(top, all_band_one(n, 1), act)
+        assert worst_case_interference(top, act).hex() \
+            == one_band.aggregate().hex()
 
 
 def test_cache_matches_full_recompute_under_mutation():
@@ -278,6 +318,29 @@ def test_rebuild_peaks_at_one_matrix_beyond_the_weights():
         tracemalloc.stop()
     assert peak <= 1.05 * n * n * 8
     assert cache._band_power.tobytes() == want.tobytes()
+
+
+_FROM_SCRATCH = {
+    "aggregate_interference": aggregate_interference,
+    "shannon_capacity": shannon_capacity,
+    "InterferenceCache": InterferenceCache,
+}
+
+
+@pytest.mark.parametrize("name", list(_FROM_SCRATCH))
+def test_from_scratch_sums_peak_at_one_band_gather(name):
+    # alternating bands on two: each band's gathered weight columns are
+    # half of one N x N matrix, and each is dropped before the next
+    n = 1500
+    top = make_uniform_linear_array(n, 1.0)
+    alt = Assignment(np.arange(n) % 2 + 1, 2)
+    tracemalloc.start()
+    try:
+        _FROM_SCRATCH[name](top, alt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * n * n * 8
 
 
 def _assert_matches_recompute(cache, top, tol=1e-12):
